@@ -4,21 +4,18 @@ A deterministic discrete-event simulator in which each end device picks a
 (channel, TX power) pair per uplink using a variance-aware UCB learner, with
 epsilon-greedy, fixed allocation and ADR-Lite baselines, evaluated on
 transmission success rate and energy efficiency.
+
+The package exports what a script needs to run the model: the config
+(``ExperimentConfig``, ``ConfigError``), one run (``ExperimentConfig.run_setup``
+then ``run_simulation``, folded by ``summarize_run``), a full sweep
+(``run_sweep``) and the airtime/energy model.  Everything else lives in its
+submodule (``lorabandit.policies``, ``lorabandit.netsim``, ...).
 """
 
 __version__ = "0.1.0"
 
-from .params import (
-    Channel,
-    ConfigError,
-    ParamCombo,
-    TxPower,
-    build_arm_space,
-    default_channels,
-    default_powers,
-)
+from .params import ConfigError, default_powers
 from .energy import (
-    AttemptEnergy,
     EnergyModel,
     RadioConfig,
     attempt_energy,
@@ -26,80 +23,22 @@ from .energy import (
     symbol_time,
     time_on_air,
 )
-from .policies import (
-    AdrLitePolicy,
-    ArmState,
-    EpsilonGreedyPolicy,
-    Feedback,
-    FixedPolicy,
-    PolicyDecision,
-    UcbTunedPolicy,
-    adr_lite_list,
-    adr_lite_next,
-    select_epsilon_greedy,
-    select_fixed,
-    select_ucb,
-    ucb_score,
-    ucb_variance,
-    update,
-)
-from .netsim import RunSetup, run_simulation
-from .metrics import (
-    MetricsSummary,
-    RunRecord,
-    aggregate_runs,
-    energy_efficiency,
-    success_rate,
-    summarize_run,
-    tp_selection_ratio,
-)
-from .config import ExperimentConfig, config_from_dict, load_config
-from .sweep import RunManifest, emit_tables, run_seed, run_sweep
+from .netsim import run_simulation
+from .metrics import summarize_run
+from .config import ExperimentConfig
+from .sweep import run_sweep
 
 __all__ = [
-    "AdrLitePolicy",
-    "ArmState",
-    "AttemptEnergy",
-    "Channel",
     "ConfigError",
     "EnergyModel",
-    "EpsilonGreedyPolicy",
     "ExperimentConfig",
-    "Feedback",
-    "FixedPolicy",
-    "MetricsSummary",
-    "ParamCombo",
-    "PolicyDecision",
     "RadioConfig",
-    "RunManifest",
-    "RunRecord",
-    "RunSetup",
-    "TxPower",
-    "UcbTunedPolicy",
-    "adr_lite_list",
-    "adr_lite_next",
-    "aggregate_runs",
     "attempt_energy",
-    "build_arm_space",
-    "config_from_dict",
-    "default_channels",
     "default_powers",
-    "emit_tables",
-    "energy_efficiency",
-    "load_config",
     "reward_basis",
-    "run_seed",
     "run_simulation",
     "run_sweep",
-    "select_epsilon_greedy",
-    "select_fixed",
-    "select_ucb",
-    "success_rate",
     "summarize_run",
     "symbol_time",
     "time_on_air",
-    "tp_selection_ratio",
-    "ucb_score",
-    "ucb_variance",
-    "update",
 ]

@@ -7,20 +7,24 @@ device counts {10, 15, 20, 25, 30} x 5 runs of 200 attempts each, on the
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
-from .energy import EnergyModel, RadioConfig
+from .energy import EnergyModel, RadioConfig, attempt_energy, time_on_air
 from .netsim import POLICY_NAMES, RunSetup
 from .params import (
     DEFAULT_DRAW_MW,
     Channel,
     ConfigError,
     TxPower,
+    build_arm_space,
     default_channels,
     default_powers,
 )
+from .policies import adr_lite_list
 
 DEFAULT_DEVICE_COUNTS = (10, 15, 20, 25, 30)
 
@@ -53,19 +57,22 @@ class ExperimentConfig:
         self.validate()
 
     def validate(self) -> None:
+        if not isinstance(self.policies, (list, tuple)) or not self.policies:
+            raise ConfigError("policies must be a non-empty list")
         for p in self.policies:
             if p not in POLICY_NAMES:
                 raise ConfigError(f"unknown policy {p!r}; expected one of {POLICY_NAMES}")
-        if not self.policies:
-            raise ConfigError("at least one policy required")
-        if not self.device_counts or any(n < 1 for n in self.device_counts):
-            raise ConfigError("device_counts must be positive")
-        if self.runs_per_point < 1:
-            raise ConfigError("runs_per_point must be >= 1")
-        if self.t_attempts < 1:
-            raise ConfigError("t_attempts must be >= 1")
-        if self.interval_s <= 0:
-            raise ConfigError("interval_s must be positive")
+        if not isinstance(self.device_counts, (list, tuple)) or not self.device_counts:
+            raise ConfigError("device_counts must be a non-empty list")
+        for n in self.device_counts:
+            _check_int("device_counts entry", n, 1)
+        _check_int("runs_per_point", self.runs_per_point, 1)
+        _check_int("t_attempts", self.t_attempts, 1)
+        _check_int("payload_base", self.payload_base, 0)
+        _check_int("payload_spread", self.payload_spread, 1)
+        _check_int("base_seed", self.base_seed, None)
+        for name in ("interval_s", "epsilon", "cs_duration_s"):
+            _check_number(name, getattr(self, name))
         if not 0.0 <= self.epsilon <= 1.0:
             raise ConfigError("epsilon must be in [0, 1]")
         if self.cs_duration_s < 0:
@@ -74,35 +81,40 @@ class ExperimentConfig:
             raise ConfigError("reward_mode must be 'normalized' or 'raw'")
         if self.epsilon_reward not in ("energy", "ack"):
             raise ConfigError("epsilon_reward must be 'energy' or 'ack'")
-        for p in self.powers:
-            if p.level_dbm not in self.energy.p_toa_by_level:
-                raise ConfigError(
-                    f"power level {p.level_dbm} dBm missing from the energy draw table"
-                )
-        draws = [p.draw_mw for p in sorted(self.powers, key=lambda p: p.level_dbm)]
-        if any(b <= a for a, b in zip(draws, draws[1:])):
-            raise ConfigError("draw_mw must be strictly increasing in level_dbm")
+        if not 6 <= self.radio.sf <= 12:
+            raise ConfigError(f"radio.sf must be in 6..12, got {self.radio.sf}")
+        build_arm_space(self.channels, self.powers)  # duplicate or missing channels/levels
         if not any(c.receivable for c in self.channels):
             raise ConfigError("at least one channel must be receivable")
+        powers = sorted(self.powers, key=lambda p: p.level_dbm)
+        draws = [p.draw_mw for p in powers]
+        if any(b <= a for a, b in zip(draws, draws[1:])):
+            raise ConfigError("draw_mw must be strictly increasing in level_dbm")
+
+        # Every device payload: rewards rank powers by e_toa, so it must rise
+        # strictly with the level, and a device's transmission must end
+        # before its next wake.
+        longest_us = 0
+        for n_payload in range(self.payload_base, self.payload_base + self.payload_spread):
+            radio = dataclasses.replace(self.radio, n_payload=n_payload)
+            e_toa = [attempt_energy(radio, self.energy, p).e_toa_mj for p in powers]
+            if any(b <= a for a, b in zip(e_toa, e_toa[1:])):
+                raise ConfigError(
+                    f"e_toa must be strictly increasing in level_dbm, but for "
+                    f"{n_payload}-symbol payloads it is {e_toa} mJ"
+                )
+            longest_us = max(longest_us, round(time_on_air(radio)[2] * 1e6))
+        busy_us = round(self.cs_duration_s * 1e6) + longest_us
+        if round(self.interval_s * 1e6) <= busy_us:
+            raise ConfigError(
+                f"interval_s must exceed carrier sense plus the longest airtime "
+                f"({busy_us / 1e6} s), got {self.interval_s}"
+            )
+        if "adr_lite" in self.policies:
+            adr_lite_list(self.channels, self.powers, self.adr_quality_hz)
 
     def run_setup(self, policy: str, n_devices: int) -> RunSetup:
-        return RunSetup(
-            policy=policy,
-            n_devices=n_devices,
-            t_attempts=self.t_attempts,
-            interval_s=self.interval_s,
-            channels=list(self.channels),
-            powers=list(self.powers),
-            radio=self.radio,
-            energy=self.energy,
-            epsilon=self.epsilon,
-            cs_duration_s=self.cs_duration_s,
-            reward_mode=self.reward_mode,
-            epsilon_reward=self.epsilon_reward,
-            payload_base=self.payload_base,
-            payload_spread=self.payload_spread,
-            adr_quality_hz=self.adr_quality_hz,
-        )
+        return RunSetup(self, policy, n_devices)
 
     def to_dict(self) -> dict:
         return {
@@ -146,6 +158,18 @@ class ExperimentConfig:
     def config_hash(self) -> str:
         canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def _check_int(name: str, value, minimum: int | None) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
+
+
+def _check_number(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
 
 def _parse_channels(raw: list) -> list[Channel]:
@@ -217,11 +241,11 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         )
 
     if "radio" in doc:
-        radio_doc = doc["radio"]
+        radio_doc, base_radio = doc["radio"], RadioConfig()
         kwargs["radio"] = RadioConfig(
-            sf=int(radio_doc.get("sf", 7)),
-            bw_hz=float(radio_doc.get("bw_hz", 125_000.0)),
-            n_preamble=int(radio_doc.get("n_preamble", 8)),
+            sf=int(radio_doc.get("sf", base_radio.sf)),
+            bw_hz=float(radio_doc.get("bw_hz", base_radio.bw_hz)),
+            n_preamble=int(radio_doc.get("n_preamble", base_radio.n_preamble)),
         )
 
     if "adr_quality_mhz" in doc and doc["adr_quality_mhz"] is not None:

@@ -87,55 +87,27 @@ class MetricsSummary:
         )
 
 
-def _group_key(record: RunRecord, scope: str):
-    if scope == "global":
+def success_rate(records):
+    """Successes over selections; None for an empty log (never 0-by-fiat)."""
+    attempts = successes = 0
+    for r in records:
+        attempts += 1
+        successes += 1 if r.acked else 0
+    return successes / attempts if attempts else None
+
+
+def energy_efficiency(records):
+    """Successes per millijoule of active energy; None for an empty log."""
+    successes, energies = 0, []
+    for r in records:
+        successes += 1 if r.acked else 0
+        energies.append(r.e_active)
+    if not energies:
         return None
-    if scope == "device":
-        return record.device
-    if scope == "arm":
-        return record.arm_index
-    raise ValueError(f"unknown scope {scope!r}")
-
-
-def success_rate(records, scope: str = "global"):
-    """Successes over selections; None for an empty scope (never 0-by-fiat).
-
-    Returns a float for scope="global", otherwise a dict keyed by device or
-    arm index.
-    """
-    counts: dict = {}
-    for r in records:
-        key = _group_key(r, scope)
-        n, s = counts.get(key, (0, 0))
-        counts[key] = (n + 1, s + (1 if r.acked else 0))
-    if scope == "global":
-        if None not in counts:
-            return None
-        n, s = counts[None]
-        return s / n
-    return {k: s / n for k, (n, s) in counts.items()}
-
-
-def energy_efficiency(records, scope: str = "global"):
-    """Successes per millijoule of active energy over the scope."""
-    sums: dict = {}
-    for r in records:
-        key = _group_key(r, scope)
-        s, e = sums.get(key, (0, []))
-        e.append(r.e_active)
-        sums[key] = (s + (1 if r.acked else 0), e)
-
-    def ratio(successes, energies):
-        total = math.fsum(energies)
-        if total <= 0:
-            raise ValueError("total active energy must be positive")
-        return successes / total
-
-    if scope == "global":
-        if None not in sums:
-            return None
-        return ratio(*sums[None])
-    return {k: ratio(s, e) for k, (s, e) in sums.items()}
+    total = math.fsum(energies)
+    if total <= 0:
+        raise ValueError("total active energy must be positive")
+    return successes / total
 
 
 def tp_selection_ratio(records) -> dict[int, float]:
@@ -167,7 +139,7 @@ def summarize_run(records: list[RunRecord], config_key: str = "") -> MetricsSumm
         (s / n) / (math.fsum(es) / n) for n, s, es in by_device.values()
     ]
     ee_mean = math.fsum(device_ee) / len(device_ee) if device_ee else None
-    ee_network = energy_efficiency(records, scope="global")
+    ee_network = energy_efficiency(records)
 
     per_arm: dict[int, ArmStats] = {}
     arm_energy: dict[int, list[float]] = {}

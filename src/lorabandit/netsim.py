@@ -10,22 +10,16 @@ event ordering is exact and runs are bit-reproducible.
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
-from dataclasses import dataclass, field
-from enum import IntEnum
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .energy import (
-    AttemptEnergy,
-    EnergyModel,
-    RadioConfig,
-    attempt_energy,
-    min_toa_energy,
-    reward_basis,
-)
+from .energy import AttemptEnergy, attempt_energy, min_toa_energy, reward_basis
 from .metrics import Cause, RunRecord
-from .params import Channel, ConfigError, ParamCombo, TxPower, build_arm_space
+from .params import Channel, ConfigError, ParamCombo, build_arm_space
 from .policies import (
     AdrLitePolicy,
     EpsilonGreedyPolicy,
@@ -35,53 +29,32 @@ from .policies import (
     UcbTunedPolicy,
 )
 
+if TYPE_CHECKING:
+    from .config import ExperimentConfig
+
 POLICY_NAMES = ("proposed_ucb_tuned", "epsilon_greedy", "adr_lite", "fixed")
 
 
-class EventKind(IntEnum):
-    WAKE = 0
-    TX_END = 1
-
-
 @dataclass(frozen=True)
-class SimEvent:
-    time_us: int
-    kind: EventKind
-    device: int
-    seq: int
-
-
-@dataclass
 class RunSetup:
-    """Everything one simulation run needs, already validated."""
+    """One simulation run: a validated config, the policy and the device count."""
 
+    config: ExperimentConfig
     policy: str
     n_devices: int
-    t_attempts: int = 200
-    interval_s: float = 10.0
-    channels: list[Channel] = None
-    powers: list[TxPower] = None
-    radio: RadioConfig = None  # n_payload field is a base; per-device override applies
-    energy: EnergyModel = None
-    epsilon: float = 0.1
-    cs_duration_s: float = 0.005
-    reward_mode: str = "normalized"
-    epsilon_reward: str = "energy"  # "energy" (shared shaping) or "ack" (0/1)
-    payload_base: int = 36
-    payload_spread: int = 9
-    adr_quality_hz: list[float] | None = None
 
 
 @dataclass
 class DeviceState:
     device_index: int
     policy: Policy
-    start_offset_s: float
+    start_offset_us: int
     n_payload: int
     attempts_done: int = 0
 
 
-@dataclass
+# eq=False: list.remove on the in-flight lists matches by identity.
+@dataclass(eq=False)
 class _Transmission:
     device: int
     start_us: int
@@ -91,25 +64,6 @@ class _Transmission:
     wake_us: int
     energy: AttemptEnergy
     collided: bool = False
-
-
-@dataclass
-class ChannelOccupancy:
-    """In-flight transmissions per channel index."""
-
-    in_flight: dict[int, list[_Transmission]] = field(default_factory=dict)
-
-    def on_channel(self, ch: int) -> list[_Transmission]:
-        return self.in_flight.setdefault(ch, [])
-
-    def add(self, ch: int, tx: _Transmission) -> None:
-        self.on_channel(ch).append(tx)
-
-    def remove(self, ch: int, tx: _Transmission) -> None:
-        self.on_channel(ch).remove(tx)
-
-    def total_in_flight(self) -> int:
-        return sum(len(v) for v in self.in_flight.values())
 
 
 def payload_symbols(device_index: int, base: int = 36, spread: int = 9) -> int:
@@ -123,17 +77,8 @@ def device_rng(seed: int, device_index: int, stream: int) -> np.random.Generator
     return np.random.default_rng(ss)
 
 
-def schedule_attempts(device: DeviceState, interval_s: float, t_attempts: int) -> list[float]:
-    """Wake times in seconds: start_offset + i * interval."""
-    if interval_s <= 0:
-        raise ConfigError("transmission interval must be positive")
-    return [device.start_offset_s + i * interval_s for i in range(t_attempts)]
-
-
-def carrier_sense(
-    occupancy: ChannelOccupancy, ch: int, t_us: int, cs_duration_us: int
-) -> bool:
-    """True iff any in-flight transmission overlaps the sense window.
+def carrier_sense(in_flight: list[_Transmission], t_us: int, cs_duration_us: int) -> bool:
+    """True iff any transmission in flight on the channel overlaps the sense window.
 
     Intervals are half-open: a transmission ending exactly at t is not heard,
     and one starting exactly at the end of the window is not heard either.
@@ -143,7 +88,7 @@ def carrier_sense(
     window_end = t_us + cs_duration_us
     return any(
         tx.start_us < window_end and tx.end_us > t_us
-        for tx in occupancy.on_channel(ch)
+        for tx in in_flight
     )
 
 
@@ -161,82 +106,73 @@ def _make_policy(setup: RunSetup, device_index: int, arms: list[ParamCombo], see
     if setup.policy == "proposed_ucb_tuned":
         return UcbTunedPolicy(len(arms), rng)
     if setup.policy == "epsilon_greedy":
-        return EpsilonGreedyPolicy(len(arms), setup.epsilon, rng)
+        return EpsilonGreedyPolicy(len(arms), setup.config.epsilon, rng)
     if setup.policy == "fixed":
         return FixedPolicy(device_index, arms)
     if setup.policy == "adr_lite":
-        return AdrLitePolicy(arms, setup.adr_quality_hz)
+        return AdrLitePolicy(arms, setup.config.adr_quality_hz)
     raise ConfigError(f"unknown policy {setup.policy!r}; expected one of {POLICY_NAMES}")
 
 
 def run_simulation(setup: RunSetup, seed: int) -> list[RunRecord]:
     """Execute one run and return every attempt record in event order."""
+    cfg = setup.config
     if setup.n_devices < 1:
         raise ConfigError("need at least one device")
-    if setup.t_attempts < 0:
-        raise ConfigError("attempt count must be non-negative")
 
-    arms = build_arm_space(setup.channels, setup.powers)
-    interval_us = round(setup.interval_s * 1e6)
-    cs_us = round(setup.cs_duration_s * 1e6)
+    arms = build_arm_space(cfg.channels, cfg.powers)
+    arm_channel = [cfg.channels.index(a.channel) for a in arms]
+    interval_us = round(cfg.interval_s * 1e6)
+    cs_us = round(cfg.cs_duration_s * 1e6)
 
     # Validate energies for every (device payload, power) pair up front.
     payloads = sorted(
         {
-            payload_symbols(i, setup.payload_base, setup.payload_spread)
+            payload_symbols(i, cfg.payload_base, cfg.payload_spread)
             for i in range(setup.n_devices)
         }
     )
     energy_cache: dict[tuple[int, int], AttemptEnergy] = {}
     e_toa_min: dict[int, float] = {}
     for n_payload in payloads:
-        radio = RadioConfig(
-            sf=setup.radio.sf,
-            bw_hz=setup.radio.bw_hz,
-            n_preamble=setup.radio.n_preamble,
-            n_payload=n_payload,
-        )
-        for pw in setup.powers:
-            energy_cache[(n_payload, pw.level_dbm)] = attempt_energy(
-                radio, setup.energy, pw
-            )
-        e_toa_min[n_payload] = min_toa_energy(radio, setup.energy, setup.powers)
+        radio = dataclasses.replace(cfg.radio, n_payload=n_payload)
+        for pw in cfg.powers:
+            energy_cache[(n_payload, pw.level_dbm)] = attempt_energy(radio, cfg.energy, pw)
+        e_toa_min[n_payload] = min_toa_energy(radio, cfg.energy, cfg.powers)
 
     devices = []
     for i in range(setup.n_devices):
         sim_rng = device_rng(seed, i, stream=1)
-        offset_us = int(sim_rng.integers(0, interval_us))
         devices.append(
             DeviceState(
                 device_index=i,
                 policy=_make_policy(setup, i, arms, seed),
-                start_offset_s=offset_us / 1e6,
-                n_payload=payload_symbols(i, setup.payload_base, setup.payload_spread),
+                start_offset_us=int(sim_rng.integers(0, interval_us)),
+                n_payload=payload_symbols(i, cfg.payload_base, cfg.payload_spread),
             )
         )
 
-    # (time_us, seq, kind, payload); seq makes the order total and deterministic.
+    # (time_us, seq, device, transmission); a wake carries no transmission.
+    # seq makes the order total and deterministic.
     queue: list = []
     seq = 0
     for dev in devices:
-        offset_us = round(dev.start_offset_s * 1e6)
-        for i in range(setup.t_attempts):
-            heapq.heappush(queue, (offset_us + i * interval_us, seq, EventKind.WAKE, dev.device_index, None))
+        for i in range(cfg.t_attempts):
+            heapq.heappush(queue, (dev.start_offset_us + i * interval_us, seq, dev.device_index, None))
             seq += 1
 
-    occupancy = ChannelOccupancy()
-    channel_index = {a.channel.center_frequency_hz: setup.channels.index(a.channel) for a in arms}
+    in_flight: list[list[_Transmission]] = [[] for _ in cfg.channels]
     records: list[RunRecord] = []
 
     def finish(dev: DeviceState, tx: _Transmission, cause: Cause) -> None:
         acked = cause is Cause.SUCCESS
         reward = 0.0
         if acked:
-            if setup.policy == "epsilon_greedy" and setup.epsilon_reward == "ack":
+            if setup.policy == "epsilon_greedy" and cfg.epsilon_reward == "ack":
                 reward = 1.0
             else:
                 reward = reward_basis(
-                    tx.energy, setup.reward_mode, e_toa_min[dev.n_payload]
+                    tx.energy, cfg.reward_mode, e_toa_min[dev.n_payload]
                 )
         arm = arms[tx.arm_index]
         dev.policy.observe(
@@ -260,24 +196,22 @@ def run_simulation(setup: RunSetup, seed: int) -> list[RunRecord]:
         )
 
     while queue:
-        t_us, _, kind, device_index, payload = heapq.heappop(queue)
+        t_us, _, device_index, tx = heapq.heappop(queue)
         dev = devices[device_index]
 
-        if kind is EventKind.TX_END:
-            tx: _Transmission = payload
+        if tx is not None:
             arm = arms[tx.arm_index]
-            ch = channel_index[arm.channel.center_frequency_hz]
-            occupancy.remove(ch, tx)
+            in_flight[arm_channel[tx.arm_index]].remove(tx)
             finish(dev, tx, resolve_reception(arm.channel, tx))
             continue
 
         decision = dev.policy.select()
         arm = arms[decision.arm_index]
-        ch = channel_index[arm.channel.center_frequency_hz]
+        on_channel = in_flight[arm_channel[decision.arm_index]]
         attempt = dev.attempts_done
         dev.attempts_done += 1
 
-        if carrier_sense(occupancy, ch, t_us, cs_us):
+        if carrier_sense(on_channel, t_us, cs_us):
             # Abandon this interval: overheads are paid, the radio never fires.
             dev.policy.observe(Feedback(decision.arm_index, False, 0.0, 0.0))
             records.append(
@@ -292,7 +226,7 @@ def run_simulation(setup: RunSetup, seed: int) -> list[RunRecord]:
                     acked=False,
                     reward=0.0,
                     e_toa=0.0,
-                    e_active=setup.energy.overhead_mj,
+                    e_active=cfg.energy.overhead_mj,
                     wake_time=t_us / 1e6,
                 )
             )
@@ -310,14 +244,14 @@ def run_simulation(setup: RunSetup, seed: int) -> list[RunRecord]:
             wake_us=t_us,
             energy=e,
         )
-        for other in occupancy.on_channel(ch):
+        for other in on_channel:
             if other.start_us < end_us and other.end_us > start_us:
                 other.collided = True
                 tx.collided = True
-        occupancy.add(ch, tx)
-        heapq.heappush(queue, (end_us, seq, EventKind.TX_END, dev.device_index, tx))
+        on_channel.append(tx)
+        heapq.heappush(queue, (end_us, seq, dev.device_index, tx))
         seq += 1
 
-    if occupancy.total_in_flight() != 0:
+    if any(in_flight):
         raise RuntimeError("transmissions left in flight after the event queue drained")
     return records

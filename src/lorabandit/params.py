@@ -84,11 +84,13 @@ def build_arm_space(channels: list[Channel], powers: list[TxPower]) -> list[Para
         raise ConfigError("at least one power level required")
 
     freqs = [c.center_frequency_hz for c in channels]
-    if len(set(freqs)) != len(freqs):
-        raise ConfigError(f"duplicate channel frequency in {sorted(freqs)}")
+    for hz in freqs:
+        if freqs.count(hz) > 1:
+            raise ConfigError(f"duplicate channel frequency {hz / 1e6} MHz")
     levels = [p.level_dbm for p in powers]
-    if len(set(levels)) != len(levels):
-        raise ConfigError(f"duplicate power level in {sorted(levels)}")
+    for level in levels:
+        if levels.count(level) > 1:
+            raise ConfigError(f"duplicate power level {level} dBm")
 
     ordered_powers = sorted(powers, key=lambda p: p.level_dbm)
     combos = []
@@ -104,9 +106,3 @@ def receivable_channels(channels: list[Channel]) -> list[Channel]:
         (c for c in channels if c.receivable), key=lambda c: c.center_frequency_hz
     )
 
-
-def arm_lookup(arms: list[ParamCombo]) -> dict[tuple[float, int], int]:
-    """Map (frequency_hz, level_dbm) back to arm_index."""
-    return {
-        (a.channel.center_frequency_hz, a.power.level_dbm): a.arm_index for a in arms
-    }

@@ -94,10 +94,7 @@ def read_records(path) -> list[RunRecord]:
 
 
 def _execute_point(args) -> dict:
-    config_dict, policy, n, run_index, seed, records_path, config_hash = args
-    from .config import config_from_dict  # local import keeps workers lean
-
-    cfg = config_from_dict(config_dict)
+    cfg, policy, n, run_index, seed, records_path, config_hash = args
     records = run_simulation(cfg.run_setup(policy, n), seed)
     write_records(records, Path(records_path))
     summary = summarize_run(records, config_key=config_hash)
@@ -127,12 +124,11 @@ def run_sweep(cfg: ExperimentConfig, out_dir, parallel: int = 1) -> RunManifest:
                 for r in range(cfg.runs_per_point):
                     seed = run_seed(cfg.base_seed, policy, n, r)
                     rec_path = out / "records" / f"{policy}_n{n}_run{r}.jsonl"
-                    jobs.append(
-                        (cfg.to_dict(), policy, n, r, seed, str(rec_path), config_hash)
-                    )
+                    jobs.append((cfg, policy, n, r, seed, str(rec_path), config_hash))
 
-        if parallel > 1:
-            with ProcessPoolExecutor(max_workers=parallel) as pool:
+        workers = min(parallel, len(jobs), os.cpu_count() or 1)
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_execute_point, jobs))
         else:
             results = [_execute_point(j) for j in jobs]
@@ -154,9 +150,13 @@ def run_sweep(cfg: ExperimentConfig, out_dir, parallel: int = 1) -> RunManifest:
                 }
             )
 
+        # Written whole or not at all: a reader never sees a partial manifest.
         manifest_path = out / "manifest.json"
-        with open(manifest_path, "w", encoding="utf-8") as fh:
+        tmp_path = out / "manifest.json.tmp"
+        created.append(tmp_path)
+        with open(tmp_path, "w", encoding="utf-8") as fh:
             json.dump(manifest.to_dict(), fh, sort_keys=True, indent=2)
+        os.replace(tmp_path, manifest_path)
         created.append(manifest_path)
 
         emit_tables(manifest)

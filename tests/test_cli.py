@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from lorabandit.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 
 TINY = {
@@ -28,6 +30,29 @@ def test_validate_bad_config(tmp_path, capsys):
     code = main(["validate", write_config(tmp_path, {"epsilon": 2.0})])
     assert code == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+TWO_CHANNELS = [{"mhz": 921.0, "receivable": True}, {"mhz": 921.4, "receivable": True}]
+
+
+@pytest.mark.parametrize("doc", [
+    {"runs_per_point": "5"},
+    {"device_counts": ["3"]},
+    {"t_attempts": 2.5},
+    {"payload_spread": 0},
+    {"interval_s": 1e-9},
+    {"interval_s": 0.03, "policies": ["adr_lite"]},
+    {"radio": {"sf": 3}},
+    {"radio": {"sf": 13}},
+    {"policies": ["adr_lite"], "channels": TWO_CHANNELS},
+])
+def test_validate_implies_run(tmp_path, capsys, doc):
+    # Whatever validate refuses, run refuses the same way, before any work.
+    cfg = write_config(tmp_path, TINY | doc)
+    assert main(["validate", cfg]) == EXIT_CONFIG
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
+    assert capsys.readouterr().err.count("config error") == 2
 
 
 def test_validate_unparseable(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Config ingestion: defaults, overrides, validation, hashing."""
 
+import dataclasses
 import json
 
 import pytest
@@ -10,7 +11,9 @@ from lorabandit.config import (
     config_from_dict,
     load_config,
 )
-from lorabandit.params import ConfigError
+from lorabandit.energy import RadioConfig
+from lorabandit.netsim import RunSetup
+from lorabandit.params import ConfigError, TxPower
 
 
 def test_empty_document_yields_full_defaults():
@@ -107,8 +110,28 @@ def test_to_dict_from_dict_round_trip():
 def test_run_setup_carries_fields():
     cfg = ExperimentConfig(epsilon=0.25, cs_duration_s=0.001)
     setup = cfg.run_setup("epsilon_greedy", 12)
-    assert setup.policy == "epsilon_greedy"
-    assert setup.n_devices == 12
-    assert setup.epsilon == 0.25
-    assert setup.cs_duration_s == 0.001
-    assert setup.t_attempts == cfg.t_attempts
+    assert [f.name for f in dataclasses.fields(RunSetup)] == ["config", "policy", "n_devices"]
+    assert setup == RunSetup(cfg, "epsilon_greedy", 12)
+    assert setup.config is cfg
+
+
+def test_duplicate_power_level_named():
+    doc = {"powers": [{"level_dbm": lvl} for lvl in (-3, 1, 5, 5, 9)]}
+    with pytest.raises(ConfigError, match="duplicate power level 5 dBm"):
+        config_from_dict(doc)
+    # Distinct draws on one level used to pass validate and fail only in a run.
+    doc = {"powers": [{"level_dbm": 1, "draw_mw": 30}, {"level_dbm": 1, "draw_mw": 40}]}
+    with pytest.raises(ConfigError, match="duplicate power level 1 dBm"):
+        config_from_dict(doc)
+
+
+def test_e_toa_tie_rejected():
+    # Draws one ulp apart: p_mcu absorbs the gap and e_toa stops rising.
+    powers = [TxPower(0, 1.0), TxPower(1, 1.0000000000000002)]
+    with pytest.raises(ConfigError, match="e_toa must be strictly increasing"):
+        ExperimentConfig(powers=powers)
+
+
+def test_radio_defaults_come_from_radio_config():
+    cfg = config_from_dict({"radio": {"bw_hz": 250_000}})
+    assert cfg.radio == dataclasses.replace(RadioConfig(), bw_hz=250_000.0)

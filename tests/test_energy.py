@@ -3,8 +3,9 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from lorabandit.config import ExperimentConfig
 from lorabandit.energy import (
     EnergyModel,
     RadioConfig,
@@ -143,12 +144,20 @@ def test_airtime_additivity(sf, bw, n_pre, n_pay):
         unique=True,
     )
 )
+@example(draws=[1.0, 1.0000000000000002])
 def test_e_toa_monotone_in_draw(draws):
-    cfg = RadioConfig()
-    table = {i: d for i, d in enumerate(sorted(draws))}
-    m = EnergyModel(p_toa_by_level=table)
-    energies = [attempt_energy(cfg, m, TxPower(i, table[i])).e_toa_mj for i in table]
-    assert all(b > a for a, b in zip(energies, energies[1:]))
+    # Validation is what guarantees the ordering: a table whose draws are
+    # too close for p_mcu + draw to stay distinct must be refused.
+    powers = [TxPower(i, d) for i, d in enumerate(sorted(draws))]
+    try:
+        cfg = ExperimentConfig(powers=powers)
+    except ConfigError as exc:
+        assert "e_toa must be strictly increasing" in str(exc)
+        return
+    for n_payload in range(cfg.payload_base, cfg.payload_base + cfg.payload_spread):
+        radio = RadioConfig(n_payload=n_payload)
+        energies = [attempt_energy(radio, cfg.energy, p).e_toa_mj for p in powers]
+        assert all(b > a for a, b in zip(energies, energies[1:]))
 
 
 @given(mode=st.sampled_from(["normalized", "raw"]))

@@ -47,19 +47,6 @@ def test_success_rate_zero_when_never_acked():
 
 def test_success_rate_empty_is_none():
     assert success_rate([]) is None
-    assert success_rate([], scope="device") == {}
-
-
-def test_success_rate_per_arm():
-    records = log(8, 6, arm=3) + log(4, 1, arm=5)
-    per_arm = success_rate(records, scope="arm")
-    assert per_arm[3] == 0.75
-    assert per_arm[5] == 0.25
-
-
-def test_success_rate_unknown_scope():
-    with pytest.raises(ValueError):
-        success_rate(log(2, 1), scope="galaxy")
 
 
 # --- energy efficiency -------------------------------------------------------

@@ -1,45 +1,23 @@
 """Event-driven network simulation: carrier sense, collisions, determinism."""
 
-import math
-
 import pytest
 
+from lorabandit.config import ExperimentConfig
 from lorabandit.energy import EnergyModel, RadioConfig, attempt_energy
 from lorabandit.metrics import Cause
 from lorabandit.netsim import (
-    ChannelOccupancy,
-    DeviceState,
-    RunSetup,
     _Transmission,
     carrier_sense,
     device_rng,
     payload_symbols,
     resolve_reception,
     run_simulation,
-    schedule_attempts,
 )
-from lorabandit.params import (
-    Channel,
-    ConfigError,
-    TxPower,
-    default_channels,
-    default_powers,
-)
+from lorabandit.params import Channel, ConfigError
 
 
 def make_setup(policy="proposed_ucb_tuned", n_devices=1, **kw):
-    powers = default_powers()
-    defaults = dict(
-        policy=policy,
-        n_devices=n_devices,
-        t_attempts=200,
-        channels=default_channels(),
-        powers=powers,
-        radio=RadioConfig(),
-        energy=EnergyModel(p_toa_by_level={p.level_dbm: p.draw_mw for p in powers}),
-    )
-    defaults.update(kw)
-    return RunSetup(**defaults)
+    return ExperimentConfig(**kw).run_setup(policy, n_devices)
 
 
 def tx(start_us, end_us, device=0, arm=0):
@@ -52,29 +30,35 @@ def tx(start_us, end_us, device=0, arm=0):
 # --- carrier sense ----------------------------------------------------------
 
 def test_carrier_sense_empty_channel():
-    assert carrier_sense(ChannelOccupancy(), 0, 1000, 5000) is False
+    assert carrier_sense([], 1000, 5000) is False
 
 
 def test_carrier_sense_covered_window():
-    occ = ChannelOccupancy()
-    occ.add(0, tx(0, 1_000_000))
-    assert carrier_sense(occ, 0, 1000, 5000) is True
-    assert carrier_sense(occ, 1, 1000, 5000) is False  # other channel
+    in_flight = [[tx(0, 1_000_000)], []]
+    assert carrier_sense(in_flight[0], 1000, 5000) is True
+    assert carrier_sense(in_flight[1], 1000, 5000) is False  # other channel
 
 
 def test_carrier_sense_half_open_boundaries():
-    occ = ChannelOccupancy()
-    occ.add(0, tx(0, 1000))
-    assert carrier_sense(occ, 0, 1000, 5000) is False  # ends exactly at t
-    occ.add(0, tx(6000, 7000))
-    assert carrier_sense(occ, 0, 1000, 5000) is False  # starts at window end
-    occ.add(0, tx(5999, 7000))
-    assert carrier_sense(occ, 0, 1000, 5000) is True
+    on_channel = [tx(0, 1000)]
+    assert carrier_sense(on_channel, 1000, 5000) is False  # ends exactly at t
+    on_channel.append(tx(6000, 7000))
+    assert carrier_sense(on_channel, 1000, 5000) is False  # starts at window end
+    on_channel.append(tx(5999, 7000))
+    assert carrier_sense(on_channel, 1000, 5000) is True
 
 
 def test_carrier_sense_rejects_negative_duration():
     with pytest.raises(ConfigError):
-        carrier_sense(ChannelOccupancy(), 0, 0, -1)
+        carrier_sense([], 0, -1)
+
+
+def test_in_flight_removal_matches_identity():
+    # Two transmissions with equal fields are still distinct entries.
+    a, b = tx(0, 1000), tx(0, 1000)
+    on_channel = [a, b]
+    on_channel.remove(b)
+    assert on_channel[0] is a
 
 
 # --- reception outcomes -------------------------------------------------------
@@ -106,27 +90,44 @@ def test_reception_overlap_kills_both():
 
 # --- scheduling ----------------------------------------------------------------
 
-def device(offset_s):
-    return DeviceState(0, policy=None, start_offset_s=offset_s, n_payload=36)
+def wake_schedule(setup, seed):
+    """Every device's wake times from a run, with its drawn start offset in µs."""
+    records = run_simulation(setup, seed)
+    interval_us = round(setup.config.interval_s * 1e6)
+    out = {}
+    for d in range(setup.n_devices):
+        offset_us = int(device_rng(seed, d, stream=1).integers(0, interval_us))
+        wakes = [r.wake_time for r in sorted(records, key=lambda r: r.attempt) if r.device == d]
+        out[d] = (offset_us, interval_us, wakes)
+    return out
 
 
 def test_schedule_arithmetic_progression():
-    wakes = schedule_attempts(device(3.2), 10.0, 4)
-    assert wakes == pytest.approx([3.2, 13.2, 23.2, 33.2])
+    for offset_us, interval_us, wakes in wake_schedule(
+        make_setup(n_devices=3, t_attempts=4), seed=8
+    ).values():
+        assert wakes == [(offset_us + i * interval_us) / 1e6 for i in range(4)]
 
 
 def test_schedule_last_wake():
-    wakes = schedule_attempts(device(0.5), 10.0, 200)
-    assert wakes[-1] == pytest.approx(0.5 + 1990.0)
+    (offset_us, interval_us, wakes), = wake_schedule(make_setup(policy="fixed"), 2).values()
+    assert len(wakes) == 200
+    assert wakes[-1] == (offset_us + 199 * interval_us) / 1e6
+    assert wakes[-1] == pytest.approx(offset_us / 1e6 + 1990.0)
 
 
 def test_schedule_zero_offset():
-    assert schedule_attempts(device(0.0), 10.0, 3) == [0.0, 10.0, 20.0]
+    # Seed 241268 draws device 0 a start offset of exactly 0 µs at 0.1 s.
+    (offset_us, _, wakes), = wake_schedule(
+        make_setup(policy="fixed", t_attempts=3, interval_s=0.1), seed=241268
+    ).values()
+    assert offset_us == 0
+    assert wakes == [0.0, 0.1, 0.2]
 
 
 def test_schedule_rejects_bad_interval():
     with pytest.raises(ConfigError):
-        schedule_attempts(device(0.0), 0.0, 3)
+        make_setup(interval_s=0.0)
 
 
 def test_payload_symbols_spread():
@@ -190,15 +191,16 @@ def test_device_rng_streams_are_independent():
 def test_energy_accounting_matches_model():
     setup = make_setup(n_devices=4, t_attempts=60)
     records = run_simulation(setup, seed=21)
-    powers = {p.level_dbm: p for p in setup.powers}
+    cfg = setup.config
+    powers = {p.level_dbm: p for p in cfg.powers}
     for r in records:
         if r.cause == Cause.CARRIER_BUSY.value:
             assert r.e_toa == 0.0
-            assert r.e_active == setup.energy.overhead_mj
+            assert r.e_active == cfg.energy.overhead_mj
             assert r.reward == 0.0
             continue
         radio = RadioConfig(n_payload=payload_symbols(r.device))
-        e = attempt_energy(radio, setup.energy, powers[r.power_dbm])
+        e = attempt_energy(radio, cfg.energy, powers[r.power_dbm])
         assert r.e_toa == e.e_toa_mj
         assert r.e_active == e.e_active_mj
 
@@ -218,15 +220,16 @@ def test_collision_symmetry():
     # overlapping transmissions must both carry the Collision cause (or lose
     # to non-receivability, which cannot happen on receivable channels).
     setup = make_setup(policy="epsilon_greedy", n_devices=30, t_attempts=80)
+    cfg = setup.config
     records = run_simulation(setup, seed=4)
-    cs_us = round(setup.cs_duration_s * 1e6)
+    cs_us = round(cfg.cs_duration_s * 1e6)
     intervals = []
     for r in records:
         if r.cause == Cause.CARRIER_BUSY.value:
             continue
         start = round(r.wake_time * 1e6) + cs_us
         end = start + round(r.e_toa / (29.7 + dict(
-            (p.level_dbm, p.draw_mw) for p in setup.powers
+            (p.level_dbm, p.draw_mw) for p in cfg.powers
         )[r.power_dbm]) * 1e6)
         intervals.append((r, start, end))
     collided = set()
@@ -238,7 +241,7 @@ def test_collision_symmetry():
     for r, _, _ in intervals:
         expect_collision = id(r) in collided
         ch_receivable = any(
-            c.receivable for c in setup.channels
+            c.receivable for c in cfg.channels
             if c.center_frequency_hz == r.channel_hz
         )
         if not ch_receivable:
@@ -266,7 +269,11 @@ def test_run_rejects_bad_setup():
 
 
 def test_missing_draw_level_caught_before_events():
-    powers = default_powers()
     bad_energy = EnergyModel(p_toa_by_level={-3: 15.0})
     with pytest.raises(ConfigError):
         run_simulation(make_setup(energy=bad_energy), seed=1)
+    # A config changed after validation still fails before any event runs.
+    cfg = ExperimentConfig()
+    cfg.energy = bad_energy
+    with pytest.raises(ConfigError, match="1 dBm"):
+        run_simulation(cfg.run_setup("proposed_ucb_tuned", 1), seed=1)

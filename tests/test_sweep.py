@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from lorabandit import sweep
 from lorabandit.config import ExperimentConfig
 from lorabandit.sweep import (
     RunManifest,
@@ -78,7 +79,10 @@ def test_singleton_sweep(tmp_path):
     out = Path(manifest.out_dir)
     assert (out / entry["records"]).exists()
     assert (out / entry["summary"]).exists()
-    assert (out / "manifest.json").exists()
+    # The manifest is written through a temporary file that is renamed away.
+    assert sorted(p.name for p in out.iterdir()) == [
+        "manifest.json", "records", "summaries", "tables"
+    ]
 
 
 def test_sweep_shape_and_seeds(tmp_path):
@@ -107,6 +111,32 @@ def test_sweep_parallel_matches_serial(tmp_path):
         bytes_a = (Path(a.out_dir) / ea["records"]).read_bytes()
         bytes_b = (Path(b.out_dir) / eb["records"]).read_bytes()
         assert bytes_a == bytes_b
+
+
+@pytest.mark.parametrize("parallel,cpus,expected", [(8, 3, 3), (8, 16, 4), (2, 16, 2)])
+def test_pool_workers_capped(tmp_path, monkeypatch, parallel, cpus, expected):
+    # Workers are capped at min(parallel, jobs, cpus); the fake pool maps
+    # serially, so no process starts.
+    seen = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(sweep.os, "cpu_count", lambda: cpus)
+    manifest = run_sweep(tiny_config(runs_per_point=1), tmp_path / "out", parallel=parallel)
+    assert seen == [expected]
+    assert len(manifest.runs) == 4
 
 
 def test_tables_shapes(tmp_path):
