@@ -63,7 +63,11 @@ def main(argv=None) -> int:
             out = args.out or os.environ.get("LORABANDIT_OUT") or "results"
             parallel = args.parallel
             if parallel is None:
-                parallel = int(os.environ.get("LORABANDIT_PARALLEL", "1"))
+                env = os.environ.get("LORABANDIT_PARALLEL", "1")
+                try:
+                    parallel = int(env)
+                except ValueError:
+                    raise ConfigError(f"LORABANDIT_PARALLEL must be an integer, got {env!r}") from None
             manifest = run_sweep(cfg, out, parallel=max(1, parallel))
             print(f"wrote {len(manifest.runs)} runs under {manifest.out_dir} "
                   f"(config hash {manifest.config_hash[:12]})")

@@ -17,6 +17,7 @@ from .energy import EnergyModel, RadioConfig, attempt_energy, time_on_air
 from .netsim import POLICY_NAMES, RunSetup
 from .params import (
     DEFAULT_DRAW_MW,
+    DEFAULT_POWER_DBM,
     Channel,
     ConfigError,
     TxPower,
@@ -160,38 +161,64 @@ class ExperimentConfig:
         return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _check_int(name: str, value, minimum: int | None) -> None:
+def _check_int(name: str, value, minimum: int | None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{name} must be >= {minimum}, got {value}")
+    return value
 
 
-def _check_number(name: str, value) -> None:
+def _check_number(name: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
 
 
-def _parse_channels(raw: list) -> list[Channel]:
+def _check_type(name: str, value, kind: type):
+    if not isinstance(value, kind):
+        what = "an object" if kind is dict else "a list"
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+    return value
+
+
+def _parse_channels(raw) -> list[Channel]:
     channels = []
-    for entry in raw:
+    for entry in _check_type("channels", raw, list):
         try:
-            channels.append(Channel(float(entry["mhz"]) * 1e6, bool(entry["receivable"])))
+            mhz = _check_number("mhz", entry["mhz"])
+            receivable = entry["receivable"]
+            if not isinstance(receivable, bool):
+                raise ConfigError(f"receivable must be true or false, got {receivable!r}")
+            channels.append(Channel(mhz * 1e6, receivable))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad channel entry {entry!r}: {exc}") from exc
     return channels
 
 
-def _parse_powers(raw: list, draw_table: dict[int, float]) -> list[TxPower]:
+def _parse_powers(raw, draw_table: dict[int, float]) -> list[TxPower]:
     powers = []
-    for entry in raw:
+    for entry in _check_type("powers", raw, list):
         try:
-            level = int(entry["level_dbm"])
-            draw = float(entry.get("draw_mw", draw_table.get(level, 0.0)))
+            level = _check_int("level_dbm", entry["level_dbm"], None)
+            if "draw_mw" not in entry and level not in draw_table:
+                raise ConfigError(f"no draw_mw, and energy.p_toa_mw lacks {level} dBm")
+            draw = _check_number("draw_mw", entry.get("draw_mw", draw_table.get(level)))
             powers.append(TxPower(level, draw))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad power entry {entry!r}: {exc}") from exc
     return powers
+
+
+def _parse_draw_table(raw) -> dict[int, float]:
+    table = {}
+    for key, mw in _check_type("energy.p_toa_mw", raw, dict).items():
+        try:
+            level = int(key)
+        except ValueError:
+            raise ConfigError(f"energy.p_toa_mw keys must be dBm integers, got {key!r}") from None
+        table[level] = _check_number(f"energy.p_toa_mw[{key!r}]", mw)
+    return table
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
@@ -220,36 +247,40 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     if "channels" in doc:
         kwargs["channels"] = _parse_channels(doc["channels"])
 
-    energy_doc = doc.get("energy", {})
+    energy_doc = _check_type("energy", doc.get("energy", {}), dict)
     draw_table = dict(DEFAULT_DRAW_MW)
     if "p_toa_mw" in energy_doc:
-        draw_table = {int(k): float(v) for k, v in energy_doc["p_toa_mw"].items()}
+        draw_table = _parse_draw_table(energy_doc["p_toa_mw"])
 
-    if "powers" in doc:
-        kwargs["powers"] = _parse_powers(doc["powers"], draw_table)
-    elif "p_toa_mw" in energy_doc:
-        kwargs["powers"] = default_powers(draw_table)
+    if "powers" in doc or "p_toa_mw" in energy_doc:
+        default = [{"level_dbm": dbm} for dbm in DEFAULT_POWER_DBM]
+        kwargs["powers"] = _parse_powers(doc.get("powers", default), draw_table)
 
     if energy_doc:
         base = EnergyModel(p_toa_by_level=draw_table)
         kwargs["energy"] = EnergyModel(
-            e_wu_mj=float(energy_doc.get("e_wu_mj", base.e_wu_mj)),
-            e_proc_mj=float(energy_doc.get("e_proc_mj", base.e_proc_mj)),
-            e_r_mj=float(energy_doc.get("e_r_mj", base.e_r_mj)),
-            p_mcu_mw=float(energy_doc.get("p_mcu_mw", base.p_mcu_mw)),
+            e_wu_mj=_check_number("energy.e_wu_mj", energy_doc.get("e_wu_mj", base.e_wu_mj)),
+            e_proc_mj=_check_number("energy.e_proc_mj", energy_doc.get("e_proc_mj", base.e_proc_mj)),
+            e_r_mj=_check_number("energy.e_r_mj", energy_doc.get("e_r_mj", base.e_r_mj)),
+            p_mcu_mw=_check_number("energy.p_mcu_mw", energy_doc.get("p_mcu_mw", base.p_mcu_mw)),
             p_toa_by_level=draw_table,
         )
 
     if "radio" in doc:
-        radio_doc, base_radio = doc["radio"], RadioConfig()
+        radio_doc, base_radio = _check_type("radio", doc["radio"], dict), RadioConfig()
         kwargs["radio"] = RadioConfig(
-            sf=int(radio_doc.get("sf", base_radio.sf)),
-            bw_hz=float(radio_doc.get("bw_hz", base_radio.bw_hz)),
-            n_preamble=int(radio_doc.get("n_preamble", base_radio.n_preamble)),
+            sf=_check_int("radio.sf", radio_doc.get("sf", base_radio.sf), None),
+            bw_hz=_check_number("radio.bw_hz", radio_doc.get("bw_hz", base_radio.bw_hz)),
+            n_preamble=_check_int(
+                "radio.n_preamble", radio_doc.get("n_preamble", base_radio.n_preamble), 0
+            ),
         )
 
-    if "adr_quality_mhz" in doc and doc["adr_quality_mhz"] is not None:
-        kwargs["adr_quality_hz"] = [float(mhz) * 1e6 for mhz in doc["adr_quality_mhz"]]
+    if doc.get("adr_quality_mhz") is not None:
+        quality = _check_type("adr_quality_mhz", doc["adr_quality_mhz"], list)
+        kwargs["adr_quality_hz"] = [
+            _check_number("adr_quality_mhz entry", mhz) * 1e6 for mhz in quality
+        ]
 
     return ExperimentConfig(**kwargs)
 

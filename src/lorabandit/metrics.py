@@ -69,22 +69,16 @@ class MetricsSummary:
     def to_dict(self) -> dict:
         d = asdict(self)
         d["tp_ratio"] = {str(k): v for k, v in self.tp_ratio.items()}
-        d["per_arm"] = {str(k): asdict(v) for k, v in self.per_arm.items()}
+        d["per_arm"] = {str(k): v for k, v in d["per_arm"].items()}
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "MetricsSummary":
-        return cls(
-            config_key=d["config_key"],
-            n_runs=d["n_runs"],
-            attempts=d["attempts"],
-            successes=d["successes"],
-            success_rate=d["success_rate"],
-            energy_efficiency=d["energy_efficiency"],
-            energy_efficiency_network=d["energy_efficiency_network"],
-            tp_ratio={int(k): v for k, v in d["tp_ratio"].items()},
-            per_arm={int(k): ArmStats(**v) for k, v in d["per_arm"].items()},
-        )
+        return cls(**{
+            **d,
+            "tp_ratio": {int(k): v for k, v in d["tp_ratio"].items()},
+            "per_arm": {int(k): ArmStats(**v) for k, v in d["per_arm"].items()},
+        })
 
 
 def success_rate(records):

@@ -25,7 +25,6 @@ from .policies import (
     EpsilonGreedyPolicy,
     Feedback,
     FixedPolicy,
-    Policy,
     UcbTunedPolicy,
 )
 
@@ -33,6 +32,9 @@ if TYPE_CHECKING:
     from .config import ExperimentConfig
 
 POLICY_NAMES = ("proposed_ucb_tuned", "epsilon_greedy", "adr_lite", "fixed")
+
+# Each has select() -> PolicyDecision and observe(Feedback).
+Policy = UcbTunedPolicy | EpsilonGreedyPolicy | FixedPolicy | AdrLitePolicy
 
 
 @dataclass(frozen=True)
@@ -83,8 +85,6 @@ def carrier_sense(in_flight: list[_Transmission], t_us: int, cs_duration_us: int
     Intervals are half-open: a transmission ending exactly at t is not heard,
     and one starting exactly at the end of the window is not heard either.
     """
-    if cs_duration_us < 0:
-        raise ConfigError("carrier-sense duration must be non-negative")
     window_end = t_us + cs_duration_us
     return any(
         tx.start_us < window_end and tx.end_us > t_us

@@ -213,18 +213,8 @@ def adr_lite_list(
     return combos
 
 
-class Policy:
-    """Interface shared by all selection policies."""
-
-    def select(self) -> PolicyDecision:
-        raise NotImplementedError
-
-    def observe(self, fb: Feedback) -> None:
-        raise NotImplementedError
-
-
 @dataclass
-class UcbTunedPolicy(Policy):
+class UcbTunedPolicy:
     n_arms: int
     rng: np.random.Generator
     arms: list[ArmState] = field(init=False)
@@ -242,7 +232,7 @@ class UcbTunedPolicy(Policy):
 
 
 @dataclass
-class EpsilonGreedyPolicy(Policy):
+class EpsilonGreedyPolicy:
     n_arms: int
     epsilon: float
     rng: np.random.Generator
@@ -258,7 +248,7 @@ class EpsilonGreedyPolicy(Policy):
         update(self.arms[fb.arm_index], fb)
 
 
-class FixedPolicy(Policy):
+class FixedPolicy:
     """Constant arm chosen once from the device index."""
 
     def __init__(self, device_index: int, arms: list[ParamCombo]):
@@ -271,7 +261,7 @@ class FixedPolicy(Policy):
         pass
 
 
-class AdrLitePolicy(Policy):
+class AdrLitePolicy:
     """Stateless-history search: only the previous outcome steers the walk."""
 
     def __init__(

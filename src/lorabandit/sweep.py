@@ -6,8 +6,10 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from operator import attrgetter
 from pathlib import Path
 
 from . import __version__
@@ -54,27 +56,16 @@ class RunManifest:
     runs: list[dict] = field(default_factory=list)  # policy, n, run, seed, paths
 
     def to_dict(self) -> dict:
-        return {
-            "config_hash": self.config_hash,
-            "base_seed": self.base_seed,
-            "version": self.version,
-            "out_dir": self.out_dir,
-            "config": self.config,
-            "runs": self.runs,
-        }
+        return asdict(self)
 
     @classmethod
     def load(cls, path) -> "RunManifest":
+        """Read a manifest; its artifacts are found next to the file, wherever
+        the sweep that wrote it was started from."""
         with open(path, encoding="utf-8") as fh:
             d = json.load(fh)
-        return cls(
-            config_hash=d["config_hash"],
-            base_seed=d["base_seed"],
-            version=d["version"],
-            out_dir=d["out_dir"],
-            config=d["config"],
-            runs=d["runs"],
-        )
+        d["out_dir"] = str(Path(path).parent)
+        return cls(**d)
 
 
 def write_records(records: list[RunRecord], path: Path) -> None:
@@ -93,17 +84,22 @@ def read_records(path) -> list[RunRecord]:
     return records
 
 
-def _execute_point(args) -> dict:
+def _execute_point(args) -> MetricsSummary:
     cfg, policy, n, run_index, seed, records_path, config_hash = args
     records = run_simulation(cfg.run_setup(policy, n), seed)
     write_records(records, Path(records_path))
-    summary = summarize_run(records, config_key=config_hash)
-    return summary.to_dict()
+    return summarize_run(records, config_key=config_hash)
 
 
 def run_sweep(cfg: ExperimentConfig, out_dir, parallel: int = 1) -> RunManifest:
-    """Execute the full sweep and write all artifacts under out_dir."""
+    """Execute the full sweep and write all artifacts under out_dir.
+
+    If it fails, it removes the files it writes and the directories it made;
+    a directory that existed before the call stays.
+    """
     out = Path(out_dir)
+    new_dirs = [d for d in (out, out / "records", out / "summaries", out / "tables")
+                if not d.exists()]
     created: list[Path] = []
     try:
         (out / "records").mkdir(parents=True, exist_ok=True)
@@ -125,6 +121,8 @@ def run_sweep(cfg: ExperimentConfig, out_dir, parallel: int = 1) -> RunManifest:
                     seed = run_seed(cfg.base_seed, policy, n, r)
                     rec_path = out / "records" / f"{policy}_n{n}_run{r}.jsonl"
                     jobs.append((cfg, policy, n, r, seed, str(rec_path), config_hash))
+                    # Any job may have written its records when another fails.
+                    created.append(rec_path)
 
         workers = min(parallel, len(jobs), os.cpu_count() or 1)
         if workers > 1:
@@ -133,12 +131,14 @@ def run_sweep(cfg: ExperimentConfig, out_dir, parallel: int = 1) -> RunManifest:
         else:
             results = [_execute_point(j) for j in jobs]
 
-        for job, summary_dict in zip(jobs, results):
+        points: dict[tuple[str, int], list[MetricsSummary]] = {}
+        for job, summary in zip(jobs, results):
             _, policy, n, r, seed, rec_path, _ = job
             sum_path = out / "summaries" / f"{policy}_n{n}_run{r}.json"
+            created.append(sum_path)
             with open(sum_path, "w", encoding="utf-8") as fh:
-                json.dump(summary_dict, fh, sort_keys=True, indent=2)
-            created.extend([Path(rec_path), sum_path])
+                json.dump(summary.to_dict(), fh, sort_keys=True, indent=2)
+            points.setdefault((policy, n), []).append(summary)
             manifest.runs.append(
                 {
                     "policy": policy,
@@ -159,11 +159,13 @@ def run_sweep(cfg: ExperimentConfig, out_dir, parallel: int = 1) -> RunManifest:
         os.replace(tmp_path, manifest_path)
         created.append(manifest_path)
 
-        emit_tables(manifest)
+        emit_tables(manifest, points)
         return manifest
     except Exception:
         for p in created:
             p.unlink(missing_ok=True)
+        for d in new_dirs:
+            shutil.rmtree(d, ignore_errors=True)
         raise
 
 
@@ -184,81 +186,58 @@ def _load_point_summaries(manifest: RunManifest):
     return points
 
 
-def emit_tables(manifest: RunManifest) -> list[Path]:
-    """Write the three long-form CSVs plus one plot-ready wide table each."""
-    out = Path(manifest.out_dir)
-    tables = out / "tables"
+def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> Path:
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in [header, *rows]:
+            fh.write(",".join(row) + "\n")
+    return path
+
+
+def _fmt(x) -> str:
+    return "" if x is None else repr(float(x))
+
+
+def emit_tables(manifest: RunManifest, points=None) -> list[Path]:
+    """Write the long-form CSVs of success rate, energy efficiency and the
+    per-power success share, plus one plot-ready wide table each.
+
+    points maps (policy, n) to that point's per-run summaries in run order;
+    when it is not given, the summaries are read back from the manifest's
+    summaries/ files.
+    """
+    if points is None:
+        points = _load_point_summaries(manifest)
+    tables = Path(manifest.out_dir) / "tables"
     tables.mkdir(parents=True, exist_ok=True)
-    points = _load_point_summaries(manifest)
 
     policies = list(dict.fromkeys(p for p, _ in points))
     counts = sorted({n for _, n in points})
-    runs_per_point = max(len(v) for v in points.values())
+    order = [(p, n) for p in policies for n in counts if (p, n) in points]
+    means = {point: aggregate_runs(points[point]) for point in order}
+    run_cols = [f"run_{i}" for i in range(max(len(runs) for runs in points.values()))]
+
+    def by_policy(n, value) -> list[str]:
+        """One cell per policy: value of its mean at n, empty where it has none."""
+        return [_fmt(value(means[p, n])) if (p, n) in means else "" for p in policies]
+
     written = []
-
-    def fmt(x) -> str:
-        return "" if x is None else repr(float(x))
-
-    for metric, attr in (
-        ("success_rate", "success_rate"),
-        ("energy_efficiency", "energy_efficiency"),
-    ):
-        path = tables / f"{metric}.csv"
-        with open(path, "w", encoding="utf-8") as fh:
-            run_cols = ",".join(f"run_{i}" for i in range(runs_per_point))
-            fh.write(f"policy,n_devices,mean,{run_cols}\n")
-            for policy in policies:
-                for n in counts:
-                    if (policy, n) not in points:
-                        continue
-                    summaries = points[(policy, n)]
-                    mean = getattr(aggregate_runs(summaries), attr)
-                    vals = ",".join(fmt(getattr(s, attr)) for s in summaries)
-                    fh.write(f"{policy},{n},{fmt(mean)},{vals}\n")
-        written.append(path)
-
+    for metric in ("success_rate", "energy_efficiency"):
+        value = attrgetter(metric)
+        rows = [[p, str(n), _fmt(value(means[p, n])), *(_fmt(value(s)) for s in points[p, n])]
+                for p, n in order]
+        written.append(_write_csv(tables / f"{metric}.csv",
+                                  ["policy", "n_devices", "mean", *run_cols], rows))
         # Wide companion: one row per device count, one column per policy.
-        wide = tables / f"{metric}_wide.csv"
-        with open(wide, "w", encoding="utf-8") as fh:
-            fh.write("n_devices," + ",".join(policies) + "\n")
-            for n in counts:
-                row = [str(n)]
-                for policy in policies:
-                    summaries = points.get((policy, n))
-                    row.append(
-                        fmt(getattr(aggregate_runs(summaries), attr)) if summaries else ""
-                    )
-                fh.write(",".join(row) + "\n")
-        written.append(wide)
+        rows = [[str(n), *by_policy(n, value)] for n in counts]
+        written.append(_write_csv(tables / f"{metric}_wide.csv", ["n_devices", *policies], rows))
 
-    path = tables / "tp_ratio.csv"
-    levels = sorted(
-        {dbm for sums in points.values() for s in sums for dbm in s.tp_ratio}
-    )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("policy,n_devices,power_dbm,fraction\n")
-        for policy in policies:
-            for n in counts:
-                if (policy, n) not in points:
-                    continue
-                agg = aggregate_runs(points[(policy, n)])
-                for dbm, frac in sorted(agg.tp_ratio.items()):
-                    fh.write(f"{policy},{n},{dbm},{fmt(frac)}\n")
-    written.append(path)
-
-    wide = tables / "tp_ratio_wide.csv"
-    n_max = max(counts)
-    with open(wide, "w", encoding="utf-8") as fh:
-        fh.write("power_dbm," + ",".join(policies) + "\n")
-        for dbm in levels:
-            row = [str(dbm)]
-            for policy in policies:
-                summaries = points.get((policy, n_max))
-                if summaries:
-                    agg = aggregate_runs(summaries)
-                    row.append(fmt(agg.tp_ratio.get(dbm, 0.0)))
-                else:
-                    row.append("")
-            fh.write(",".join(row) + "\n")
-    written.append(wide)
+    rows = [[p, str(n), str(dbm), _fmt(frac)]
+            for p, n in order for dbm, frac in sorted(means[p, n].tp_ratio.items())]
+    written.append(_write_csv(tables / "tp_ratio.csv",
+                              ["policy", "n_devices", "power_dbm", "fraction"], rows))
+    # The wide share table is drawn at the largest device count.
+    levels = sorted({dbm for mean in means.values() for dbm in mean.tp_ratio})
+    rows = [[str(dbm), *by_policy(max(counts), lambda mean: mean.tp_ratio.get(dbm, 0.0))]
+            for dbm in levels]
+    written.append(_write_csv(tables / "tp_ratio_wide.csv", ["power_dbm", *policies], rows))
     return written

@@ -45,6 +45,15 @@ TWO_CHANNELS = [{"mhz": 921.0, "receivable": True}, {"mhz": 921.4, "receivable":
     {"radio": {"sf": 3}},
     {"radio": {"sf": 13}},
     {"policies": ["adr_lite"], "channels": TWO_CHANNELS},
+    {"radio": {"sf": "x"}},
+    {"radio": 7},
+    {"energy": 5},
+    {"energy": {"p_toa_mw": {"x": 1}}},
+    {"channels": 5},
+    {"powers": 5},
+    {"adr_quality_mhz": 5},
+    {"channels": [{"mhz": 921.0, "receivable": "false"}, TWO_CHANNELS[1]]},
+    {"powers": [{"level_dbm": 1.7}, {"level_dbm": 5}]},
 ])
 def test_validate_implies_run(tmp_path, capsys, doc):
     # Whatever validate refuses, run refuses the same way, before any work.
@@ -74,6 +83,33 @@ def test_run_and_tables(tmp_path, capsys):
     assert any(line.endswith("success_rate.csv") for line in listed)
 
 
+def test_tables_rebuilds_the_run_tables(tmp_path, capsys):
+    # The tables a run writes from its in-memory summaries and the ones the
+    # tables verb rebuilds from summaries/ must be the same bytes.
+    doc = TINY | {"policies": ["fixed", "epsilon_greedy"], "device_counts": [3, 2],
+                  "runs_per_point": 2}
+    out = tmp_path / "results"
+    assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) == EXIT_OK
+    tables = out / "tables"
+    written = {p.name: p.read_bytes() for p in tables.iterdir()}
+    assert len(written) == 6
+    for p in tables.iterdir():
+        p.unlink()
+    assert main(["tables", str(out / "manifest.json")]) == EXIT_OK
+    assert {p.name: p.read_bytes() for p in tables.iterdir()} == written
+
+
+def test_tables_from_another_directory(tmp_path, monkeypatch):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    cfg = write_config(tmp_path, TINY)
+    monkeypatch.chdir(tmp_path / "a")
+    assert main(["run", cfg, "--out", "results"]) == EXIT_OK
+    monkeypatch.chdir(tmp_path / "b")
+    assert main(["tables", "../a/results/manifest.json"]) == EXIT_OK
+    assert list((tmp_path / "b").iterdir()) == []
+
+
 def test_run_seed_override_changes_outputs(tmp_path):
     cfg = write_config(tmp_path, TINY | {"policies": ["epsilon_greedy"]})
     main(["run", cfg, "--out", str(tmp_path / "a"), "--seed", "1"])
@@ -95,6 +131,14 @@ def test_parallel_env_override(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, TINY | {"device_counts": [2, 3]})
     assert main(["run", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
     assert (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_bad_parallel_env_is_a_config_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("LORABANDIT_PARALLEL", "abc")
+    code = main(["run", write_config(tmp_path, TINY), "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert "LORABANDIT_PARALLEL" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_tables_missing_manifest(tmp_path, capsys):

@@ -75,6 +75,12 @@ def test_epsilon_bounds():
         config_from_dict({"epsilon": 1.5})
 
 
+def test_negative_cs_duration_rejected():
+    # Carrier sense trusts the config for the sign of its window.
+    with pytest.raises(ConfigError, match="cs_duration_s must be non-negative"):
+        config_from_dict({"cs_duration_s": -1e-6})
+
+
 def test_load_config_reports_parse_line(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{\n  "runs_per_point": 5,\n  oops\n}\n')

@@ -8,6 +8,7 @@ import pytest
 
 from lorabandit import sweep
 from lorabandit.config import ExperimentConfig
+from lorabandit.metrics import aggregate_runs
 from lorabandit.sweep import (
     RunManifest,
     emit_tables,
@@ -137,6 +138,43 @@ def test_pool_workers_capped(tmp_path, monkeypatch, parallel, cpus, expected):
     manifest = run_sweep(tiny_config(runs_per_point=1), tmp_path / "out", parallel=parallel)
     assert seen == [expected]
     assert len(manifest.runs) == 4
+
+
+def test_aggregate_runs_once_per_point(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(summaries):
+        calls.append(len(summaries))
+        return aggregate_runs(summaries)
+
+    monkeypatch.setattr(sweep, "aggregate_runs", counting)
+    run_sweep(tiny_config(), tmp_path / "out")
+    assert calls == [2, 2, 2, 2]  # 2 policies x 2 device counts, 2 runs each
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_failed_sweep_cleans_up(tmp_path, monkeypatch, existing):
+    out = tmp_path / "out"
+    if existing:
+        (out / "records").mkdir(parents=True)
+        (out / "keep.txt").write_text("mine")
+    jobs = []
+
+    def failing(setup, seed):
+        jobs.append(seed)
+        if len(jobs) == 2:
+            raise RuntimeError("boom")
+        return run_simulation(setup, seed)
+
+    monkeypatch.setattr(sweep, "run_simulation", failing)
+    with pytest.raises(RuntimeError, match="boom"):
+        run_sweep(tiny_config(), out)
+    if existing:
+        # Directories that were there before stay; those the sweep made go.
+        assert sorted(p.name for p in out.iterdir()) == ["keep.txt", "records"]
+        assert list((out / "records").iterdir()) == []
+    else:
+        assert not out.exists()
 
 
 def test_tables_shapes(tmp_path):
