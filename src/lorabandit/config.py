@@ -11,9 +11,10 @@ import dataclasses
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
-from .energy import EnergyModel, RadioConfig, attempt_energy, time_on_air
+from .energy import EnergyModel, RadioConfig, attempt_energy, reward_basis, time_on_air
 from .netsim import POLICY_NAMES, RunSetup
 from .params import (
     DEFAULT_DRAW_MW,
@@ -28,6 +29,12 @@ from .params import (
 from .policies import adr_lite_list
 
 DEFAULT_DEVICE_COUNTS = (10, 15, 20, 25, 30)
+
+# The simulator counts time in whole microseconds, and numpy draws each
+# device's start offset below the interval as an int64.
+_US_LIMIT = 2 ** 63
+# The learners square every reward.
+_REWARD_LIMIT = math.sqrt(sys.float_info.max)
 
 
 @dataclass
@@ -93,20 +100,35 @@ class ExperimentConfig:
             raise ConfigError("draw_mw must be strictly increasing in level_dbm")
 
         # Every device payload: rewards rank powers by e_toa, so it must rise
-        # strictly with the level, and a device's transmission must end
-        # before its next wake.
+        # strictly with the level; every energy must be finite and every reward
+        # small enough to square; and a transmission must end before the
+        # device's next wake.
         longest_us = 0
         for n_payload in range(self.payload_base, self.payload_base + self.payload_spread):
             radio = dataclasses.replace(self.radio, n_payload=n_payload)
-            e_toa = [attempt_energy(radio, self.energy, p).e_toa_mj for p in powers]
+            energies = [attempt_energy(radio, self.energy, p) for p in powers]
+            e_toa = [e.e_toa_mj for e in energies]
             if any(b <= a for a, b in zip(e_toa, e_toa[1:])):
                 raise ConfigError(
                     f"e_toa must be strictly increasing in level_dbm, but for "
                     f"{n_payload}-symbol payloads it is {e_toa} mJ"
                 )
-            longest_us = max(longest_us, round(time_on_air(radio)[2] * 1e6))
-        busy_us = round(self.cs_duration_s * 1e6) + longest_us
-        if round(self.interval_s * 1e6) <= busy_us:
+            if not e_toa[0] > 0:
+                raise ConfigError(
+                    f"e_toa must be positive, but for {n_payload}-symbol payloads it is "
+                    f"{e_toa[0]} mJ at {powers[0].level_dbm} dBm"
+                )
+            for p, e in zip(powers, energies):
+                reward = reward_basis(e, self.reward_mode, e_toa[0])
+                if not (math.isfinite(e.e_active_mj) and reward < _REWARD_LIMIT):
+                    raise ConfigError(
+                        f"e_active must be finite and the reward under {_REWARD_LIMIT:.4g}, but "
+                        f"for {n_payload}-symbol payloads at {p.level_dbm} dBm they are "
+                        f"{e.e_active_mj} mJ and {reward}"
+                    )
+            longest_us = max(longest_us, _whole_us("the airtime", time_on_air(radio)[2]))
+        busy_us = _whole_us("cs_duration_s", self.cs_duration_s) + longest_us
+        if _whole_us("interval_s", self.interval_s) <= busy_us:
             raise ConfigError(
                 f"interval_s must exceed carrier sense plus the longest airtime "
                 f"({busy_us / 1e6} s), got {self.interval_s}"
@@ -175,6 +197,15 @@ def _check_number(name: str, value) -> float:
     return float(value)
 
 
+def _whole_us(name: str, seconds: float) -> int:
+    """seconds in whole microseconds, refused where they overflow the
+    simulator's clock."""
+    us = seconds * 1e6
+    if not us < _US_LIMIT:
+        raise ConfigError(f"{name} must be under {_US_LIMIT / 1e6:.6g} s, got {seconds} s")
+    return round(us)
+
+
 def _check_type(name: str, value, kind: type):
     if not isinstance(value, kind):
         what = "an object" if kind is dict else "a list"
@@ -182,9 +213,17 @@ def _check_type(name: str, value, kind: type):
     return value
 
 
+def _check_keys(name: str, doc, known: set[str]) -> dict:
+    unknown = set(_check_type(name, doc, dict)) - known
+    if unknown:
+        raise ConfigError(f"unknown {name} fields: {sorted(unknown)}")
+    return doc
+
+
 def _parse_channels(raw) -> list[Channel]:
     channels = []
     for entry in _check_type("channels", raw, list):
+        _check_keys("channel entry", entry, {"mhz", "receivable"})
         try:
             mhz = _check_number("mhz", entry["mhz"])
             receivable = entry["receivable"]
@@ -199,6 +238,7 @@ def _parse_channels(raw) -> list[Channel]:
 def _parse_powers(raw, draw_table: dict[int, float]) -> list[TxPower]:
     powers = []
     for entry in _check_type("powers", raw, list):
+        _check_keys("power entry", entry, {"level_dbm", "draw_mw"})
         try:
             level = _check_int("level_dbm", entry["level_dbm"], None)
             if "draw_mw" not in entry and level not in draw_table:
@@ -223,17 +263,12 @@ def _parse_draw_table(raw) -> dict[int, float]:
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
     """Build and validate a config, filling every omitted field with defaults."""
-    if not isinstance(doc, dict):
-        raise ConfigError("config document must be a JSON object")
-    known = {
+    _check_keys("config", doc, {
         "policies", "device_counts", "runs_per_point", "t_attempts", "interval_s",
         "channels", "powers", "energy", "radio", "epsilon", "cs_duration_s",
         "reward_mode", "epsilon_reward", "payload_base", "payload_spread",
         "adr_quality_mhz", "base_seed",
-    }
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+    })
 
     kwargs: dict = {}
     for key in (
@@ -247,7 +282,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     if "channels" in doc:
         kwargs["channels"] = _parse_channels(doc["channels"])
 
-    energy_doc = _check_type("energy", doc.get("energy", {}), dict)
+    energy_doc = _check_keys("energy", doc.get("energy", {}),
+                             {"e_wu_mj", "e_proc_mj", "e_r_mj", "p_mcu_mw", "p_toa_mw"})
     draw_table = dict(DEFAULT_DRAW_MW)
     if "p_toa_mw" in energy_doc:
         draw_table = _parse_draw_table(energy_doc["p_toa_mw"])
@@ -267,7 +303,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         )
 
     if "radio" in doc:
-        radio_doc, base_radio = _check_type("radio", doc["radio"], dict), RadioConfig()
+        radio_doc = _check_keys("radio", doc["radio"], {"sf", "bw_hz", "n_preamble"})
+        base_radio = RadioConfig()
         kwargs["radio"] = RadioConfig(
             sf=_check_int("radio.sf", radio_doc.get("sf", base_radio.sf), None),
             bw_hz=_check_number("radio.bw_hz", radio_doc.get("bw_hz", base_radio.bw_hz)),

@@ -34,24 +34,27 @@ class Phase(Enum):
 
 @dataclass
 class ArmState:
-    """Running statistics for one arm."""
+    """Running statistics for one arm.
+
+    mean and variance (the empirical variance of the rewards, clamped at 0)
+    are derived from the sums when the state is built and kept current by
+    update(), so a decision reads them instead of recomputing them.
+    """
 
     pulls: int = 0
     reward_sum: float = 0.0
     reward_sq_sum: float = 0.0
     successes: int = 0
+    mean: float = field(default=0.0, init=False)
+    variance: float = field(default=0.0, init=False)
 
-    @property
-    def mean(self) -> float:
-        return self.reward_sum / self.pulls if self.pulls else 0.0
+    def __post_init__(self):
+        if self.pulls:
+            self._refresh()
 
-    @property
-    def variance(self) -> float:
-        """Empirical variance of observed rewards, clamped at 0."""
-        if self.pulls == 0:
-            return 0.0
-        var = self.reward_sq_sum / self.pulls - self.mean ** 2
-        return max(var, 0.0)
+    def _refresh(self) -> None:
+        self.mean = mean = self.reward_sum / self.pulls
+        self.variance = max(self.reward_sq_sum / self.pulls - mean ** 2, 0.0)
 
 
 @dataclass(frozen=True)
@@ -93,11 +96,28 @@ def ucb_score(arm: ArmState, m: int) -> float:
     return arm.mean + bonus
 
 
+def ucb_scores(arms: list[ArmState], m: int) -> list[float]:
+    """ucb_score of every arm, with ln m taken once: the same operations in
+    the same order, so each score equals ucb_score(arm, m) bit for bit.
+    Every arm must have been pulled."""
+    log_m = math.log(m)
+    two_log_m = 2.0 * log_m
+    sqrt = math.sqrt
+    return [
+        arm.mean + sqrt(log_m / arm.pulls * (v if v < MAX_BERNOULLI_VARIANCE
+                                             else MAX_BERNOULLI_VARIANCE))
+        for arm in arms
+        for v in (arm.variance + sqrt(two_log_m / arm.pulls),)
+    ]
+
+
 def _uniform_argmax(values: list[float], rng: np.random.Generator) -> int:
+    """Index of the largest value; exact ties break uniformly at random,
+    with one draw from rng only when more than one index ties."""
     best = max(values)
+    if values.count(best) == 1:
+        return values.index(best)
     tied = [i for i, v in enumerate(values) if v == best]
-    if len(tied) == 1:
-        return tied[0]
     return tied[int(rng.integers(len(tied)))]
 
 
@@ -113,8 +133,7 @@ def select_ucb(arms: list[ArmState], m: int, tie_rng: np.random.Generator) -> Po
     for i, arm in enumerate(arms):
         if arm.pulls == 0:
             return PolicyDecision(i, Phase.INITIALIZATION)
-    scores = [ucb_score(arm, m) for arm in arms]
-    return PolicyDecision(_uniform_argmax(scores, tie_rng), Phase.LEARNED)
+    return PolicyDecision(_uniform_argmax(ucb_scores(arms, m), tie_rng), Phase.LEARNED)
 
 
 def select_epsilon_greedy(
@@ -143,6 +162,7 @@ def update(arm: ArmState, fb: Feedback) -> None:
     arm.reward_sq_sum += fb.reward ** 2
     if fb.acked:
         arm.successes += 1
+    arm._refresh()
 
 
 def select_fixed(device_index: int, arms: list[ParamCombo]) -> PolicyDecision:
@@ -213,39 +233,41 @@ def adr_lite_list(
     return combos
 
 
-@dataclass
-class UcbTunedPolicy:
-    n_arms: int
-    rng: np.random.Generator
-    arms: list[ArmState] = field(init=False)
-    total_plays: int = field(default=0, init=False)
+class _ArmLearner:
+    """The per-arm statistics both learners keep: one ArmState per arm,
+    the total number of plays and how many arms are still unpulled."""
 
-    def __post_init__(self):
-        self.arms = [ArmState() for _ in range(self.n_arms)]
-
-    def select(self) -> PolicyDecision:
-        return select_ucb(self.arms, self.total_plays, self.rng)
+    def __init__(self, n_arms: int, rng: np.random.Generator):
+        self.rng = rng
+        self.arms = [ArmState() for _ in range(n_arms)]
+        self.total_plays = 0
+        self.unpulled = n_arms
 
     def observe(self, fb: Feedback) -> None:
-        update(self.arms[fb.arm_index], fb)
+        arm = self.arms[fb.arm_index]
+        first = arm.pulls == 0
+        update(arm, fb)
+        if first:
+            self.unpulled -= 1
         self.total_plays += 1
 
 
-@dataclass
-class EpsilonGreedyPolicy:
-    n_arms: int
-    epsilon: float
-    rng: np.random.Generator
-    arms: list[ArmState] = field(init=False)
+class UcbTunedPolicy(_ArmLearner):
+    def select(self) -> PolicyDecision:
+        if self.unpulled:
+            return select_ucb(self.arms, self.total_plays, self.rng)
+        return PolicyDecision(
+            _uniform_argmax(ucb_scores(self.arms, self.total_plays), self.rng), Phase.LEARNED
+        )
 
-    def __post_init__(self):
-        self.arms = [ArmState() for _ in range(self.n_arms)]
+
+class EpsilonGreedyPolicy(_ArmLearner):
+    def __init__(self, n_arms: int, epsilon: float, rng: np.random.Generator):
+        super().__init__(n_arms, rng)
+        self.epsilon = epsilon
 
     def select(self) -> PolicyDecision:
         return select_epsilon_greedy(self.arms, self.epsilon, self.rng)
-
-    def observe(self, fb: Feedback) -> None:
-        update(self.arms[fb.arm_index], fb)
 
 
 class FixedPolicy:

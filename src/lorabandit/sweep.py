@@ -69,11 +69,22 @@ class RunManifest:
 
 
 def write_records(records: list[RunRecord], path: Path) -> None:
-    """Newline-delimited JSON, one record per line, stable key order."""
+    """Newline-delimited JSON, one record per line, keys sorted.
+
+    Each line is written from one template and is byte for byte what
+    json.dumps(r.to_dict(), sort_keys=True, separators=(",", ":")) gives for
+    the records the simulator makes: floats finite and written by repr, and
+    cause one of the Cause values, which need no escaping.
+    """
     with open(path, "w", encoding="utf-8") as fh:
-        for r in records:
-            fh.write(json.dumps(r.to_dict(), sort_keys=True, separators=(",", ":")))
-            fh.write("\n")
+        fh.writelines(
+            f'{{"acked":{"true" if r.acked else "false"},"arm_index":{r.arm_index},'
+            f'"attempt":{r.attempt},"cause":"{r.cause}","channel_hz":{r.channel_hz!r},'
+            f'"device":{r.device},"e_active":{r.e_active!r},"e_toa":{r.e_toa!r},'
+            f'"power_dbm":{r.power_dbm},"reward":{r.reward!r},"run_seed":{r.run_seed},'
+            f'"wake_time":{r.wake_time!r}}}\n'
+            for r in records
+        )
 
 
 def read_records(path) -> list[RunRecord]:

@@ -53,6 +53,24 @@ def test_unknown_field_rejected():
         config_from_dict({"spreading_factor": 7})
 
 
+@pytest.mark.parametrize("doc, key", [
+    ({"radio": {"SF": 9}}, "SF"),
+    ({"energy": {"e_wu": 1}}, "e_wu"),
+    ({"channels": [{"mhz": 921.0, "receivable": True, "rx": 1}]}, "rx"),
+    ({"powers": [{"level_dbm": 5, "dbm": 1}]}, "dbm"),
+])
+def test_unknown_nested_field_named(doc, key):
+    with pytest.raises(ConfigError, match=f"'{key}'"):
+        config_from_dict(doc)
+
+
+def test_time_beyond_the_microsecond_clock_rejected():
+    # 9.2e12 s is the last interval whose microseconds fit an int64.
+    assert config_from_dict({"interval_s": 9.2e12}).interval_s == 9.2e12
+    with pytest.raises(ConfigError, match="interval_s must be under"):
+        config_from_dict({"interval_s": 9.3e12})
+
+
 def test_bad_policy_rejected():
     with pytest.raises(ConfigError):
         config_from_dict({"policies": ["thompson"]})

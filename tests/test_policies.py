@@ -1,6 +1,8 @@
 """Selection policies: UCB scoring, epsilon-greedy, fixed, and ADR-Lite."""
 
+import copy
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from lorabandit.policies import (
     select_fixed,
     select_ucb,
     ucb_score,
+    ucb_scores,
     ucb_variance,
     update,
 )
@@ -130,6 +133,78 @@ def test_select_ucb_tie_break_is_uniform():
         arms = [arm(pulls=2, reward_sum=1.0, reward_sq_sum=0.5) for _ in range(2)]
         wins += select_ucb(arms, m=4, tie_rng=rng).arm_index
     assert abs(wins / 10_000 - 0.5) < 0.05
+
+
+# --- incremental statistics against the sums -------------------------------
+
+# Rewards the learners can be fed: zero, subnormals, large values up to the
+# largest one whose square is finite (the config refuses larger rewards),
+# and a few repeated values, so that arms tie.
+REWARDS = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-310, 0.25, 0.5, 1.0, 1e150, 1.3e154]),
+    st.floats(min_value=0.0, max_value=1.3e154),
+)
+FEEDBACK = st.lists(st.tuples(st.booleans(), REWARDS), max_size=60)
+
+
+def bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def from_sums(arms: list[ArmState]) -> list[ArmState]:
+    return [ArmState(a.pulls, a.reward_sum, a.reward_sq_sum, a.successes) for a in arms]
+
+
+def drive(policy, feedback, expected_decision):
+    """Feed the policy, checking each decision against expected_decision(arms,
+    rng) on arms rebuilt from the sums and a clone of the policy's rng."""
+    for acked, reward in feedback:
+        clone = copy.deepcopy(policy.rng)
+        rebuilt = from_sums(policy.arms)
+        assert rebuilt == policy.arms  # mean and variance too
+        want = expected_decision(rebuilt, clone)
+        got = policy.select()
+        assert got == want
+        assert policy.rng.bit_generator.state == clone.bit_generator.state
+        policy.observe(Feedback(got.arm_index, acked, reward if acked else 0.0))
+
+
+@settings(deadline=None)
+@given(n_arms=st.integers(min_value=1, max_value=6), feedback=FEEDBACK,
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_ucb_incremental_matches_sums(n_arms, feedback, seed):
+    policy = UcbTunedPolicy(n_arms, np.random.default_rng(seed))
+
+    def expected(arms, rng):
+        m = policy.total_plays
+        if all(a.pulls for a in arms):
+            for arm_state, score in zip(policy.arms, ucb_scores(policy.arms, m)):
+                assert bits(score) == bits(ucb_score(arm_state, m))
+        return select_ucb(arms, m, rng)
+
+    drive(policy, feedback, expected)
+
+
+@settings(deadline=None)
+@given(n_arms=st.integers(min_value=1, max_value=6), feedback=FEEDBACK,
+       epsilon=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_epsilon_greedy_incremental_matches_sums(n_arms, feedback, epsilon, seed):
+    policy = EpsilonGreedyPolicy(n_arms, epsilon, np.random.default_rng(seed))
+    drive(policy, feedback, lambda arms, rng: select_epsilon_greedy(arms, epsilon, rng))
+
+
+def test_select_ucb_draws_only_on_ties():
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    distinct = [arm(pulls=2, reward_sum=1.0, reward_sq_sum=0.5), arm(pulls=2)]
+    assert select_ucb(distinct, m=4, tie_rng=rng).arm_index == 0
+    assert rng.bit_generator.state == state
+    tied = [arm(pulls=2, reward_sum=1.0, reward_sq_sum=0.5) for _ in range(3)]
+    select_ucb(tied, m=6, tie_rng=rng)
+    rng_once = np.random.default_rng(3)
+    rng_once.integers(3)
+    assert rng.bit_generator.state == rng_once.bit_generator.state
 
 
 def test_ucb_initialization_completeness():

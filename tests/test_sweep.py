@@ -2,13 +2,15 @@
 
 import csv
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from lorabandit import sweep
 from lorabandit.config import ExperimentConfig
-from lorabandit.metrics import aggregate_runs
+from lorabandit.metrics import Cause, RunRecord, aggregate_runs
 from lorabandit.sweep import (
     RunManifest,
     emit_tables,
@@ -67,6 +69,35 @@ def test_records_round_trip(tmp_path):
     path = tmp_path / "r.jsonl"
     write_records(records, path)
     assert read_records(path) == records
+
+
+FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.0, 200.0, -3.0, 1e300]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+INTS = st.integers(min_value=-(2**63), max_value=2**64 - 1)
+
+
+@given(st.lists(st.builds(
+    RunRecord, run_seed=INTS, device=INTS, attempt=INTS, arm_index=INTS,
+    channel_hz=FLOATS, power_dbm=INTS, cause=st.sampled_from([c.value for c in Cause]),
+    acked=st.booleans(), reward=FLOATS, e_toa=FLOATS, e_active=FLOATS, wake_time=FLOATS,
+), max_size=5))
+def test_record_lines_match_sorted_json(records):
+    """The template writer gives the bytes of the sorted-key JSON form, and
+    they read back as the same records.
+
+    Floats here are finite: the simulator writes no inf or nan, because a
+    config whose energies or rewards are not finite fails validation.
+    """
+    want = "".join(
+        json.dumps(r.to_dict(), sort_keys=True, separators=(",", ":")) + "\n" for r in records
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "r.jsonl"
+        write_records(records, path)
+        assert path.read_bytes() == want.encode()
+        assert read_records(path) == records
 
 
 # --- sweeps ------------------------------------------------------------------
