@@ -52,7 +52,7 @@ class ExperimentConfig:
     cs_duration_s: float = 0.005
     reward_mode: str = "normalized"
     epsilon_reward: str = "energy"
-    payload_base: int = 36
+    payload_base: int = RadioConfig.n_payload
     payload_spread: int = 9
     adr_quality_hz: list[float] | None = None
     base_seed: int = 20240901

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, asdict
 from enum import Enum
+from typing import NamedTuple
 
 
 class Cause(str, Enum):
@@ -20,9 +21,11 @@ class Cause(str, Enum):
     COLLISION = "Collision"
 
 
-@dataclass(frozen=True)
-class RunRecord:
-    """One attempt: who transmitted what, with which outcome and cost."""
+class RunRecord(NamedTuple):
+    """One attempt: who transmitted what, with which outcome and cost.
+
+    An immutable named tuple: the simulator builds one per attempt.
+    """
 
     run_seed: int
     device: int
@@ -38,7 +41,7 @@ class RunRecord:
     wake_time: float
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 @dataclass

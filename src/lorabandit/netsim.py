@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .energy import AttemptEnergy, attempt_energy, min_toa_energy, reward_basis
+from .energy import attempt_energy, min_toa_energy, reward_basis
 from .metrics import Cause, RunRecord
 from .params import Channel, ConfigError, ParamCombo, build_arm_space
 from .policies import (
@@ -46,17 +46,8 @@ class RunSetup:
     n_devices: int
 
 
-@dataclass
-class DeviceState:
-    device_index: int
-    policy: Policy
-    start_offset_us: int
-    n_payload: int
-    attempts_done: int = 0
-
-
 # eq=False: list.remove on the in-flight lists matches by identity.
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class _Transmission:
     device: int
     start_us: int
@@ -64,11 +55,10 @@ class _Transmission:
     arm_index: int
     attempt: int
     wake_us: int
-    energy: AttemptEnergy
     collided: bool = False
 
 
-def payload_symbols(device_index: int, base: int = 36, spread: int = 9) -> int:
+def payload_symbols(device_index: int, base: int, spread: int) -> int:
     """Deterministic per-device payload size: base + (index mod spread)."""
     return base + device_index % spread
 
@@ -86,10 +76,10 @@ def carrier_sense(in_flight: list[_Transmission], t_us: int, cs_duration_us: int
     and one starting exactly at the end of the window is not heard either.
     """
     window_end = t_us + cs_duration_us
-    return any(
-        tx.start_us < window_end and tx.end_us > t_us
-        for tx in in_flight
-    )
+    for tx in in_flight:
+        if tx.start_us < window_end and tx.end_us > t_us:
+            return True
+    return False
 
 
 def resolve_reception(channel: Channel, tx: _Transmission) -> Cause:
@@ -115,141 +105,103 @@ def _make_policy(setup: RunSetup, device_index: int, arms: list[ParamCombo], see
 
 
 def run_simulation(setup: RunSetup, seed: int) -> list[RunRecord]:
-    """Execute one run and return every attempt record in event order."""
+    """Execute one run and return every attempt record in event order.
+
+    Events run in time order, and at equal µs every wake runs before every
+    end of airtime, wakes run by device index and ends run in the order
+    their transmissions started. Each device has one pending wake, which
+    pushes the next one, so the queue holds at most one wake per device and
+    one end per transmission in flight. Airtime, energy and ACK reward are
+    worked out per (device payload, arm) before the first event.
+    """
     cfg = setup.config
-    if setup.n_devices < 1:
+    n_devices = setup.n_devices
+    if n_devices < 1:
         raise ConfigError("need at least one device")
 
     arms = build_arm_space(cfg.channels, cfg.powers)
     arm_channel = [cfg.channels.index(a.channel) for a in arms]
+    arm_receiver = [a.channel for a in arms]
+    arm_hz = [a.channel.center_frequency_hz for a in arms]
+    arm_dbm = [a.power.level_dbm for a in arms]
     interval_us = round(cfg.interval_s * 1e6)
     cs_us = round(cfg.cs_duration_s * 1e6)
+    busy_mj = cfg.energy.overhead_mj
+    ack_only = setup.policy == "epsilon_greedy" and cfg.epsilon_reward == "ack"
 
-    # Validate energies for every (device payload, power) pair up front.
-    payloads = sorted(
-        {
-            payload_symbols(i, cfg.payload_base, cfg.payload_spread)
-            for i in range(setup.n_devices)
-        }
-    )
-    energy_cache: dict[tuple[int, int], AttemptEnergy] = {}
-    e_toa_min: dict[int, float] = {}
-    for n_payload in payloads:
+    # Per payload, per arm: (airtime µs, e_toa, e_active, reward on ACK).
+    # Every energy is checked here, before any event runs.
+    payloads = [
+        payload_symbols(i, cfg.payload_base, cfg.payload_spread) for i in range(n_devices)
+    ]
+    tables: dict[int, list[tuple[int, float, float, float]]] = {}
+    for n_payload in sorted(set(payloads)):
         radio = dataclasses.replace(cfg.radio, n_payload=n_payload)
-        for pw in cfg.powers:
-            energy_cache[(n_payload, pw.level_dbm)] = attempt_energy(radio, cfg.energy, pw)
-        e_toa_min[n_payload] = min_toa_energy(radio, cfg.energy, cfg.powers)
+        by_level = {pw.level_dbm: attempt_energy(radio, cfg.energy, pw) for pw in cfg.powers}
+        e_toa_min = min_toa_energy(radio, cfg.energy, cfg.powers)
+        tables[n_payload] = [
+            (round(e.t_toa * 1e6), e.e_toa_mj, e.e_active_mj,
+             1.0 if ack_only else reward_basis(e, cfg.reward_mode, e_toa_min))
+            for e in (by_level[dbm] for dbm in arm_dbm)
+        ]
+    device_table = [tables[n_payload] for n_payload in payloads]
 
-    devices = []
-    for i in range(setup.n_devices):
-        sim_rng = device_rng(seed, i, stream=1)
-        devices.append(
-            DeviceState(
-                device_index=i,
-                policy=_make_policy(setup, i, arms, seed),
-                start_offset_us=int(sim_rng.integers(0, interval_us)),
-                n_payload=payload_symbols(i, cfg.payload_base, cfg.payload_spread),
-            )
-        )
-
-    # (time_us, seq, device, transmission); a wake carries no transmission.
-    # seq makes the order total and deterministic.
-    queue: list = []
+    policies = [_make_policy(setup, i, arms, seed) for i in range(n_devices)]
+    select = [p.select for p in policies]
+    observe = [p.observe for p in policies]
+    # (time_us, 0, device, attempt) for a wake, (time_us, 1, seq, tx) for an
+    # end of airtime; the first three fields are unique, so the order is total.
+    queue = [
+        (int(device_rng(seed, i, stream=1).integers(0, interval_us)), 0, i, 0)
+        for i in range(n_devices)
+    ]
+    heapq.heapify(queue)
+    heappush, heappop = heapq.heappush, heapq.heappop
+    last_attempt = cfg.t_attempts - 1
     seq = 0
-    for dev in devices:
-        for i in range(cfg.t_attempts):
-            heapq.heappush(queue, (dev.start_offset_us + i * interval_us, seq, dev.device_index, None))
-            seq += 1
-
+    success, busy = Cause.SUCCESS, Cause.CARRIER_BUSY.value
     in_flight: list[list[_Transmission]] = [[] for _ in cfg.channels]
     records: list[RunRecord] = []
-
-    def finish(dev: DeviceState, tx: _Transmission, cause: Cause) -> None:
-        acked = cause is Cause.SUCCESS
-        reward = 0.0
-        if acked:
-            if setup.policy == "epsilon_greedy" and cfg.epsilon_reward == "ack":
-                reward = 1.0
-            else:
-                reward = reward_basis(
-                    tx.energy, cfg.reward_mode, e_toa_min[dev.n_payload]
-                )
-        arm = arms[tx.arm_index]
-        dev.policy.observe(
-            Feedback(tx.arm_index, acked, reward, tx.energy.e_toa_mj)
-        )
-        records.append(
-            RunRecord(
-                run_seed=seed,
-                device=dev.device_index,
-                attempt=tx.attempt,
-                arm_index=tx.arm_index,
-                channel_hz=arm.channel.center_frequency_hz,
-                power_dbm=arm.power.level_dbm,
-                cause=cause.value,
-                acked=acked,
-                reward=reward,
-                e_toa=tx.energy.e_toa_mj,
-                e_active=tx.energy.e_active_mj,
-                wake_time=tx.wake_us / 1e6,
-            )
-        )
+    record = records.append
 
     while queue:
-        t_us, _, device_index, tx = heapq.heappop(queue)
-        dev = devices[device_index]
+        t_us, is_end, key, item = heappop(queue)
 
-        if tx is not None:
-            arm = arms[tx.arm_index]
-            in_flight[arm_channel[tx.arm_index]].remove(tx)
-            finish(dev, tx, resolve_reception(arm.channel, tx))
+        if is_end:
+            tx, arm, i = item, item.arm_index, item.device
+            in_flight[arm_channel[arm]].remove(tx)
+            cause = resolve_reception(arm_receiver[arm], tx)
+            _, e_toa, e_active, reward = device_table[i][arm]
+            acked = cause is success
+            if not acked:
+                reward = 0.0
+            observe[i](Feedback(arm, acked, reward))
+            record(RunRecord(seed, i, tx.attempt, arm, arm_hz[arm], arm_dbm[arm],
+                             cause.value, acked, reward, e_toa, e_active, tx.wake_us / 1e6))
             continue
 
-        decision = dev.policy.select()
-        arm = arms[decision.arm_index]
-        on_channel = in_flight[arm_channel[decision.arm_index]]
-        attempt = dev.attempts_done
-        dev.attempts_done += 1
+        i, attempt = key, item
+        if attempt < last_attempt:
+            heappush(queue, (t_us + interval_us, 0, i, attempt + 1))
+        arm = select[i]().arm_index
+        on_channel = in_flight[arm_channel[arm]]
 
         if carrier_sense(on_channel, t_us, cs_us):
             # Abandon this interval: overheads are paid, the radio never fires.
-            dev.policy.observe(Feedback(decision.arm_index, False, 0.0, 0.0))
-            records.append(
-                RunRecord(
-                    run_seed=seed,
-                    device=dev.device_index,
-                    attempt=attempt,
-                    arm_index=decision.arm_index,
-                    channel_hz=arm.channel.center_frequency_hz,
-                    power_dbm=arm.power.level_dbm,
-                    cause=Cause.CARRIER_BUSY.value,
-                    acked=False,
-                    reward=0.0,
-                    e_toa=0.0,
-                    e_active=cfg.energy.overhead_mj,
-                    wake_time=t_us / 1e6,
-                )
-            )
+            observe[i](Feedback(arm, False, 0.0))
+            record(RunRecord(seed, i, attempt, arm, arm_hz[arm], arm_dbm[arm],
+                             busy, False, 0.0, 0.0, busy_mj, t_us / 1e6))
             continue
 
-        e = energy_cache[(dev.n_payload, arm.power.level_dbm)]
         start_us = t_us + cs_us
-        end_us = start_us + round(e.t_toa * 1e6)
-        tx = _Transmission(
-            device=dev.device_index,
-            start_us=start_us,
-            end_us=end_us,
-            arm_index=decision.arm_index,
-            attempt=attempt,
-            wake_us=t_us,
-            energy=e,
-        )
+        end_us = start_us + device_table[i][arm][0]
+        tx = _Transmission(i, start_us, end_us, arm, attempt, t_us)
         for other in on_channel:
             if other.start_us < end_us and other.end_us > start_us:
                 other.collided = True
                 tx.collided = True
         on_channel.append(tx)
-        heapq.heappush(queue, (end_us, seq, dev.device_index, tx))
+        heappush(queue, (end_us, 1, seq, tx))
         seq += 1
 
     if any(in_flight):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,20 +58,17 @@ class ArmState:
         self.variance = max(self.reward_sq_sum / self.pulls - mean ** 2, 0.0)
 
 
-@dataclass(frozen=True)
-class PolicyDecision:
+class PolicyDecision(NamedTuple):
     arm_index: int
     phase: Phase = Phase.LEARNED
 
 
-@dataclass(frozen=True)
-class Feedback:
+class Feedback(NamedTuple):
     """Outcome of one attempt, as seen by the policy."""
 
     arm_index: int
     acked: bool
     reward: float
-    e_toa_mj: float = 0.0
 
 
 def ucb_variance(arm: ArmState, m: int) -> float:

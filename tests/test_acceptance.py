@@ -130,7 +130,7 @@ def test_criterion_3_selection_conformance():
                     failures += 1
             if decision.arm_index != r.arm_index:
                 failures += 1
-            replay.observe(Feedback(r.arm_index, r.acked, r.reward, r.e_toa))
+            replay.observe(Feedback(r.arm_index, r.acked, r.reward))
         if sorted(init_arms) != list(range(n_arms)):
             failures += 1
     verdict(3, "every decision replays from the log (init pass + argmax + ties)",

@@ -4,6 +4,7 @@ import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lorabandit.config import (
     DEFAULT_DEVICE_COUNTS,
@@ -12,7 +13,7 @@ from lorabandit.config import (
     load_config,
 )
 from lorabandit.energy import RadioConfig
-from lorabandit.netsim import RunSetup
+from lorabandit.netsim import POLICY_NAMES, RunSetup, run_simulation
 from lorabandit.params import ConfigError, TxPower
 
 
@@ -125,6 +126,14 @@ def test_config_hash_stability_and_sensitivity():
     assert a.config_hash() != c.config_hash()
 
 
+def test_default_config_hash_pinned():
+    # A default sweep is keyed by this hash; moving where a default is
+    # written must not change it.
+    assert config_from_dict({}).config_hash() == (
+        "1674a872c11270dc787179ef6690b3323c5641fe98e8aed65af8068b6d905c74"
+    )
+
+
 def test_to_dict_from_dict_round_trip():
     cfg = ExperimentConfig(device_counts=[6], runs_per_point=2, epsilon=0.3)
     back = config_from_dict(json.loads(json.dumps(cfg.to_dict())))
@@ -159,3 +168,71 @@ def test_e_toa_tie_rejected():
 def test_radio_defaults_come_from_radio_config():
     cfg = config_from_dict({"radio": {"bw_hz": 250_000}})
     assert cfg.radio == dataclasses.replace(RadioConfig(), bw_hz=250_000.0)
+
+
+# --- validate implies run -------------------------------------------------------
+
+EDGE_FLOATS = st.floats() | st.sampled_from([0.0, -1.0, 5e-324, 1e-300, 1e12, 1e300])
+ODD = st.none() | st.booleans() | st.text(max_size=2) | st.just([]) | st.just({}) | EDGE_FLOATS
+
+
+def _number(lo, hi):
+    good = st.floats(lo, hi)
+    return st.one_of(good, good, good, EDGE_FLOATS)
+
+
+def _fields(**fields):
+    return st.fixed_dictionaries({}, optional=fields)
+
+
+CONFIG_FIELDS = dict(
+    policies=st.lists(st.sampled_from(POLICY_NAMES), min_size=1, unique=True),
+    interval_s=_number(0.05, 20.0),
+    cs_duration_s=_number(0.0, 0.1),
+    epsilon=_number(-0.5, 1.5),
+    reward_mode=st.sampled_from(["normalized", "raw"]),
+    epsilon_reward=st.sampled_from(["energy", "ack"]),
+    payload_base=st.integers(-1, 300),
+    payload_spread=st.integers(-1, 12),
+    base_seed=st.integers(-(2**70), 2**70),
+    radio=_fields(sf=st.integers(5, 13), bw_hz=_number(1e3, 1e7),
+                  n_preamble=st.integers(-1, 20)),
+    energy=_fields(
+        e_wu_mj=_number(1e-3, 1e3), e_proc_mj=_number(1e-3, 1e3),
+        e_r_mj=_number(1e-3, 1e3), p_mcu_mw=_number(1e-3, 1e3),
+        p_toa_mw=_fields(**{dbm: _number(1e-3, 1e3) for dbm in ("-3", "1", "5", "9", "13")}),
+    ),
+    channels=st.lists(st.fixed_dictionaries({
+        "mhz": st.sampled_from([920.6, 921.0, 921.4]) | EDGE_FLOATS,
+        "receivable": st.booleans(),
+    }), min_size=1, max_size=4),
+    powers=st.lists(st.fixed_dictionaries(
+        {"level_dbm": st.sampled_from([-3, 1, 5, 9, 13]) | st.integers(-5, 15)}, optional={"draw_mw": _number(1e-3, 1e3)},
+    ), min_size=1, max_size=4),
+    adr_quality_mhz=st.lists(st.sampled_from([920.6, 921.0, 921.4]) | EDGE_FLOATS,
+                             max_size=4),
+)
+
+
+@st.composite
+def config_docs(draw):
+    """A config dict of plausible fields at most a few attempts long; about
+    half of them then get one field replaced by any JSON value."""
+    doc = draw(_fields(**CONFIG_FIELDS)) | {"t_attempts": draw(st.integers(1, 5))}
+    if draw(st.booleans()):
+        doc[draw(st.sampled_from(sorted(CONFIG_FIELDS)))] = draw(ODD)
+    return doc
+
+
+@settings(deadline=None, max_examples=300)
+@given(doc=config_docs(), seed=st.integers(0, 2**64 - 1))
+def test_accepted_config_dicts_run(doc, seed):
+    # Every refusal is a ConfigError; a config that is accepted runs every
+    # policy it lists without raising anything, now that rewards are worked
+    # out for every arm before the first event.
+    try:
+        cfg = config_from_dict(doc)
+    except ConfigError:
+        return
+    for policy in cfg.policies:
+        run_simulation(cfg.run_setup(policy, 2), seed)

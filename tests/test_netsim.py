@@ -1,11 +1,16 @@
 """Event-driven network simulation: carrier sense, collisions, determinism."""
 
-import pytest
+from collections import Counter
 
-from lorabandit.config import ExperimentConfig
+import pytest
+from hypothesis import example, given, settings, strategies as st
+from reference_sim import reference_run
+
+from lorabandit.config import ExperimentConfig, config_from_dict
 from lorabandit.energy import EnergyModel, RadioConfig, attempt_energy
 from lorabandit.metrics import Cause
 from lorabandit.netsim import (
+    POLICY_NAMES,
     _Transmission,
     carrier_sense,
     device_rng,
@@ -23,7 +28,7 @@ def make_setup(policy="proposed_ucb_tuned", n_devices=1, **kw):
 def tx(start_us, end_us, device=0, arm=0):
     return _Transmission(
         device=device, start_us=start_us, end_us=end_us,
-        arm_index=arm, attempt=0, wake_us=start_us, energy=None,
+        arm_index=arm, attempt=0, wake_us=start_us,
     )
 
 
@@ -69,16 +74,17 @@ def test_reception_sole_transmission():
 
 
 def test_reception_overlap_kills_both():
-    # Two transmissions overlapping by 1 ms on one receivable channel: the
-    # overlap predicate marks both, and non-receivability still wins overall.
-    ch = Channel(921.0e6, receivable=True)
-    a, b = tx(0, 49_408), tx(48_408, 97_816, device=1)
-    for one, other in ((a, b), (b, a)):
-        if one.start_us < other.end_us and one.end_us > other.start_us:
-            one.collided = True
-    assert a.collided and b.collided
-    assert resolve_reception(ch, a) is Cause.COLLISION
-    assert resolve_reception(ch, b) is Cause.COLLISION
+    # Seed 10370 wakes devices 1 and 4 in the same µs of TIE_DOC (below):
+    # both transmit on one channel and both are lost.
+    setup = config_from_dict(TIE_DOC).run_setup("proposed_ucb_tuned", 6)
+    lost = [r for r in run_simulation(setup, 10370) if r.cause == Cause.COLLISION.value]
+    assert [(r.device, r.attempt, r.wake_time) for r in lost] == [
+        (1, 0, 0.012717), (4, 0, 0.012717)
+    ]
+    # Non-receivability still wins over a collision.
+    a = tx(0, 49_408)
+    a.collided = True
+    assert resolve_reception(Channel(921.0e6, receivable=True), a) is Cause.COLLISION
     bad = Channel(920.6e6, receivable=False)
     assert resolve_reception(bad, a) is Cause.CHANNEL_NOT_RECEIVABLE
 
@@ -126,7 +132,8 @@ def test_schedule_rejects_bad_interval():
 
 
 def test_payload_symbols_spread():
-    assert [payload_symbols(i) for i in range(10)] == [
+    cfg = ExperimentConfig()
+    assert [payload_symbols(i, cfg.payload_base, cfg.payload_spread) for i in range(10)] == [
         36, 37, 38, 39, 40, 41, 42, 43, 44, 36
     ]
 
@@ -194,7 +201,8 @@ def test_energy_accounting_matches_model():
             assert r.e_active == cfg.energy.overhead_mj
             assert r.reward == 0.0
             continue
-        radio = RadioConfig(n_payload=payload_symbols(r.device))
+        radio = RadioConfig(
+            n_payload=payload_symbols(r.device, cfg.payload_base, cfg.payload_spread))
         e = attempt_energy(radio, cfg.energy, powers[r.power_dbm])
         assert r.e_toa == e.e_toa_mj
         assert r.e_active == e.e_active_mj
@@ -272,3 +280,76 @@ def test_missing_draw_level_caught_before_events():
     cfg.energy = bad_energy
     with pytest.raises(ConfigError, match="1 dBm"):
         run_simulation(cfg.run_setup("proposed_ucb_tuned", 1), seed=1)
+
+
+# --- differential oracle ------------------------------------------------------
+
+MHZ = (920.6, 921.0, 921.4, 921.8, 922.2, 923.0)
+
+
+@st.composite
+def channel_plans(draw):
+    """A custom channel plan, with at least one receivable channel, and the
+    quality order ADR-Lite needs for it."""
+    mhz = draw(st.lists(st.sampled_from(MHZ), min_size=1, max_size=4, unique=True))
+    deaf = draw(st.lists(st.booleans(), min_size=len(mhz), max_size=len(mhz)))
+    heard = draw(st.integers(0, len(mhz) - 1))
+    return {
+        "channels": [{"mhz": m, "receivable": i == heard or not d}
+                     for i, (m, d) in enumerate(zip(mhz, deaf))],
+        "adr_quality_mhz": draw(st.permutations(mhz)),
+    }
+
+
+@st.composite
+def small_configs(draw):
+    # 80 ms exceeds the longest carrier sense drawn (20 ms) plus the longest
+    # stock airtime (44 symbols: 57.6 ms).
+    doc = {
+        "t_attempts": draw(st.integers(1, 30)),
+        "interval_s": draw(st.sampled_from([0.08, 0.1]) | st.floats(0.08, 2.0)),
+        "cs_duration_s": draw(st.sampled_from([0.0, 1e-6, 0.005, 0.02])),
+        "payload_spread": draw(st.integers(1, 9)),
+        "reward_mode": draw(st.sampled_from(["normalized", "raw"])),
+        "epsilon_reward": draw(st.sampled_from(["energy", "ack"])),
+        "epsilon": draw(st.sampled_from([0.0, 0.1, 1.0])),
+    }
+    if draw(st.booleans()):
+        doc |= draw(channel_plans())
+    return doc
+
+
+# Six devices on one receivable and one deaf channel, 80 ms apart, no
+# carrier sense and one payload size, so equal wake offsets collide.
+TIE_DOC = {
+    "t_attempts": 30, "interval_s": 0.08, "cs_duration_s": 0.0, "payload_spread": 1,
+    "channels": [{"mhz": 921.0, "receivable": True}, {"mhz": 921.4, "receivable": False}],
+    "adr_quality_mhz": [921.4, 921.0],
+}
+# Seed 10370 gives devices 1 and 4 the same start offset; seed 4955 ends a
+# transmission in the µs another device wakes.
+TIE_SEEDS = {10370: {("wake", "wake"), ("end", "end")}, 4955: {("end", "wake")}}
+
+
+@settings(deadline=None, max_examples=80)
+@given(doc=small_configs(), policy=st.sampled_from(POLICY_NAMES),
+       n_devices=st.integers(1, 6), seed=st.integers(0, 2**64 - 1))
+@example(doc=TIE_DOC, policy="proposed_ucb_tuned", n_devices=6, seed=10370)
+@example(doc=TIE_DOC, policy="proposed_ucb_tuned", n_devices=6, seed=4955)
+def test_loop_matches_reference(doc, policy, n_devices, seed):
+    setup = config_from_dict(doc).run_setup(policy, n_devices)
+    fast = run_simulation(setup, seed)
+    assert [repr(r) for r in fast] == [repr(r) for r in reference_run(setup, seed)]
+
+
+def test_tie_examples_share_a_microsecond():
+    setup = config_from_dict(TIE_DOC).run_setup("proposed_ucb_tuned", 6)
+    for seed, kinds in TIE_SEEDS.items():
+        events = []
+        causes = Counter(r.cause for r in reference_run(setup, seed, events))
+        per_us = Counter(t for t, _ in events)
+        tied = {tuple(sorted(k for u, k in events if u == t))
+                for t, n in per_us.items() if n > 1}
+        assert kinds <= tied
+        # Devices that wake in the same µs on one channel both transmit.
+        assert (causes[Cause.COLLISION.value] > 0) == (("wake", "wake") in kinds)
