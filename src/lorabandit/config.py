@@ -30,8 +30,9 @@ from .policies import adr_lite_list
 
 DEFAULT_DEVICE_COUNTS = (10, 15, 20, 25, 30)
 
-# The simulator counts time in whole microseconds, and numpy draws each
-# device's start offset below the interval as an int64.
+# The simulator counts time in whole microseconds, and each device's start
+# offset is drawn below the interval as a signed 64-bit integer, the domain
+# of the device streams' bounded draws (lorabandit.rng).
 _US_LIMIT = 2 ** 63
 # The learners square every reward.
 _REWARD_LIMIT = math.sqrt(sys.float_info.max)
@@ -99,12 +100,21 @@ class ExperimentConfig:
         if any(b <= a for a, b in zip(draws, draws[1:])):
             raise ConfigError("draw_mw must be strictly increasing in level_dbm")
 
+        self.check_payloads(max(self.device_counts))
+        if "adr_lite" in self.policies:
+            adr_lite_list(self.channels, self.powers, self.adr_quality_hz)
+
+    def check_payloads(self, n_devices: int) -> None:
+        """Check the payload sizes a run of n_devices uses, the ones netsim
+        builds tables for: payload_base + i mod payload_spread for i < n_devices."""
+        powers = sorted(self.powers, key=lambda p: p.level_dbm)
         # Every device payload: rewards rank powers by e_toa, so it must rise
         # strictly with the level; every energy must be finite and every reward
         # small enough to square; and a transmission must end before the
         # device's next wake.
         longest_us = 0
-        for n_payload in range(self.payload_base, self.payload_base + self.payload_spread):
+        sizes = min(self.payload_spread, n_devices)
+        for n_payload in range(self.payload_base, self.payload_base + sizes):
             radio = dataclasses.replace(self.radio, n_payload=n_payload)
             energies = [attempt_energy(radio, self.energy, p) for p in powers]
             e_toa = [e.e_toa_mj for e in energies]
@@ -133,8 +143,6 @@ class ExperimentConfig:
                 f"interval_s must exceed carrier sense plus the longest airtime "
                 f"({busy_us / 1e6} s), got {self.interval_s}"
             )
-        if "adr_lite" in self.policies:
-            adr_lite_list(self.channels, self.powers, self.adr_quality_hz)
 
     def run_setup(self, policy: str, n_devices: int) -> RunSetup:
         return RunSetup(self, policy, n_devices)

@@ -15,8 +15,6 @@ import heapq
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .energy import attempt_energy, min_toa_energy, reward_basis
 from .metrics import Cause, RunRecord
 from .params import Channel, ConfigError, ParamCombo, build_arm_space
@@ -27,6 +25,7 @@ from .policies import (
     FixedPolicy,
     UcbTunedPolicy,
 )
+from .rng import device_rng
 
 if TYPE_CHECKING:
     from .config import ExperimentConfig
@@ -45,6 +44,11 @@ class RunSetup:
     policy: str
     n_devices: int
 
+    def __post_init__(self):
+        # validate checked the payload sizes of the config's own device counts.
+        if self.n_devices > max(self.config.device_counts):
+            self.config.check_payloads(self.n_devices)
+
 
 # eq=False: list.remove on the in-flight lists matches by identity.
 @dataclass(eq=False, slots=True)
@@ -61,12 +65,6 @@ class _Transmission:
 def payload_symbols(device_index: int, base: int, spread: int) -> int:
     """Deterministic per-device payload size: base + (index mod spread)."""
     return base + device_index % spread
-
-
-def device_rng(seed: int, device_index: int, stream: int) -> np.random.Generator:
-    """Independent per-device RNG stream; adding devices never reshuffles others."""
-    ss = np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, device_index, stream])
-    return np.random.default_rng(ss)
 
 
 def carrier_sense(in_flight: list[_Transmission], t_us: int, cs_duration_us: int) -> bool:
@@ -152,7 +150,7 @@ def run_simulation(setup: RunSetup, seed: int) -> list[RunRecord]:
     # (time_us, 0, device, attempt) for a wake, (time_us, 1, seq, tx) for an
     # end of airtime; the first three fields are unique, so the order is total.
     queue = [
-        (int(device_rng(seed, i, stream=1).integers(0, interval_us)), 0, i, 0)
+        (device_rng(seed, i, stream=1).integers(0, interval_us), 0, i, 0)
         for i in range(n_devices)
     ]
     heapq.heapify(queue)

@@ -11,9 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .params import (
     DEFAULT_CHANNEL_MHZ,
@@ -24,6 +22,9 @@ from .params import (
     TxPower,
     receivable_channels,
 )
+
+if TYPE_CHECKING:
+    from .rng import DeviceRng
 
 MAX_BERNOULLI_VARIANCE = 0.25
 
@@ -109,17 +110,17 @@ def ucb_scores(arms: list[ArmState], m: int) -> list[float]:
     ]
 
 
-def _uniform_argmax(values: list[float], rng: np.random.Generator) -> int:
+def _uniform_argmax(values: list[float], rng: DeviceRng) -> int:
     """Index of the largest value; exact ties break uniformly at random,
     with one draw from rng only when more than one index ties."""
     best = max(values)
     if values.count(best) == 1:
         return values.index(best)
     tied = [i for i, v in enumerate(values) if v == best]
-    return tied[int(rng.integers(len(tied)))]
+    return tied[rng.integers(len(tied))]
 
 
-def select_ucb(arms: list[ArmState], m: int, tie_rng: np.random.Generator) -> PolicyDecision:
+def select_ucb(arms: list[ArmState], m: int, tie_rng: DeviceRng) -> PolicyDecision:
     """Pick the next arm: uncovered arms first, then max score.
 
     While any arm is unpulled the lowest-indexed such arm is forced
@@ -135,7 +136,7 @@ def select_ucb(arms: list[ArmState], m: int, tie_rng: np.random.Generator) -> Po
 
 
 def select_epsilon_greedy(
-    arms: list[ArmState], epsilon: float, rng: np.random.Generator
+    arms: list[ArmState], epsilon: float, rng: DeviceRng
 ) -> PolicyDecision:
     """Uniform random arm with probability epsilon, else best mean reward.
 
@@ -146,7 +147,7 @@ def select_epsilon_greedy(
     if not arms:
         raise ValueError("empty arm list")
     if rng.random() < epsilon:
-        return PolicyDecision(int(rng.integers(len(arms))))
+        return PolicyDecision(rng.integers(len(arms)))
     means = [arm.mean for arm in arms]
     return PolicyDecision(_uniform_argmax(means, rng))
 
@@ -235,7 +236,7 @@ class _ArmLearner:
     """The per-arm statistics both learners keep: one ArmState per arm,
     the total number of plays and how many arms are still unpulled."""
 
-    def __init__(self, n_arms: int, rng: np.random.Generator):
+    def __init__(self, n_arms: int, rng: DeviceRng):
         self.rng = rng
         self.arms = [ArmState() for _ in range(n_arms)]
         self.total_plays = 0
@@ -260,7 +261,7 @@ class UcbTunedPolicy(_ArmLearner):
 
 
 class EpsilonGreedyPolicy(_ArmLearner):
-    def __init__(self, n_arms: int, epsilon: float, rng: np.random.Generator):
+    def __init__(self, n_arms: int, epsilon: float, rng: DeviceRng):
         super().__init__(n_arms, rng)
         self.epsilon = epsilon
 

@@ -1,0 +1,134 @@
+"""Per-device random streams: PCG64 seeded through SeedSequence, in pure Python.
+
+``device_rng(seed, i, stream)`` yields the same numbers, call for call, as
+``numpy.random.default_rng(numpy.random.SeedSequence([seed & (2**64 - 1), i,
+stream]))``: SeedSequence's entropy pool and ``generate_state``, the PCG64
+generator with XSL-RR output (O'Neill, "PCG: A Family of Simple Fast
+Space-Efficient Statistically Good Algorithms for Random Number Generation",
+2014), its one-word uint32 buffer, and numpy's bounded integers by Lemire's
+method (Lemire, "Fast Random Integer Generation in an Interval", ACM TOMACS
+2019). Only the scalar ``random()`` and ``integers(low, high)`` are provided.
+"""
+
+from __future__ import annotations
+
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx).
+INIT_A = 0x43B0D7E5
+MULT_A = 0x931E8875
+INIT_B = 0x8B51F9DD
+MULT_B = 0x58F38DED
+MIX_MULT_L = 0xCA01F9DD
+MIX_MULT_R = 0x4973F715
+POOL_SIZE = 4
+
+PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+MASK32 = 0xFFFFFFFF
+MASK64 = 0xFFFFFFFFFFFFFFFF
+MASK128 = (1 << 128) - 1
+INT64_MIN, INT64_END = -(1 << 63), 1 << 63
+
+
+def _words(n: int) -> list[int]:
+    """A non-negative int as 32-bit words, least significant first; 0 is one word."""
+    if n < 0:
+        raise ValueError(f"entropy must be non-negative, got {n}")
+    words = [n & MASK32]
+    while n := n >> 32:
+        words.append(n & MASK32)
+    return words
+
+
+def _mix(x: int, y: int) -> int:
+    r = (MIX_MULT_L * x - MIX_MULT_R * y) & MASK32
+    return r ^ r >> 16
+
+
+def seed_state(entropy: list[int]) -> list[int]:
+    """SeedSequence(entropy).generate_state(4, uint64) as Python ints."""
+    words = [w for n in entropy for w in _words(n)]
+    hash_const = INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * MULT_A & MASK32
+        value = value * hash_const & MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(POOL_SIZE)]
+    for src in range(POOL_SIZE):
+        for dst in range(POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in words[POOL_SIZE:]:
+        for dst in range(POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+
+    hash_const = INIT_B
+    out = []
+    for i in range(8):
+        value = pool[i % POOL_SIZE] ^ hash_const
+        hash_const = hash_const * MULT_B & MASK32
+        value = value * hash_const & MASK32
+        out.append(value ^ value >> 16)
+    return [out[k] | out[k + 1] << 32 for k in range(0, 8, 2)]
+
+
+class DeviceRng:
+    """numpy's Generator over a PCG64 bit generator, scalar draws only."""
+
+    __slots__ = ("state", "inc", "buffered")
+
+    def __init__(self, state: list[int]):
+        # PCG's seeding: from state 0, one step, add the seed state, one more step.
+        self.inc = ((state[2] << 64 | state[3]) << 1 | 1) & MASK128
+        self.state = ((self.inc + (state[0] << 64 | state[1])) * PCG_MULT + self.inc) & MASK128
+        self.buffered: int | None = None  # the high half of a split 64-bit output
+
+    def _next64(self) -> int:
+        self.state = s = (self.state * PCG_MULT + self.inc) & MASK128
+        x = (s >> 64 ^ s) & MASK64
+        rot = s >> 122
+        return (x >> rot | x << (64 - rot)) & MASK64
+
+    def _next32(self) -> int:
+        if (word := self.buffered) is not None:
+            self.buffered = None
+            return word
+        x = self._next64()
+        self.buffered = x >> 32
+        return x & MASK32
+
+    def random(self) -> float:
+        """Uniform float in [0, 1) from the top 53 bits of one 64-bit output."""
+        return (self._next64() >> 11) * 2.0 ** -53
+
+    def integers(self, low: int, high: int | None = None) -> int:
+        """Uniform int in [low, high), or in [0, low) when high is omitted."""
+        if high is None:
+            low, high = 0, low
+        if not INT64_MIN <= low < high <= INT64_END:
+            raise ValueError(f"need {INT64_MIN} <= low < high <= {INT64_END}, got {low}, {high}")
+        span = high - low  # numpy's rng is span - 1
+        if span == 1:
+            return low
+        if span <= MASK32:
+            m = self._next32() * span
+            if m & MASK32 < span:
+                threshold = (1 << 32) % span
+                while m & MASK32 < threshold:
+                    m = self._next32() * span
+            return low + (m >> 32)
+        if span == 1 << 32:
+            return low + self._next32()
+        m = self._next64() * span
+        if m & MASK64 < span:
+            threshold = (1 << 64) % span
+            while m & MASK64 < threshold:
+                m = self._next64() * span
+        return low + (m >> 64)
+
+
+def device_rng(seed: int, device_index: int, stream: int) -> DeviceRng:
+    """Independent per-device RNG stream; adding devices never reshuffles others."""
+    return DeviceRng(seed_state([seed & MASK64, device_index, stream]))

@@ -54,7 +54,7 @@ TWO_CHANNELS = [{"mhz": 921.0, "receivable": True}, {"mhz": 921.4, "receivable":
     {"adr_quality_mhz": 5},
     {"channels": [{"mhz": 921.0, "receivable": "false"}, TWO_CHANNELS[1]]},
     {"powers": [{"level_dbm": 1.7}, {"level_dbm": 5}]},
-    # Times that overflow the microsecond clock (or numpy's int64 offsets).
+    # Times that overflow the microsecond clock (or the int64 start offsets).
     {"interval_s": 1e308},
     {"cs_duration_s": 1e308},
     {"radio": {"bw_hz": 1e-300}},
@@ -65,7 +65,9 @@ TWO_CHANNELS = [{"mhz": 921.0, "receivable": True}, {"mhz": 921.4, "receivable":
     {"channels": [TWO_CHANNELS[0] | {"rx": 1}, TWO_CHANNELS[1]]},
     {"powers": [{"level_dbm": 5, "dbm": 1}, {"level_dbm": 9}]},
     # Energies and rewards that are not positive finite numbers.
-    {"radio": {"sf": 12}, "energy": {"p_toa_mw": {"-3": 1, "1": 2, "5": 3, "9": 4, "13": 1e308}}},
+    # (At 13 dBm and SF 12, e_active overflows from 43-symbol payloads on.)
+    {"radio": {"sf": 12}, "payload_base": 43,
+     "energy": {"p_toa_mw": {"-3": 1, "1": 2, "5": 3, "9": 4, "13": 1e308}}},
     {"energy": {"e_wu_mj": 1e308, "e_proc_mj": 1e308}},
     {"radio": {"bw_hz": 1e300},
      "energy": {"p_mcu_mw": 1e-300, "p_toa_mw": {"-3": 1e-300, "1": 1e-10, "5": 1, "9": 10, "13": 100}}},

@@ -6,13 +6,14 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lorabandit import config as config_module
 from lorabandit.config import (
     DEFAULT_DEVICE_COUNTS,
     ExperimentConfig,
     config_from_dict,
     load_config,
 )
-from lorabandit.energy import RadioConfig
+from lorabandit.energy import RadioConfig, attempt_energy
 from lorabandit.netsim import POLICY_NAMES, RunSetup, run_simulation
 from lorabandit.params import ConfigError, TxPower
 
@@ -146,6 +147,36 @@ def test_run_setup_carries_fields():
     assert [f.name for f in dataclasses.fields(RunSetup)] == ["config", "policy", "n_devices"]
     assert setup == RunSetup(cfg, "epsilon_greedy", 12)
     assert setup.config is cfg
+
+
+def test_validate_checks_only_the_payloads_a_run_uses(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return attempt_energy(*args)
+
+    monkeypatch.setattr(config_module, "attempt_energy", counting)
+    cfg = config_from_dict({"payload_spread": 10**9})
+    # Devices 0..29 of the largest device count use sizes 36..65, 5 powers each.
+    assert len(calls) == 30 * 5
+    assert {args[0].n_payload for args in calls} == set(range(36, 66))
+    calls.clear()
+    cfg.run_setup("fixed", 30)
+    assert not calls
+    cfg.run_setup("fixed", 32)
+    assert len(calls) == 32 * 5
+
+
+def test_run_setup_checks_payloads_past_the_device_counts():
+    # One device sends 36 symbols (49.4 ms of airtime plus 5 ms of carrier
+    # sense fit in 60 ms); nine devices reach 44 symbols (57.6 ms), which do not.
+    cfg = config_from_dict({"device_counts": [1], "interval_s": 0.06})
+    cfg.run_setup("fixed", 1)
+    with pytest.raises(ConfigError, match="interval_s must exceed"):
+        cfg.run_setup("fixed", 9)
+    with pytest.raises(ConfigError, match="interval_s must exceed"):
+        RunSetup(cfg, "fixed", 9)
 
 
 def test_duplicate_power_level_named():

@@ -183,11 +183,15 @@ def test_adding_devices_preserves_existing_streams():
 
 
 def test_device_rng_streams_are_independent():
-    a = device_rng(1, 0, 0).integers(0, 1 << 30, 8).tolist()
-    assert a == device_rng(1, 0, 0).integers(0, 1 << 30, 8).tolist()
-    assert a != device_rng(1, 0, 1).integers(0, 1 << 30, 8).tolist()
-    assert a != device_rng(1, 1, 0).integers(0, 1 << 30, 8).tolist()
-    assert a != device_rng(2, 0, 0).integers(0, 1 << 30, 8).tolist()
+    def draws(seed, device, stream):
+        rng = device_rng(seed, device, stream)
+        return [rng.integers(0, 1 << 30) for _ in range(8)]
+
+    a = draws(1, 0, 0)
+    assert a == draws(1, 0, 0)
+    assert a != draws(1, 0, 1)
+    assert a != draws(1, 1, 0)
+    assert a != draws(2, 0, 0)
 
 
 def test_energy_accounting_matches_model():
