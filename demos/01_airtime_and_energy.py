@@ -18,7 +18,7 @@ from lorabandit.energy import min_toa_energy
 
 radio = RadioConfig(sf=7, bw_hz=125_000, n_preamble=8, n_payload=36)
 powers = default_powers()
-energy = EnergyModel(p_toa_by_level={p.level_dbm: p.draw_mw for p in powers})
+energy = EnergyModel()
 
 print(f"symbol time    : {symbol_time(radio) * 1e3:.3f} ms")
 t_pre, t_pay, t_toa = time_on_air(radio)

@@ -11,14 +11,12 @@ import dataclasses
 import hashlib
 import json
 import math
-import sys
 from dataclasses import dataclass, field
 
-from .energy import EnergyModel, RadioConfig, attempt_energy, reward_basis, time_on_air
-from .netsim import POLICY_NAMES, RunSetup
+from .energy import EnergyModel, RadioConfig
+from .netsim import POLICY_NAMES, RunSetup, cost_rows
 from .params import (
     DEFAULT_DRAW_MW,
-    DEFAULT_POWER_DBM,
     Channel,
     ConfigError,
     TxPower,
@@ -30,12 +28,16 @@ from .policies import adr_lite_list
 
 DEFAULT_DEVICE_COUNTS = (10, 15, 20, 25, 30)
 
-# The simulator counts time in whole microseconds, and each device's start
-# offset is drawn below the interval as a signed 64-bit integer, the domain
-# of the device streams' bounded draws (lorabandit.rng).
-_US_LIMIT = 2 ** 63
-# The learners square every reward.
-_REWARD_LIMIT = math.sqrt(sys.float_info.max)
+# The config fields a document gives as plain values, and the fields of its
+# "energy" and "radio" objects (each power's draw comes from "powers" or
+# energy.p_toa_mw, and a radio's payload size from payload_base).
+_SCALAR_FIELDS = (
+    "policies", "device_counts", "runs_per_point", "t_attempts", "interval_s",
+    "epsilon", "cs_duration_s", "reward_mode", "epsilon_reward",
+    "payload_base", "payload_spread", "base_seed",
+)
+_ENERGY_FIELDS = ("e_wu_mj", "e_proc_mj", "e_r_mj", "p_mcu_mw")
+_RADIO_FIELDS = ("sf", "bw_hz", "n_preamble")
 
 
 @dataclass
@@ -47,7 +49,7 @@ class ExperimentConfig:
     interval_s: float = 10.0
     channels: list[Channel] = field(default_factory=default_channels)
     powers: list[TxPower] = field(default_factory=default_powers)
-    energy: EnergyModel = None
+    energy: EnergyModel = field(default_factory=EnergyModel)
     radio: RadioConfig = field(default_factory=RadioConfig)
     epsilon: float = 0.1
     cs_duration_s: float = 0.005
@@ -59,10 +61,6 @@ class ExperimentConfig:
     base_seed: int = 20240901
 
     def __post_init__(self):
-        if self.energy is None:
-            self.energy = EnergyModel(
-                p_toa_by_level={p.level_dbm: p.draw_mw for p in self.powers}
-            )
         self.validate()
 
     def validate(self) -> None:
@@ -100,90 +98,30 @@ class ExperimentConfig:
         if any(b <= a for a, b in zip(draws, draws[1:])):
             raise ConfigError("draw_mw must be strictly increasing in level_dbm")
 
-        self.check_payloads(max(self.device_counts))
+        cost_rows(self, max(self.device_counts))  # what a run's payloads cost
         if "adr_lite" in self.policies:
             adr_lite_list(self.channels, self.powers, self.adr_quality_hz)
-
-    def check_payloads(self, n_devices: int) -> None:
-        """Check the payload sizes a run of n_devices uses, the ones netsim
-        builds tables for: payload_base + i mod payload_spread for i < n_devices."""
-        powers = sorted(self.powers, key=lambda p: p.level_dbm)
-        # Every device payload: rewards rank powers by e_toa, so it must rise
-        # strictly with the level; every energy must be finite and every reward
-        # small enough to square; and a transmission must end before the
-        # device's next wake.
-        longest_us = 0
-        sizes = min(self.payload_spread, n_devices)
-        for n_payload in range(self.payload_base, self.payload_base + sizes):
-            radio = dataclasses.replace(self.radio, n_payload=n_payload)
-            energies = [attempt_energy(radio, self.energy, p) for p in powers]
-            e_toa = [e.e_toa_mj for e in energies]
-            if any(b <= a for a, b in zip(e_toa, e_toa[1:])):
-                raise ConfigError(
-                    f"e_toa must be strictly increasing in level_dbm, but for "
-                    f"{n_payload}-symbol payloads it is {e_toa} mJ"
-                )
-            if not e_toa[0] > 0:
-                raise ConfigError(
-                    f"e_toa must be positive, but for {n_payload}-symbol payloads it is "
-                    f"{e_toa[0]} mJ at {powers[0].level_dbm} dBm"
-                )
-            for p, e in zip(powers, energies):
-                reward = reward_basis(e, self.reward_mode, e_toa[0])
-                if not (math.isfinite(e.e_active_mj) and reward < _REWARD_LIMIT):
-                    raise ConfigError(
-                        f"e_active must be finite and the reward under {_REWARD_LIMIT:.4g}, but "
-                        f"for {n_payload}-symbol payloads at {p.level_dbm} dBm they are "
-                        f"{e.e_active_mj} mJ and {reward}"
-                    )
-            longest_us = max(longest_us, _whole_us("the airtime", time_on_air(radio)[2]))
-        busy_us = _whole_us("cs_duration_s", self.cs_duration_s) + longest_us
-        if _whole_us("interval_s", self.interval_s) <= busy_us:
-            raise ConfigError(
-                f"interval_s must exceed carrier sense plus the longest airtime "
-                f"({busy_us / 1e6} s), got {self.interval_s}"
-            )
 
     def run_setup(self, policy: str, n_devices: int) -> RunSetup:
         return RunSetup(self, policy, n_devices)
 
     def to_dict(self) -> dict:
-        return {
-            "policies": self.policies,
-            "device_counts": self.device_counts,
-            "runs_per_point": self.runs_per_point,
-            "t_attempts": self.t_attempts,
-            "interval_s": self.interval_s,
+        return {name: getattr(self, name) for name in _SCALAR_FIELDS} | {
             "channels": [
                 {"mhz": c.mhz, "receivable": c.receivable} for c in self.channels
             ],
             "powers": [
                 {"level_dbm": p.level_dbm, "draw_mw": p.draw_mw} for p in self.powers
             ],
-            "energy": {
-                "e_wu_mj": self.energy.e_wu_mj,
-                "e_proc_mj": self.energy.e_proc_mj,
-                "e_r_mj": self.energy.e_r_mj,
-                "p_mcu_mw": self.energy.p_mcu_mw,
-                "p_toa_mw": {str(k): v for k, v in self.energy.p_toa_by_level.items()},
+            "energy": {name: getattr(self.energy, name) for name in _ENERGY_FIELDS} | {
+                "p_toa_mw": {str(p.level_dbm): p.draw_mw for p in self.powers},
             },
-            "radio": {
-                "sf": self.radio.sf,
-                "bw_hz": self.radio.bw_hz,
-                "n_preamble": self.radio.n_preamble,
-            },
-            "epsilon": self.epsilon,
-            "cs_duration_s": self.cs_duration_s,
-            "reward_mode": self.reward_mode,
-            "epsilon_reward": self.epsilon_reward,
-            "payload_base": self.payload_base,
-            "payload_spread": self.payload_spread,
+            "radio": {name: getattr(self.radio, name) for name in _RADIO_FIELDS},
             "adr_quality_mhz": (
                 None
                 if self.adr_quality_hz is None
                 else [hz / 1e6 for hz in self.adr_quality_hz]
             ),
-            "base_seed": self.base_seed,
         }
 
     def config_hash(self) -> str:
@@ -203,15 +141,6 @@ def _check_number(name: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
     return float(value)
-
-
-def _whole_us(name: str, seconds: float) -> int:
-    """seconds in whole microseconds, refused where they overflow the
-    simulator's clock."""
-    us = seconds * 1e6
-    if not us < _US_LIMIT:
-        raise ConfigError(f"{name} must be under {_US_LIMIT / 1e6:.6g} s, got {seconds} s")
-    return round(us)
 
 
 def _check_type(name: str, value, kind: type):
@@ -243,15 +172,40 @@ def _parse_channels(raw) -> list[Channel]:
     return channels
 
 
-def _parse_powers(raw, draw_table: dict[int, float]) -> list[TxPower]:
+def _parse_fields(section: str, doc: dict, names: tuple[str, ...], base):
+    """base with the fields doc gives replaced, each checked as an integer
+    where base's default is one and as a finite number otherwise."""
+    values = {}
+    for name in names:
+        if name in doc:
+            label = f"{section}.{name}"
+            is_int = isinstance(getattr(base, name), int)
+            values[name] = (_check_int(label, doc[name], None) if is_int
+                            else _check_number(label, doc[name]))
+    return dataclasses.replace(base, **values)
+
+
+def _parse_powers(raw, table: dict[int, float] | None) -> list[TxPower]:
+    """Each power's draw is its own draw_mw, else its entry in table (the
+    parsed energy.p_toa_mw), else, with no table, the default draw."""
+    lookup = DEFAULT_DRAW_MW if table is None else table
     powers = []
     for entry in _check_type("powers", raw, list):
         _check_keys("power entry", entry, {"level_dbm", "draw_mw"})
         try:
             level = _check_int("level_dbm", entry["level_dbm"], None)
-            if "draw_mw" not in entry and level not in draw_table:
-                raise ConfigError(f"no draw_mw, and energy.p_toa_mw lacks {level} dBm")
-            draw = _check_number("draw_mw", entry.get("draw_mw", draw_table.get(level)))
+            if "draw_mw" in entry:
+                draw = _check_number("draw_mw", entry["draw_mw"])
+                if table is not None and table.get(level, draw) != draw:
+                    raise ConfigError(
+                        f"{level} dBm draws {draw} mW here but {table[level]} mW "
+                        f"in energy.p_toa_mw"
+                    )
+            elif level in lookup:
+                draw = lookup[level]
+            else:
+                where = "the default draws" if table is None else "energy.p_toa_mw"
+                raise ConfigError(f"no draw_mw, and {where} lack {level} dBm")
             powers.append(TxPower(level, draw))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad power entry {entry!r}: {exc}") from exc
@@ -263,8 +217,13 @@ def _parse_draw_table(raw) -> dict[int, float]:
     for key, mw in _check_type("energy.p_toa_mw", raw, dict).items():
         try:
             level = int(key)
-        except ValueError:
-            raise ConfigError(f"energy.p_toa_mw keys must be dBm integers, got {key!r}") from None
+        except (TypeError, ValueError):
+            level = None
+        if level is None or str(level) != key:
+            raise ConfigError(
+                f"energy.p_toa_mw keys must be dBm integers written as such "
+                f"(\"-3\", \"13\"), got {key!r}"
+            )
         table[level] = _check_number(f"energy.p_toa_mw[{key!r}]", mw)
     return table
 
@@ -272,54 +231,24 @@ def _parse_draw_table(raw) -> dict[int, float]:
 def config_from_dict(doc: dict) -> ExperimentConfig:
     """Build and validate a config, filling every omitted field with defaults."""
     _check_keys("config", doc, {
-        "policies", "device_counts", "runs_per_point", "t_attempts", "interval_s",
-        "channels", "powers", "energy", "radio", "epsilon", "cs_duration_s",
-        "reward_mode", "epsilon_reward", "payload_base", "payload_spread",
-        "adr_quality_mhz", "base_seed",
+        *_SCALAR_FIELDS, "channels", "powers", "energy", "radio", "adr_quality_mhz",
     })
-
-    kwargs: dict = {}
-    for key in (
-        "policies", "device_counts", "runs_per_point", "t_attempts", "interval_s",
-        "epsilon", "cs_duration_s", "reward_mode", "epsilon_reward",
-        "payload_base", "payload_spread", "base_seed",
-    ):
-        if key in doc:
-            kwargs[key] = doc[key]
+    kwargs = {name: doc[name] for name in _SCALAR_FIELDS if name in doc}
 
     if "channels" in doc:
         kwargs["channels"] = _parse_channels(doc["channels"])
 
-    energy_doc = _check_keys("energy", doc.get("energy", {}),
-                             {"e_wu_mj", "e_proc_mj", "e_r_mj", "p_mcu_mw", "p_toa_mw"})
-    draw_table = dict(DEFAULT_DRAW_MW)
+    energy_doc = _check_keys("energy", doc.get("energy", {}), {*_ENERGY_FIELDS, "p_toa_mw"})
+    kwargs["energy"] = _parse_fields("energy", energy_doc, _ENERGY_FIELDS, EnergyModel())
+    table = None
     if "p_toa_mw" in energy_doc:
-        draw_table = _parse_draw_table(energy_doc["p_toa_mw"])
+        table = _parse_draw_table(energy_doc["p_toa_mw"])
+    if "powers" in doc or table is not None:
+        default = [{"level_dbm": dbm} for dbm in DEFAULT_DRAW_MW]
+        kwargs["powers"] = _parse_powers(doc.get("powers", default), table)
 
-    if "powers" in doc or "p_toa_mw" in energy_doc:
-        default = [{"level_dbm": dbm} for dbm in DEFAULT_POWER_DBM]
-        kwargs["powers"] = _parse_powers(doc.get("powers", default), draw_table)
-
-    if energy_doc:
-        base = EnergyModel(p_toa_by_level=draw_table)
-        kwargs["energy"] = EnergyModel(
-            e_wu_mj=_check_number("energy.e_wu_mj", energy_doc.get("e_wu_mj", base.e_wu_mj)),
-            e_proc_mj=_check_number("energy.e_proc_mj", energy_doc.get("e_proc_mj", base.e_proc_mj)),
-            e_r_mj=_check_number("energy.e_r_mj", energy_doc.get("e_r_mj", base.e_r_mj)),
-            p_mcu_mw=_check_number("energy.p_mcu_mw", energy_doc.get("p_mcu_mw", base.p_mcu_mw)),
-            p_toa_by_level=draw_table,
-        )
-
-    if "radio" in doc:
-        radio_doc = _check_keys("radio", doc["radio"], {"sf", "bw_hz", "n_preamble"})
-        base_radio = RadioConfig()
-        kwargs["radio"] = RadioConfig(
-            sf=_check_int("radio.sf", radio_doc.get("sf", base_radio.sf), None),
-            bw_hz=_check_number("radio.bw_hz", radio_doc.get("bw_hz", base_radio.bw_hz)),
-            n_preamble=_check_int(
-                "radio.n_preamble", radio_doc.get("n_preamble", base_radio.n_preamble), 0
-            ),
-        )
+    radio_doc = _check_keys("radio", doc.get("radio", {}), set(_RADIO_FIELDS))
+    kwargs["radio"] = _parse_fields("radio", radio_doc, _RADIO_FIELDS, RadioConfig())
 
     if doc.get("adr_quality_mhz") is not None:
         quality = _check_type("adr_quality_mhz", doc["adr_quality_mhz"], list)

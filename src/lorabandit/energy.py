@@ -6,7 +6,7 @@ so power * time lands directly in mJ.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .params import ConfigError, TxPower
 
@@ -29,27 +29,22 @@ class RadioConfig:
 
 @dataclass(frozen=True)
 class EnergyModel:
-    """Fixed per-attempt energy overheads and the TX draw table.
+    """Fixed per-attempt energy overheads and the MCU draw.
 
     e_wu / e_proc / e_r are treated as fixed per-attempt contributions in mJ
-    (wake-up, parameter-selection processing, receive window).
+    (wake-up, parameter-selection processing, receive window).  The radio's
+    draw at each power level lives on its TxPower.
     """
 
     e_wu_mj: float = 56.1
     e_proc_mj: float = 85.8
     e_r_mj: float = 66.0
     p_mcu_mw: float = 29.7
-    p_toa_by_level: dict[int, float] = None  # dBm -> mW
 
     def __post_init__(self):
-        for name in ("e_wu_mj", "e_proc_mj", "e_r_mj", "p_mcu_mw"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
-        if not self.p_toa_by_level:
-            raise ConfigError("p_toa_by_level table required")
-        for level, mw in self.p_toa_by_level.items():
-            if mw <= 0:
-                raise ConfigError(f"draw for {level} dBm must be positive")
+        for f in fields(self):
+            if getattr(self, f.name) <= 0:
+                raise ConfigError(f"{f.name} must be positive")
 
     @property
     def overhead_mj(self) -> float:
@@ -89,15 +84,11 @@ def time_on_air(cfg: RadioConfig) -> tuple[float, float, float]:
 def attempt_energy(cfg: RadioConfig, model: EnergyModel, power: TxPower) -> AttemptEnergy:
     """Full energy accounting of one transmitted attempt.
 
-    e_toa = (p_mcu + draw(level)) * t_toa;
+    e_toa = (p_mcu + power.draw_mw) * t_toa;
     e_active = e_wu + e_proc + e_toa + e_r.
     """
-    if power.level_dbm not in model.p_toa_by_level:
-        raise ConfigError(
-            f"power level {power.level_dbm} dBm missing from p_toa_by_level"
-        )
     t_preamble, t_payload, t_toa = time_on_air(cfg)
-    e_toa = (model.p_mcu_mw + model.p_toa_by_level[power.level_dbm]) * t_toa
+    e_toa = (model.p_mcu_mw + power.draw_mw) * t_toa
     e_active = model.e_wu_mj + model.e_proc_mj + e_toa + model.e_r_mj
     return AttemptEnergy(
         t_symbol=symbol_time(cfg),
@@ -134,5 +125,5 @@ def min_toa_energy(cfg: RadioConfig, model: EnergyModel, powers: list[TxPower]) 
     """e_toa at the cheapest configured draw, used to normalize rewards."""
     if not powers:
         raise ConfigError("empty power list")
-    cheapest = min(powers, key=lambda p: model.p_toa_by_level.get(p.level_dbm, float("inf")))
+    cheapest = min(powers, key=lambda p: p.draw_mw)
     return attempt_energy(cfg, model, cheapest).e_toa_mj

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
+import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .energy import attempt_energy, min_toa_energy, reward_basis
+from .energy import attempt_energy, reward_basis
 from .metrics import Cause, RunRecord
 from .params import Channel, ConfigError, ParamCombo, build_arm_space
 from .policies import (
@@ -35,6 +37,13 @@ POLICY_NAMES = ("proposed_ucb_tuned", "epsilon_greedy", "adr_lite", "fixed")
 # Each has select() -> PolicyDecision and observe(Feedback).
 Policy = UcbTunedPolicy | EpsilonGreedyPolicy | FixedPolicy | AdrLitePolicy
 
+# The simulator counts time in whole microseconds, and each device's start
+# offset is drawn below the interval as a signed 64-bit integer, the domain
+# of the device streams' bounded draws (lorabandit.rng).
+_US_LIMIT = 2 ** 63
+# The learners square every reward.
+_REWARD_LIMIT = math.sqrt(sys.float_info.max)
+
 
 @dataclass(frozen=True)
 class RunSetup:
@@ -47,7 +56,7 @@ class RunSetup:
     def __post_init__(self):
         # validate checked the payload sizes of the config's own device counts.
         if self.n_devices > max(self.config.device_counts):
-            self.config.check_payloads(self.n_devices)
+            cost_rows(self.config, self.n_devices)
 
 
 # eq=False: list.remove on the in-flight lists matches by identity.
@@ -65,6 +74,66 @@ class _Transmission:
 def payload_symbols(device_index: int, base: int, spread: int) -> int:
     """Deterministic per-device payload size: base + (index mod spread)."""
     return base + device_index % spread
+
+
+def _whole_us(name: str, seconds: float) -> int:
+    """seconds in whole microseconds, refused where they overflow the
+    simulator's clock."""
+    us = seconds * 1e6
+    if not us < _US_LIMIT:
+        raise ConfigError(f"{name} must be under {_US_LIMIT / 1e6:.6g} s, got {seconds} s")
+    return round(us)
+
+
+def cost_rows(
+    cfg: ExperimentConfig, n_devices: int
+) -> dict[int, list[tuple[int, float, float, float]]]:
+    """The cost of an attempt at each power, in ascending dBm, as (airtime
+    µs, e_toa, e_active, reward on ACK), for each payload size a run of
+    n_devices uses: payload_symbols of devices 0 to n_devices - 1.
+
+    Raises ConfigError unless, for every size, e_toa rises strictly with the
+    level from a positive value (rewards rank powers by it), every e_active
+    is finite and every reward small enough to square, and a transmission
+    ends before the device's next wake.
+    """
+    powers = sorted(cfg.powers, key=lambda p: p.level_dbm)
+    rows = {}
+    for n_payload in range(cfg.payload_base,
+                           cfg.payload_base + min(cfg.payload_spread, n_devices)):
+        radio = dataclasses.replace(cfg.radio, n_payload=n_payload)
+        energies = [attempt_energy(radio, cfg.energy, p) for p in powers]
+        e_toa = [e.e_toa_mj for e in energies]
+        if any(b <= a for a, b in zip(e_toa, e_toa[1:])):
+            raise ConfigError(
+                f"e_toa must be strictly increasing in level_dbm, but for "
+                f"{n_payload}-symbol payloads it is {e_toa} mJ"
+            )
+        if not e_toa[0] > 0:
+            raise ConfigError(
+                f"e_toa must be positive, but for {n_payload}-symbol payloads it is "
+                f"{e_toa[0]} mJ at {powers[0].level_dbm} dBm"
+            )
+        airtime_us = _whole_us("the airtime", energies[0].t_toa)
+        rows[n_payload] = []
+        for p, e in zip(powers, energies):
+            reward = reward_basis(e, cfg.reward_mode, e_toa[0])
+            if not (math.isfinite(e.e_active_mj) and reward < _REWARD_LIMIT):
+                raise ConfigError(
+                    f"e_active must be finite and the reward under {_REWARD_LIMIT:.4g}, but "
+                    f"for {n_payload}-symbol payloads at {p.level_dbm} dBm they are "
+                    f"{e.e_active_mj} mJ and {reward}"
+                )
+            rows[n_payload].append((airtime_us, e.e_toa_mj, e.e_active_mj, reward))
+    busy_us = _whole_us("cs_duration_s", cfg.cs_duration_s) + max(
+        table[0][0] for table in rows.values()
+    )
+    if _whole_us("interval_s", cfg.interval_s) <= busy_us:
+        raise ConfigError(
+            f"interval_s must exceed carrier sense plus the longest airtime "
+            f"({busy_us / 1e6} s), got {cfg.interval_s}"
+        )
+    return rows
 
 
 def carrier_sense(in_flight: list[_Transmission], t_us: int, cs_duration_us: int) -> bool:
@@ -127,22 +196,18 @@ def run_simulation(setup: RunSetup, seed: int) -> list[RunRecord]:
     busy_mj = cfg.energy.overhead_mj
     ack_only = setup.policy == "epsilon_greedy" and cfg.epsilon_reward == "ack"
 
-    # Per payload, per arm: (airtime µs, e_toa, e_active, reward on ACK).
-    # Every energy is checked here, before any event runs.
-    payloads = [
-        payload_symbols(i, cfg.payload_base, cfg.payload_spread) for i in range(n_devices)
+    # Per device, per arm: (airtime µs, e_toa, e_active, reward on ACK), all
+    # checked before any event runs. Arms run channel-major with powers in
+    # ascending dBm (build_arm_space), so each channel repeats the power rows.
+    tables = {}
+    for n_payload, rows in cost_rows(cfg, n_devices).items():
+        if ack_only:
+            rows = [row[:3] + (1.0,) for row in rows]
+        tables[n_payload] = rows * len(cfg.channels)
+    device_table = [
+        tables[payload_symbols(i, cfg.payload_base, cfg.payload_spread)]
+        for i in range(n_devices)
     ]
-    tables: dict[int, list[tuple[int, float, float, float]]] = {}
-    for n_payload in sorted(set(payloads)):
-        radio = dataclasses.replace(cfg.radio, n_payload=n_payload)
-        by_level = {pw.level_dbm: attempt_energy(radio, cfg.energy, pw) for pw in cfg.powers}
-        e_toa_min = min_toa_energy(radio, cfg.energy, cfg.powers)
-        tables[n_payload] = [
-            (round(e.t_toa * 1e6), e.e_toa_mj, e.e_active_mj,
-             1.0 if ack_only else reward_basis(e, cfg.reward_mode, e_toa_min))
-            for e in (by_level[dbm] for dbm in arm_dbm)
-        ]
-    device_table = [tables[n_payload] for n_payload in payloads]
 
     policies = [_make_policy(setup, i, arms, seed) for i in range(n_devices)]
     select = [p.select for p in policies]

@@ -50,12 +50,11 @@ class ParamCombo:
 # on the middle three, and five power levels.
 DEFAULT_CHANNEL_MHZ = (920.6, 921.0, 921.4, 921.8, 922.2)
 DEFAULT_RECEIVABLE_MHZ = (921.0, 921.4, 921.8)
-DEFAULT_POWER_DBM = (-3, 1, 5, 9, 13)
 
-# dBm -> transmit-draw mW used by the energy model.  A placeholder table
-# shaped like a low-efficiency PA (draw tracking radiated power, which grows
-# ~2.5x per 4 dBm); it is configuration, not measurement, and can be
-# overridden per run.  The steep spread lets a learner separate power levels
+# The five power levels, dBm -> transmit-draw mW.  A placeholder table shaped
+# like a low-efficiency PA (draw tracking radiated power, which grows ~2.5x
+# per 4 dBm); it is configuration, not measurement, and can be overridden
+# per run.  The steep spread lets a learner separate power levels
 # within a couple hundred attempts.
 DEFAULT_DRAW_MW = {-3: 15.0, 1: 30.0, 5: 70.0, 9: 165.0, 13: 400.0}
 
@@ -67,9 +66,8 @@ def default_channels() -> list[Channel]:
     ]
 
 
-def default_powers(draw_mw: dict[int, float] | None = None) -> list[TxPower]:
-    table = DEFAULT_DRAW_MW if draw_mw is None else draw_mw
-    return [TxPower(dbm, table[dbm]) for dbm in DEFAULT_POWER_DBM]
+def default_powers() -> list[TxPower]:
+    return [TxPower(dbm, mw) for dbm, mw in DEFAULT_DRAW_MW.items()]
 
 
 def build_arm_space(channels: list[Channel], powers: list[TxPower]) -> list[ParamCombo]:

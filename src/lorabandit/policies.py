@@ -294,26 +294,23 @@ class AdrLitePolicy:
             {a.channel for a in arms}, key=lambda c: c.center_frequency_hz
         )
         powers = sorted({a.power for a in arms}, key=lambda p: p.level_dbm)
-        self.search_list = adr_lite_list(channels, powers, quality_order_hz)
-        self.to_arm_index = {
-            (c.channel.center_frequency_hz, c.power.level_dbm): None
-            for c in self.search_list
-        }
-        for a in arms:
-            self.to_arm_index[(a.channel.center_frequency_hz, a.power.level_dbm)] = a.arm_index
-        self.next_list_index = len(self.search_list) - 1
+        arm_index = {(a.channel, a.power): a.arm_index for a in arms}
+        # adr_lite_list's search order, as arm indices.
+        self.search_arms = [
+            arm_index[c.channel, c.power]
+            for c in adr_lite_list(channels, powers, quality_order_hz)
+        ]
+        self.next_list_index = len(self.search_arms) - 1
         self._pending_list_index: int | None = None
 
     def select(self) -> PolicyDecision:
         self._pending_list_index = self.next_list_index
-        combo = self.search_list[self.next_list_index]
-        arm = self.to_arm_index[(combo.channel.center_frequency_hz, combo.power.level_dbm)]
-        return PolicyDecision(arm)
+        return PolicyDecision(self.search_arms[self.next_list_index])
 
     def observe(self, fb: Feedback) -> None:
         if self._pending_list_index is None:
             raise RuntimeError("observe() without a preceding select()")
         self.next_list_index = adr_lite_next(
-            self._pending_list_index, fb.acked, len(self.search_list)
+            self._pending_list_index, fb.acked, len(self.search_arms)
         )
         self._pending_list_index = None

@@ -64,6 +64,9 @@ TWO_CHANNELS = [{"mhz": 921.0, "receivable": True}, {"mhz": 921.4, "receivable":
     {"energy": {"e_wu": 1}},
     {"channels": [TWO_CHANNELS[0] | {"rx": 1}, TWO_CHANNELS[1]]},
     {"powers": [{"level_dbm": 5, "dbm": 1}, {"level_dbm": 9}]},
+    # A draw given twice, differently.
+    {"powers": [{"level_dbm": -3, "draw_mw": 1}, {"level_dbm": 1, "draw_mw": 2}],
+     "energy": {"p_toa_mw": {"-3": 1, "1": 3}}},
     # Energies and rewards that are not positive finite numbers.
     # (At 13 dBm and SF 12, e_active overflows from 43-symbol payloads on.)
     {"radio": {"sf": 12}, "payload_base": 43,

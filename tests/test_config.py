@@ -6,7 +6,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lorabandit import config as config_module
+from lorabandit import netsim
 from lorabandit.config import (
     DEFAULT_DEVICE_COUNTS,
     ExperimentConfig,
@@ -43,6 +43,57 @@ def test_missing_draw_level_names_the_level():
            "powers": [{"level_dbm": lvl} for lvl in (-3, 1, 5, 9, 13)]}
     with pytest.raises(ConfigError, match="13"):
         config_from_dict(doc)
+
+
+CUSTOM_POWERS = [{"level_dbm": -3, "draw_mw": 20}, {"level_dbm": 5, "draw_mw": 90},
+                 {"level_dbm": 13, "draw_mw": 250}]
+
+
+@pytest.mark.parametrize("energy", [
+    {"e_wu_mj": 56.1},
+    {"e_wu_mj": 56.1, "e_proc_mj": 85.8, "e_r_mj": 66.0, "p_mcu_mw": 29.7},
+    {"p_toa_mw": {"-3": 20, "5": 90, "13": 250}},
+])
+def test_energy_block_never_resets_the_power_draws(energy):
+    # An energy block that restates defaults (or the powers' own draws)
+    # changes nothing: the draws stay those the powers give.
+    plain = config_from_dict({"powers": CUSTOM_POWERS})
+    restated = config_from_dict({"powers": CUSTOM_POWERS, "energy": energy})
+    assert [p.draw_mw for p in restated.powers] == [20.0, 90.0, 250.0]
+    assert restated.config_hash() == plain.config_hash()
+    for policy in POLICY_NAMES:
+        assert (run_simulation(restated.run_setup(policy, 3), 5)
+                == run_simulation(plain.run_setup(policy, 3), 5))
+
+
+def test_conflicting_draws_name_the_level():
+    doc = {"powers": [{"level_dbm": -3, "draw_mw": 1}, {"level_dbm": 1, "draw_mw": 2}],
+           "energy": {"p_toa_mw": {"-3": 1, "1": 3}}}
+    with pytest.raises(ConfigError, match=r"\b1 dBm draws 2.0 mW here but 3.0 mW"):
+        config_from_dict(doc)
+
+
+def test_power_outside_the_default_levels_with_an_energy_block():
+    doc = {"energy": {"e_wu_mj": 20}, "powers": [{"level_dbm": 7, "draw_mw": 426}]}
+    cfg = config_from_dict(doc)
+    assert cfg.energy.e_wu_mj == 20.0
+    assert cfg.to_dict()["energy"]["p_toa_mw"] == {"7": 426.0}
+    records = run_simulation(cfg.run_setup("proposed_ucb_tuned", 2), 1)
+    assert {r.power_dbm for r in records} == {7}
+
+
+def test_draw_table_entries_without_a_power_are_ignored():
+    table = {"-3": 15, "1": 30, "5": 70, "9": 165, "13": 400, "7": 300}
+    cfg = config_from_dict({"energy": {"p_toa_mw": table}})
+    assert cfg.config_hash() == config_from_dict({}).config_hash()
+
+
+@pytest.mark.parametrize("key", ["01", " 5", "1_3", "+1", "-0"])
+def test_draw_table_keys_must_be_written_as_integers(key):
+    # int() accepts each of these; "01" would silently override "1".
+    table = {"-3": 15, "1": 30, "5": 70, "9": 165, "13": 400, key: 35}
+    with pytest.raises(ConfigError, match="p_toa_mw keys must be dBm integers"):
+        config_from_dict({"energy": {"p_toa_mw": table}})
 
 
 def test_device_count_override():
@@ -156,7 +207,7 @@ def test_validate_checks_only_the_payloads_a_run_uses(monkeypatch):
         calls.append(args)
         return attempt_energy(*args)
 
-    monkeypatch.setattr(config_module, "attempt_energy", counting)
+    monkeypatch.setattr(netsim, "attempt_energy", counting)
     cfg = config_from_dict({"payload_spread": 10**9})
     # Devices 0..29 of the largest device count use sizes 36..65, 5 powers each.
     assert len(calls) == 30 * 5

@@ -20,10 +20,6 @@ from lorabandit.params import ConfigError, TxPower
 REL = 1e-12
 
 
-def model(table=None):
-    return EnergyModel(p_toa_by_level=table or {-3: 15.0, 1: 30.0, 13: 100.0})
-
-
 def test_symbol_time_sf7_bw125():
     assert symbol_time(RadioConfig(sf=7, bw_hz=125_000)) == pytest.approx(
         1.024e-3, rel=REL
@@ -60,8 +56,7 @@ def test_time_on_air_max_payload():
 
 
 def test_attempt_energy_known_values():
-    m = model({13: 100.0})
-    e = attempt_energy(RadioConfig(), m, TxPower(13, 100.0))
+    e = attempt_energy(RadioConfig(), EnergyModel(), TxPower(13, 100.0))
     # (29.7 + 100) mW * 49.408 ms
     assert e.e_toa_mj == pytest.approx(129.7 * 0.049408, rel=REL)
     assert e.e_toa_mj == pytest.approx(6.408, rel=1e-4)
@@ -70,38 +65,31 @@ def test_attempt_energy_known_values():
 
 
 def test_attempt_energy_depends_on_power_only_through_draw():
-    m = model({1: 50.0, 9: 50.0})
-    e1 = attempt_energy(RadioConfig(), m, TxPower(1, 50.0))
-    e9 = attempt_energy(RadioConfig(), m, TxPower(9, 50.0))
+    e1 = attempt_energy(RadioConfig(), EnergyModel(), TxPower(1, 50.0))
+    e9 = attempt_energy(RadioConfig(), EnergyModel(), TxPower(9, 50.0))
     assert e1.e_toa_mj == e9.e_toa_mj
 
 
-def test_attempt_energy_missing_level():
-    with pytest.raises(ConfigError, match="9"):
-        attempt_energy(RadioConfig(), model({-3: 15.0}), TxPower(9, 55.0))
-
-
 def test_reward_normalized():
-    e = attempt_energy(RadioConfig(), model(), TxPower(-3, 15.0))
+    e = attempt_energy(RadioConfig(), EnergyModel(), TxPower(-3, 15.0))
     assert reward_basis(e, "normalized", e.e_toa_mj) == 1.0
     assert reward_basis(e, "normalized", e.e_toa_mj / 2) == 0.5
 
 
 def test_reward_raw():
-    m = model({13: 100.0})
-    e = attempt_energy(RadioConfig(), m, TxPower(13, 100.0))
+    e = attempt_energy(RadioConfig(), EnergyModel(), TxPower(13, 100.0))
     assert reward_basis(e, "raw") == pytest.approx(1.0 / 6.408, rel=1e-4)
     assert reward_basis(e, "raw") == 1.0 / e.e_toa_mj
 
 
 def test_reward_unknown_mode():
-    e = attempt_energy(RadioConfig(), model(), TxPower(-3, 15.0))
+    e = attempt_energy(RadioConfig(), EnergyModel(), TxPower(-3, 15.0))
     with pytest.raises(ConfigError):
         reward_basis(e, "bogus")
 
 
 def test_min_toa_energy_matches_cheapest_level():
-    m = model()
+    m = EnergyModel()
     powers = [TxPower(13, 100.0), TxPower(-3, 15.0), TxPower(1, 30.0)]
     cheapest = attempt_energy(RadioConfig(), m, TxPower(-3, 15.0))
     assert min_toa_energy(RadioConfig(), m, powers) == cheapest.e_toa_mj
@@ -116,11 +104,7 @@ def test_invalid_radio_config():
 
 def test_energy_model_validation():
     with pytest.raises(ConfigError):
-        EnergyModel(e_wu_mj=0, p_toa_by_level={1: 10.0})
-    with pytest.raises(ConfigError):
-        EnergyModel(p_toa_by_level={})
-    with pytest.raises(ConfigError):
-        EnergyModel(p_toa_by_level={1: -5.0})
+        EnergyModel(e_wu_mj=0)
 
 
 @given(
@@ -164,7 +148,7 @@ def test_e_toa_monotone_in_draw(draws):
 def test_reward_strictly_decreasing_in_power(mode):
     cfg = RadioConfig()
     table = {-3: 15.0, 1: 30.0, 5: 70.0, 9: 165.0, 13: 400.0}
-    m = EnergyModel(p_toa_by_level=table)
+    m = EnergyModel()
     powers = [TxPower(lvl, mw) for lvl, mw in sorted(table.items())]
     e_min = min_toa_energy(cfg, m, powers)
     rewards = [
@@ -177,7 +161,7 @@ def test_reward_strictly_decreasing_in_power(mode):
 
 
 def test_all_quantities_positive():
-    e = attempt_energy(RadioConfig(), model(), TxPower(-3, 15.0))
+    e = attempt_energy(RadioConfig(), EnergyModel(), TxPower(-3, 15.0))
     assert e.t_symbol > 0 and e.t_preamble > 0 and e.t_payload > 0
     assert e.t_toa > 0 and e.e_toa_mj > 0 and e.e_active_mj > 0
     assert e.e_active_mj >= e.e_toa_mj

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from reference_sim import reference_run
 
 from lorabandit.config import ExperimentConfig, config_from_dict
-from lorabandit.energy import EnergyModel, RadioConfig, attempt_energy
+from lorabandit.energy import RadioConfig, attempt_energy
 from lorabandit.metrics import Cause
 from lorabandit.netsim import (
     POLICY_NAMES,
@@ -273,17 +273,6 @@ def test_run_rejects_bad_setup():
         run_simulation(make_setup(n_devices=0), seed=1)
     with pytest.raises(ConfigError):
         run_simulation(make_setup(policy="nonsense"), seed=1)
-
-
-def test_missing_draw_level_caught_before_events():
-    bad_energy = EnergyModel(p_toa_by_level={-3: 15.0})
-    with pytest.raises(ConfigError):
-        run_simulation(make_setup(energy=bad_energy), seed=1)
-    # A config changed after validation still fails before any event runs.
-    cfg = ExperimentConfig()
-    cfg.energy = bad_energy
-    with pytest.raises(ConfigError, match="1 dBm"):
-        run_simulation(cfg.run_setup("proposed_ucb_tuned", 1), seed=1)
 
 
 # --- differential oracle ------------------------------------------------------
