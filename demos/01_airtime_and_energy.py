@@ -14,7 +14,6 @@ from lorabandit import (
     symbol_time,
     time_on_air,
 )
-from lorabandit.energy import min_toa_energy
 
 radio = RadioConfig(sf=7, bw_hz=125_000, n_preamble=8, n_payload=36)
 powers = default_powers()
@@ -29,7 +28,8 @@ print(f"fixed overhead : {energy.overhead_mj:.1f} mJ per attempt "
       "(wake-up + processing + receive window)")
 print()
 
-e_min = min_toa_energy(radio, energy, powers)
+# Rewards are normalized by the transmission energy at the cheapest power.
+e_min = min(attempt_energy(radio, energy, p).e_toa_mj for p in powers)
 print(f"{'power':>6} {'draw':>7} {'e_toa':>8} {'e_active':>9} {'ack reward':>11}")
 for p in powers:
     e = attempt_energy(radio, energy, p)

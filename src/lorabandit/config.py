@@ -90,7 +90,7 @@ class ExperimentConfig:
             raise ConfigError("epsilon_reward must be 'energy' or 'ack'")
         if not 6 <= self.radio.sf <= 12:
             raise ConfigError(f"radio.sf must be in 6..12, got {self.radio.sf}")
-        build_arm_space(self.channels, self.powers)  # duplicate or missing channels/levels
+        arms = build_arm_space(self.channels, self.powers)  # duplicate or missing channels/levels
         if not any(c.receivable for c in self.channels):
             raise ConfigError("at least one channel must be receivable")
         powers = sorted(self.powers, key=lambda p: p.level_dbm)
@@ -100,7 +100,7 @@ class ExperimentConfig:
 
         cost_rows(self, max(self.device_counts))  # what a run's payloads cost
         if "adr_lite" in self.policies:
-            adr_lite_list(self.channels, self.powers, self.adr_quality_hz)
+            adr_lite_list(arms, self.adr_quality_hz)
 
     def run_setup(self, policy: str, n_devices: int) -> RunSetup:
         return RunSetup(self, policy, n_devices)
@@ -266,6 +266,8 @@ def load_config(path) -> ExperimentConfig:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: parse error at line {exc.lineno}: {exc.msg}") from exc
+    except (UnicodeDecodeError, RecursionError) as exc:  # not UTF-8, or nested too deep
+        raise ConfigError(f"{path}: unreadable JSON: {exc}") from exc
     except OSError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     return config_from_dict(doc)

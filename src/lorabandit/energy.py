@@ -54,11 +54,8 @@ class EnergyModel:
 
 @dataclass(frozen=True)
 class AttemptEnergy:
-    """Timing and energy breakdown of one transmission attempt."""
+    """On-air time and energy of one transmission attempt."""
 
-    t_symbol: float
-    t_preamble: float
-    t_payload: float
     t_toa: float
     e_toa_mj: float
     e_active_mj: float
@@ -87,17 +84,10 @@ def attempt_energy(cfg: RadioConfig, model: EnergyModel, power: TxPower) -> Atte
     e_toa = (p_mcu + power.draw_mw) * t_toa;
     e_active = e_wu + e_proc + e_toa + e_r.
     """
-    t_preamble, t_payload, t_toa = time_on_air(cfg)
+    t_toa = time_on_air(cfg)[2]
     e_toa = (model.p_mcu_mw + power.draw_mw) * t_toa
     e_active = model.e_wu_mj + model.e_proc_mj + e_toa + model.e_r_mj
-    return AttemptEnergy(
-        t_symbol=symbol_time(cfg),
-        t_preamble=t_preamble,
-        t_payload=t_payload,
-        t_toa=t_toa,
-        e_toa_mj=e_toa,
-        e_active_mj=e_active,
-    )
+    return AttemptEnergy(t_toa=t_toa, e_toa_mj=e_toa, e_active_mj=e_active)
 
 
 def reward_basis(
@@ -120,10 +110,3 @@ def reward_basis(
         return e_toa_min_mj / e.e_toa_mj
     raise ConfigError(f"unknown reward mode {mode!r}")
 
-
-def min_toa_energy(cfg: RadioConfig, model: EnergyModel, powers: list[TxPower]) -> float:
-    """e_toa at the cheapest configured draw, used to normalize rewards."""
-    if not powers:
-        raise ConfigError("empty power list")
-    cheapest = min(powers, key=lambda p: p.draw_mw)
-    return attempt_energy(cfg, model, cheapest).e_toa_mj

@@ -84,71 +84,44 @@ class MetricsSummary:
         })
 
 
-def success_rate(records):
-    """Successes over selections; None for an empty log (never 0-by-fiat)."""
-    attempts = successes = 0
-    for r in records:
-        attempts += 1
-        successes += 1 if r.acked else 0
-    return successes / attempts if attempts else None
-
-
-def energy_efficiency(records):
-    """Successes per millijoule of active energy; None for an empty log."""
-    successes, energies = 0, []
-    for r in records:
-        successes += 1 if r.acked else 0
-        energies.append(r.e_active)
-    if not energies:
-        return None
-    total = math.fsum(energies)
-    if total <= 0:
-        raise ValueError("total active energy must be positive")
-    return successes / total
-
-
-def tp_selection_ratio(records) -> dict[int, float]:
-    """Share of each TX power among successful transmissions only."""
-    counts: dict[int, int] = {}
-    total = 0
-    for r in records:
-        if r.acked:
-            counts[r.power_dbm] = counts.get(r.power_dbm, 0) + 1
-            total += 1
-    if total == 0:
-        return {}
-    return {dbm: c / total for dbm, c in counts.items()}
-
-
 def summarize_run(records: list[RunRecord], config_key: str = "") -> MetricsSummary:
-    """Fold one run's record log into a MetricsSummary."""
-    attempts = len(records)
-    successes = sum(1 for r in records if r.acked)
+    """Fold one run's record log into a MetricsSummary in one pass.
 
+    Energies are summed by math.fsum, which is exact, so no figure depends
+    on the order of the records.
+    """
+    # [attempts, successes, active energies] per device and per arm.
+    by_device: dict[int, list] = {}
+    by_arm: dict[int, list] = {}
+    acked_by_dbm: dict[int, int] = {}
+    for r in records:
+        dev = by_device.get(r.device)
+        if dev is None:
+            dev = by_device[r.device] = [0, 0, []]
+        arm = by_arm.get(r.arm_index)
+        if arm is None:
+            arm = by_arm[r.arm_index] = [0, 0, []]
+        dev[0] += 1
+        arm[0] += 1
+        dev[2].append(r.e_active)
+        arm[2].append(r.e_active)
+        if r.acked:
+            dev[1] += 1
+            arm[1] += 1
+            acked_by_dbm[r.power_dbm] = acked_by_dbm.get(r.power_dbm, 0) + 1
+
+    attempts = len(records)
+    successes = sum(acked_by_dbm.values())
+    total_energy = math.fsum(e for _, _, es in by_device.values() for e in es)
+    if attempts and total_energy <= 0:
+        raise ValueError("total active energy must be positive")
     # Per-device cumulative EE, written rate-over-mean-energy so a constant
     # per-attempt energy yields exactly success_rate / e_active.
-    by_device: dict[int, tuple[int, int, list[float]]] = {}
-    for r in records:
-        n, s, es = by_device.get(r.device, (0, 0, []))
-        es.append(r.e_active)
-        by_device[r.device] = (n + 1, s + (1 if r.acked else 0), es)
-    device_ee = [
-        (s / n) / (math.fsum(es) / n) for n, s, es in by_device.values()
-    ]
-    ee_mean = math.fsum(device_ee) / len(device_ee) if device_ee else None
-    ee_network = energy_efficiency(records)
-
-    per_arm: dict[int, ArmStats] = {}
-    arm_energy: dict[int, list[float]] = {}
-    for r in records:
-        stats = per_arm.setdefault(r.arm_index, ArmStats())
-        stats.selections += 1
-        stats.successes += 1 if r.acked else 0
-        arm_energy.setdefault(r.arm_index, []).append(r.e_active)
-    for arm, stats in per_arm.items():
-        stats.success_rate = stats.successes / stats.selections
-        mean_e = math.fsum(arm_energy[arm]) / stats.selections
-        stats.energy_efficiency = stats.success_rate / mean_e
+    device_ee = [(s / n) / (math.fsum(es) / n) for n, s, es in by_device.values()]
+    per_arm = {}
+    for arm_index, (n, s, es) in by_arm.items():
+        rate = s / n
+        per_arm[arm_index] = ArmStats(n, s, rate, rate / (math.fsum(es) / n))
 
     return MetricsSummary(
         config_key=config_key,
@@ -156,9 +129,10 @@ def summarize_run(records: list[RunRecord], config_key: str = "") -> MetricsSumm
         attempts=attempts,
         successes=successes,
         success_rate=successes / attempts if attempts else None,
-        energy_efficiency=ee_mean,
-        energy_efficiency_network=ee_network,
-        tp_ratio=tp_selection_ratio(records),
+        energy_efficiency=math.fsum(device_ee) / len(device_ee) if device_ee else None,
+        energy_efficiency_network=successes / total_energy if attempts else None,
+        # The share of each TX power among successful transmissions only.
+        tp_ratio={dbm: c / successes for dbm, c in acked_by_dbm.items()},
         per_arm=per_arm,
     )
 

@@ -16,10 +16,8 @@ from typing import TYPE_CHECKING, NamedTuple
 from .params import (
     DEFAULT_CHANNEL_MHZ,
     DEFAULT_RECEIVABLE_MHZ,
-    Channel,
     ConfigError,
     ParamCombo,
-    TxPower,
     receivable_channels,
 )
 
@@ -40,13 +38,13 @@ class ArmState:
 
     mean and variance (the empirical variance of the rewards, clamped at 0)
     are derived from the sums when the state is built and kept current by
-    update(), so a decision reads them instead of recomputing them.
+    _ArmLearner.observe(), so a decision reads them instead of recomputing
+    them.
     """
 
     pulls: int = 0
     reward_sum: float = 0.0
     reward_sq_sum: float = 0.0
-    successes: int = 0
     mean: float = field(default=0.0, init=False)
     variance: float = field(default=0.0, init=False)
 
@@ -120,50 +118,6 @@ def _uniform_argmax(values: list[float], rng: DeviceRng) -> int:
     return tied[rng.integers(len(tied))]
 
 
-def select_ucb(arms: list[ArmState], m: int, tie_rng: DeviceRng) -> PolicyDecision:
-    """Pick the next arm: uncovered arms first, then max score.
-
-    While any arm is unpulled the lowest-indexed such arm is forced
-    (initialization pass); afterwards the max-score arm wins, with exact
-    ties broken uniformly at random.
-    """
-    if not arms:
-        raise ValueError("empty arm list")
-    for i, arm in enumerate(arms):
-        if arm.pulls == 0:
-            return PolicyDecision(i, Phase.INITIALIZATION)
-    return PolicyDecision(_uniform_argmax(ucb_scores(arms, m), tie_rng), Phase.LEARNED)
-
-
-def select_epsilon_greedy(
-    arms: list[ArmState], epsilon: float, rng: DeviceRng
-) -> PolicyDecision:
-    """Uniform random arm with probability epsilon, else best mean reward.
-
-    Unpulled arms count as mean 0; greedy ties break uniformly at random.
-    """
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
-    if not arms:
-        raise ValueError("empty arm list")
-    if rng.random() < epsilon:
-        return PolicyDecision(rng.integers(len(arms)))
-    means = [arm.mean for arm in arms]
-    return PolicyDecision(_uniform_argmax(means, rng))
-
-
-def update(arm: ArmState, fb: Feedback) -> None:
-    """Fold one attempt's feedback into the arm statistics."""
-    if fb.reward < 0:
-        raise ValueError(f"negative reward {fb.reward}")
-    arm.pulls += 1
-    arm.reward_sum += fb.reward
-    arm.reward_sq_sum += fb.reward ** 2
-    if fb.acked:
-        arm.successes += 1
-    arm._refresh()
-
-
 def select_fixed(device_index: int, arms: list[ParamCombo]) -> PolicyDecision:
     """Static assignment: receivable channels round-robin, minimum power."""
     channels = receivable_channels(sorted(
@@ -193,17 +147,16 @@ def adr_lite_next(prev_index: int, acked: bool, list_len: int) -> int:
 
 
 def adr_lite_list(
-    channels: list[Channel],
-    powers: list[TxPower],
-    quality_order_hz: list[float] | None = None,
+    arms: list[ParamCombo], quality_order_hz: list[float] | None = None
 ) -> list[ParamCombo]:
-    """ADR-Lite's own ordering of the parameter pairs.
+    """The arms in ADR-Lite's search order.
 
     Power-major ascending; within one power the channels run worst-first.
     For the default channel plan the non-receivable channels (guaranteed
     losers) come first, then the receivable ones, each group by ascending
     frequency.  Any other channel plan must supply an explicit quality order.
     """
+    channels = {a.channel for a in arms}
     if quality_order_hz is None:
         plan = sorted((c.mhz, c.receivable) for c in channels)
         default_plan = sorted(
@@ -213,23 +166,15 @@ def adr_lite_list(
             raise ConfigError(
                 "non-default channel plan requires an explicit channel quality order"
             )
-        ordered = sorted(
-            channels,
-            key=lambda c: (c.receivable, c.center_frequency_hz),
-        )
+        rank = {c: (c.receivable, c.center_frequency_hz) for c in channels}
     else:
-        by_freq = {c.center_frequency_hz: c for c in channels}
-        if sorted(by_freq) != sorted(quality_order_hz):
+        if sorted(c.center_frequency_hz for c in channels) != sorted(quality_order_hz):
             raise ConfigError(
                 "channel quality order must list every configured frequency exactly once"
             )
-        ordered = [by_freq[hz] for hz in quality_order_hz]
-
-    combos = []
-    for pw in sorted(powers, key=lambda p: p.level_dbm):
-        for ch in ordered:
-            combos.append(ParamCombo(ch, pw, len(combos)))
-    return combos
+        worst_first = {hz: i for i, hz in enumerate(quality_order_hz)}
+        rank = {c: worst_first[c.center_frequency_hz] for c in channels}
+    return sorted(arms, key=lambda a: (a.power.level_dbm, rank[a.channel]))
 
 
 class _ArmLearner:
@@ -243,18 +188,31 @@ class _ArmLearner:
         self.unpulled = n_arms
 
     def observe(self, fb: Feedback) -> None:
+        """Fold one attempt's feedback into its arm's statistics."""
+        if fb.reward < 0:
+            raise ValueError(f"negative reward {fb.reward}")
         arm = self.arms[fb.arm_index]
-        first = arm.pulls == 0
-        update(arm, fb)
-        if first:
+        if arm.pulls == 0:
             self.unpulled -= 1
+        arm.pulls += 1
+        arm.reward_sum += fb.reward
+        arm.reward_sq_sum += fb.reward ** 2
+        arm._refresh()
         self.total_plays += 1
 
 
 class UcbTunedPolicy(_ArmLearner):
     def select(self) -> PolicyDecision:
+        """Uncovered arms first, then max score.
+
+        While any arm is unpulled the lowest-indexed such arm is forced
+        (initialization pass); afterwards the max-score arm wins, with exact
+        ties broken uniformly at random.
+        """
         if self.unpulled:
-            return select_ucb(self.arms, self.total_plays, self.rng)
+            for i, arm in enumerate(self.arms):
+                if arm.pulls == 0:
+                    return PolicyDecision(i, Phase.INITIALIZATION)
         return PolicyDecision(
             _uniform_argmax(ucb_scores(self.arms, self.total_plays), self.rng), Phase.LEARNED
         )
@@ -262,11 +220,19 @@ class UcbTunedPolicy(_ArmLearner):
 
 class EpsilonGreedyPolicy(_ArmLearner):
     def __init__(self, n_arms: int, epsilon: float, rng: DeviceRng):
+        if not 0.0 <= epsilon <= 1.0:
+            raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
         super().__init__(n_arms, rng)
         self.epsilon = epsilon
 
     def select(self) -> PolicyDecision:
-        return select_epsilon_greedy(self.arms, self.epsilon, self.rng)
+        """Uniform random arm with probability epsilon, else best mean reward.
+
+        Unpulled arms count as mean 0; greedy ties break uniformly at random.
+        """
+        if self.rng.random() < self.epsilon:
+            return PolicyDecision(self.rng.integers(len(self.arms)))
+        return PolicyDecision(_uniform_argmax([arm.mean for arm in self.arms], self.rng))
 
 
 class FixedPolicy:
@@ -290,16 +256,7 @@ class AdrLitePolicy:
         arms: list[ParamCombo],
         quality_order_hz: list[float] | None = None,
     ):
-        channels = sorted(
-            {a.channel for a in arms}, key=lambda c: c.center_frequency_hz
-        )
-        powers = sorted({a.power for a in arms}, key=lambda p: p.level_dbm)
-        arm_index = {(a.channel, a.power): a.arm_index for a in arms}
-        # adr_lite_list's search order, as arm indices.
-        self.search_arms = [
-            arm_index[c.channel, c.power]
-            for c in adr_lite_list(channels, powers, quality_order_hz)
-        ]
+        self.search_arms = [a.arm_index for a in adr_lite_list(arms, quality_order_hz)]
         self.next_list_index = len(self.search_arms) - 1
         self._pending_list_index: int | None = None
 

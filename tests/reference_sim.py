@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from lorabandit.energy import attempt_energy, min_toa_energy, reward_basis
+from lorabandit.energy import attempt_energy, reward_basis
 from lorabandit.metrics import Cause, RunRecord
 from lorabandit.netsim import device_rng, payload_symbols
 from lorabandit.params import build_arm_space
@@ -104,7 +104,8 @@ def reference_run(setup, seed, events=None):
             if setup.policy == "epsilon_greedy" and cfg.epsilon_reward == "ack":
                 reward = 1.0
             else:
-                e_min = min_toa_energy(devices[tx["device"]]["radio"], cfg.energy, cfg.powers)
+                radio = devices[tx["device"]]["radio"]
+                e_min = min(attempt_energy(radio, cfg.energy, p).e_toa_mj for p in cfg.powers)
                 reward = reward_basis(energy, cfg.reward_mode, e_min)
         devices[tx["device"]]["policy"].observe(
             Feedback(arm.arm_index, cause is Cause.SUCCESS, reward))

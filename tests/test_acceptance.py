@@ -10,6 +10,7 @@ import filecmp
 import math
 import os
 import random
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -27,10 +28,13 @@ COUNTS = (10, 15, 20, 25, 30)
 WORKERS = min(8, os.cpu_count() or 1)
 
 
-def verdict(num: int, name: str, ok: bool, detail: str = "") -> None:
+def verdict(num: int, name: str, ok: bool, detail: str = "", explain=None) -> None:
+    """Print the criterion's line, and on failure the text explain() returns."""
     tag = "PASS" if ok else "FAIL"
     suffix = f" ({detail})" if detail else ""
     print(f"[{tag}] criterion {num}: {name}{suffix}")
+    if not ok and explain is not None:
+        print(explain())
     assert ok, f"criterion {num}: {name}{suffix}"
 
 
@@ -52,6 +56,31 @@ def point_mean(manifest, policy, n, attr):
     ]
     agg = aggregate_runs(summaries)
     return getattr(agg, attr) if attr != "tp_ratio" else agg.tp_ratio
+
+
+def breakdown_at_30(manifest, first_phase: int = 25) -> str:
+    """Per policy at N=30: the cause mix of the attempts before first_phase
+    (UCB's forced pass over the 25 arms) and from it on, and how many
+    device-runs end below 0.7 success."""
+    out = Path(manifest.out_dir)
+    lines = [f"N=30 breakdown (attempts < {first_phase} | attempts >= {first_phase}):"]
+    for p in POLICIES:
+        mix = (Counter(), Counter())
+        stuck = devices = 0
+        for e in manifest.runs:
+            if e["policy"] != p or e["n_devices"] != 30:
+                continue
+            tries, wins = Counter(), Counter()
+            for r in read_records(out / e["records"]):
+                mix[r.attempt >= first_phase][r.cause] += 1
+                tries[r.device] += 1
+                wins[r.device] += r.acked
+            devices += len(tries)
+            stuck += sum(wins[d] / n < 0.7 for d, n in tries.items())
+        early, late = (", ".join(f"{c} {k}" for c, k in sorted(m.items())) for m in mix)
+        lines.append(f"  {p}: {early} | {late}; "
+                     f"{stuck} of {devices} device-runs below 0.7 success")
+    return "\n".join(lines)
 
 
 # --- criterion 1 -------------------------------------------------------------
@@ -185,7 +214,7 @@ def test_criterion_5_success_rate_trends(default_sweep):
             + ", ".join(f"{p}={v:.4f}" for p, v in at30.items())
         )
     verdict(5, "success rate non-increasing in N and ordered at N=30",
-            not problems, "; ".join(problems))
+            not problems, "; ".join(problems), lambda: breakdown_at_30(manifest))
 
 
 def test_criterion_6_energy_efficiency_ranking(default_sweep):
@@ -200,7 +229,7 @@ def test_criterion_6_energy_efficiency_ranking(default_sweep):
         if best == "adr_lite":
             problems.append(f"N={n}: ADR-Lite ranks highest")
     verdict(6, "proposed has highest EE at every N (and ADR-Lite never does)",
-            not problems, "; ".join(problems))
+            not problems, "; ".join(problems), lambda: breakdown_at_30(manifest))
 
 
 def test_criterion_7_min_power_share(default_sweep):

@@ -93,6 +93,20 @@ def test_validate_unparseable(tmp_path, capsys):
     assert main(["validate", str(path)]) == EXIT_CONFIG
 
 
+def test_validate_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"policies": ["fixed"], "note": "caf\xe9"}')
+    assert main(["validate", str(path)]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
+def test_validate_nested_too_deep(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    assert main(["validate", str(path)]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
 def test_run_and_tables(tmp_path, capsys):
     cfg = write_config(tmp_path, TINY)
     out = tmp_path / "results"

@@ -1,10 +1,11 @@
 """Config ingestion: defaults, overrides, validation, hashing."""
 
 import dataclasses
+import itertools
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from lorabandit import netsim
 from lorabandit.config import (
@@ -13,9 +14,9 @@ from lorabandit.config import (
     config_from_dict,
     load_config,
 )
-from lorabandit.energy import RadioConfig, attempt_energy
+from lorabandit.energy import RadioConfig, attempt_energy, time_on_air
 from lorabandit.netsim import POLICY_NAMES, RunSetup, run_simulation
-from lorabandit.params import ConfigError, TxPower
+from lorabandit.params import DEFAULT_CHANNEL_MHZ, DEFAULT_DRAW_MW, ConfigError, TxPower
 
 
 def test_empty_document_yields_full_defaults():
@@ -256,53 +257,90 @@ def test_radio_defaults_come_from_radio_config():
 
 EDGE_FLOATS = st.floats() | st.sampled_from([0.0, -1.0, 5e-324, 1e-300, 1e12, 1e300])
 ODD = st.none() | st.booleans() | st.text(max_size=2) | st.just([]) | st.just({}) | EDGE_FLOATS
+DEFAULT_LEVELS = sorted(DEFAULT_DRAW_MW)
+PLAN_MHZ = (*DEFAULT_CHANNEL_MHZ, 923.0)
 
 
-def _number(lo, hi):
-    good = st.floats(lo, hi)
-    return st.one_of(good, good, good, EDGE_FLOATS)
+def _increasing(n):
+    """n positive draws in ascending order, each at least 1 µW above the last."""
+    return st.lists(st.floats(1e-3, 200.0), min_size=n, max_size=n).map(
+        lambda steps: list(itertools.accumulate(steps)))
 
 
-def _fields(**fields):
-    return st.fixed_dictionaries({}, optional=fields)
+@st.composite
+def _channels(draw):
+    mhz = draw(st.lists(st.sampled_from(PLAN_MHZ), min_size=1, max_size=6, unique=True))
+    receivable = draw(st.lists(st.booleans(), min_size=len(mhz), max_size=len(mhz)))
+    receivable[draw(st.integers(0, len(mhz) - 1))] = True
+    return [{"mhz": m, "receivable": r} for m, r in zip(mhz, receivable)]
 
 
-CONFIG_FIELDS = dict(
-    policies=st.lists(st.sampled_from(POLICY_NAMES), min_size=1, unique=True),
-    interval_s=_number(0.05, 20.0),
-    cs_duration_s=_number(0.0, 0.1),
-    epsilon=_number(-0.5, 1.5),
-    reward_mode=st.sampled_from(["normalized", "raw"]),
-    epsilon_reward=st.sampled_from(["energy", "ack"]),
-    payload_base=st.integers(-1, 300),
-    payload_spread=st.integers(-1, 12),
-    base_seed=st.integers(-(2**70), 2**70),
-    radio=_fields(sf=st.integers(5, 13), bw_hz=_number(1e3, 1e7),
-                  n_preamble=st.integers(-1, 20)),
-    energy=_fields(
-        e_wu_mj=_number(1e-3, 1e3), e_proc_mj=_number(1e-3, 1e3),
-        e_r_mj=_number(1e-3, 1e3), p_mcu_mw=_number(1e-3, 1e3),
-        p_toa_mw=_fields(**{dbm: _number(1e-3, 1e3) for dbm in ("-3", "1", "5", "9", "13")}),
-    ),
-    channels=st.lists(st.fixed_dictionaries({
-        "mhz": st.sampled_from([920.6, 921.0, 921.4]) | EDGE_FLOATS,
-        "receivable": st.booleans(),
-    }), min_size=1, max_size=4),
-    powers=st.lists(st.fixed_dictionaries(
-        {"level_dbm": st.sampled_from([-3, 1, 5, 9, 13]) | st.integers(-5, 15)}, optional={"draw_mw": _number(1e-3, 1e3)},
-    ), min_size=1, max_size=4),
-    adr_quality_mhz=st.lists(st.sampled_from([920.6, 921.0, 921.4]) | EDGE_FLOATS,
-                             max_size=4),
-)
+@st.composite
+def _powers(draw, doc):
+    """The power table in one of the ways a document can give it: the
+    default, default levels without draws, levels with their own draws, or
+    draws from energy.p_toa_mw (with or without a powers list)."""
+    way = draw(st.sampled_from(["default", "levels", "draws", "table", "levels+table"]))
+    if way == "levels":
+        levels = draw(st.lists(st.sampled_from(DEFAULT_LEVELS), min_size=1, unique=True))
+        doc["powers"] = [{"level_dbm": dbm} for dbm in levels]
+    elif way == "draws":
+        levels = sorted(draw(st.lists(st.integers(-5, 20), min_size=1, max_size=6,
+                                      unique=True)))
+        doc["powers"] = [{"level_dbm": dbm, "draw_mw": mw}
+                         for dbm, mw in zip(levels, draw(_increasing(len(levels))))]
+    elif way != "default":
+        table = dict(zip(map(str, DEFAULT_LEVELS), draw(_increasing(len(DEFAULT_LEVELS)))))
+        doc.setdefault("energy", {})["p_toa_mw"] = table
+        if way == "levels+table":
+            doc["powers"] = [{"level_dbm": dbm} for dbm in draw(st.permutations(DEFAULT_LEVELS))]
 
 
 @st.composite
 def config_docs(draw):
-    """A config dict of plausible fields at most a few attempts long; about
-    half of them then get one field replaced by any JSON value."""
-    doc = draw(_fields(**CONFIG_FIELDS)) | {"t_attempts": draw(st.integers(1, 5))}
-    if draw(st.booleans()):
-        doc[draw(st.sampled_from(sorted(CONFIG_FIELDS)))] = draw(ODD)
+    """A valid config of at most a few attempts, every field perturbed
+    within its valid range or left to its default; one doc in five then
+    gets one field replaced by any JSON value."""
+    doc = draw(st.fixed_dictionaries({}, optional=dict(
+        policies=st.lists(st.sampled_from(POLICY_NAMES), min_size=1, unique=True),
+        cs_duration_s=st.floats(0.0, 0.1),
+        epsilon=st.floats(0.0, 1.0),
+        reward_mode=st.sampled_from(["normalized", "raw"]),
+        epsilon_reward=st.sampled_from(["energy", "ack"]),
+        payload_base=st.integers(0, 64),
+        payload_spread=st.integers(1, 12),
+        base_seed=st.integers(-(2**70), 2**70),
+        radio=st.fixed_dictionaries({}, optional=dict(
+            sf=st.integers(6, 12),
+            bw_hz=st.sampled_from([125e3, 250e3, 500e3]) | st.floats(7.8e3, 5e5),
+            n_preamble=st.integers(0, 20))),
+        energy=st.fixed_dictionaries({}, optional=dict.fromkeys(
+            ("e_wu_mj", "e_proc_mj", "e_r_mj", "p_mcu_mw"), st.floats(1e-3, 1e3))),
+        channels=_channels(),
+    )))
+    doc["t_attempts"] = draw(st.integers(1, 5))
+    draw(_powers(doc))
+
+    # ADR-Lite needs a quality order for any plan but the default one.
+    custom = "adr_lite" in doc.get("policies", POLICY_NAMES) and "channels" in doc
+    if custom or draw(st.integers(0, 3)) == 0:
+        plan = [c["mhz"] for c in doc["channels"]] if "channels" in doc else DEFAULT_CHANNEL_MHZ
+        doc["adr_quality_mhz"] = draw(st.permutations(plan))
+
+    # The interval must outlast carrier sense plus the longest airtime of the
+    # payloads the default device counts use.
+    radio = dataclasses.replace(RadioConfig(), **doc.get("radio", {}))
+    base = doc.get("payload_base", RadioConfig.n_payload)
+    spread = doc.get("payload_spread", ExperimentConfig.payload_spread)
+    longest = dataclasses.replace(
+        radio, n_payload=base + min(spread, max(DEFAULT_DEVICE_COUNTS)) - 1)
+    busy = doc.get("cs_duration_s", ExperimentConfig.cs_duration_s) + time_on_air(longest)[2]
+    low = busy * 1.01 + 1e-3
+    if low > ExperimentConfig.interval_s or draw(st.booleans()):
+        doc["interval_s"] = draw(st.floats(low, low + 20.0))
+
+    if draw(st.integers(0, 4)) == 0:
+        doc[draw(st.sampled_from(sorted(doc)))] = draw(ODD)
     return doc
 
 
@@ -315,6 +353,25 @@ def test_accepted_config_dicts_run(doc, seed):
     try:
         cfg = config_from_dict(doc)
     except ConfigError:
+        event("refused")
         return
+    event("accepted")
     for policy in cfg.policies:
-        run_simulation(cfg.run_setup(policy, 2), seed)
+        run_simulation(cfg.run_setup(policy, 6), seed)
+
+
+def test_config_docs_are_mostly_accepted():
+    accepted = []
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(doc=config_docs())
+    def classify(doc):
+        try:
+            config_from_dict(doc)
+        except ConfigError:
+            accepted.append(False)
+        else:
+            accepted.append(True)
+
+    classify()
+    assert sum(accepted) >= len(accepted) / 2, f"{sum(accepted)} of {len(accepted)} accepted"

@@ -10,11 +10,11 @@ from lorabandit.energy import (
     EnergyModel,
     RadioConfig,
     attempt_energy,
-    min_toa_energy,
     reward_basis,
     symbol_time,
     time_on_air,
 )
+from lorabandit.netsim import cost_rows
 from lorabandit.params import ConfigError, TxPower
 
 REL = 1e-12
@@ -89,10 +89,16 @@ def test_reward_unknown_mode():
 
 
 def test_min_toa_energy_matches_cheapest_level():
-    m = EnergyModel()
+    # A run's normalized rewards divide the e_toa at the cheapest power.
     powers = [TxPower(13, 100.0), TxPower(-3, 15.0), TxPower(1, 30.0)]
-    cheapest = attempt_energy(RadioConfig(), m, TxPower(-3, 15.0))
-    assert min_toa_energy(RadioConfig(), m, powers) == cheapest.e_toa_mj
+    cfg = ExperimentConfig(powers=powers, payload_spread=1)
+    e_min = attempt_energy(cfg.radio, cfg.energy, TxPower(-3, 15.0)).e_toa_mj
+    (rows,) = cost_rows(cfg, 1).values()
+    assert [reward for *_, reward in rows] == [
+        e_min / attempt_energy(cfg.radio, cfg.energy, p).e_toa_mj
+        for p in sorted(powers, key=lambda p: p.level_dbm)
+    ]
+    assert rows[0][1] == e_min and rows[0][3] == 1.0
 
 
 def test_invalid_radio_config():
@@ -150,7 +156,7 @@ def test_reward_strictly_decreasing_in_power(mode):
     table = {-3: 15.0, 1: 30.0, 5: 70.0, 9: 165.0, 13: 400.0}
     m = EnergyModel()
     powers = [TxPower(lvl, mw) for lvl, mw in sorted(table.items())]
-    e_min = min_toa_energy(cfg, m, powers)
+    e_min = min(attempt_energy(cfg, m, p).e_toa_mj for p in powers)
     rewards = [
         reward_basis(attempt_energy(cfg, m, p), mode, e_min) for p in powers
     ]
@@ -162,7 +168,8 @@ def test_reward_strictly_decreasing_in_power(mode):
 
 def test_all_quantities_positive():
     e = attempt_energy(RadioConfig(), EnergyModel(), TxPower(-3, 15.0))
-    assert e.t_symbol > 0 and e.t_preamble > 0 and e.t_payload > 0
+    t_preamble, t_payload, t_toa = time_on_air(RadioConfig())
+    assert t_preamble > 0 and t_payload > 0
     assert e.t_toa > 0 and e.e_toa_mj > 0 and e.e_active_mj > 0
     assert e.e_active_mj >= e.e_toa_mj
-    assert e.t_toa == e.t_preamble + e.t_payload
+    assert e.t_toa == t_toa == t_preamble + t_payload

@@ -10,10 +10,7 @@ from lorabandit.metrics import (
     MetricsSummary,
     RunRecord,
     aggregate_runs,
-    energy_efficiency,
-    success_rate,
     summarize_run,
-    tp_selection_ratio,
 )
 
 
@@ -32,6 +29,19 @@ def log(n, acked_count, **kw):
     return [
         record(attempt=i, acked=i < acked_count, **kw) for i in range(n)
     ]
+
+
+def success_rate(records):
+    return summarize_run(records).success_rate
+
+
+def energy_efficiency(records):
+    """Successes per millijoule of active energy, over the whole log."""
+    return summarize_run(records).energy_efficiency_network
+
+
+def tp_selection_ratio(records):
+    return summarize_run(records).tp_ratio
 
 
 # --- success rate ---------------------------------------------------------
@@ -70,6 +80,7 @@ def test_ee_scale_linearity():
 
 def test_ee_empty_is_none():
     assert energy_efficiency([]) is None
+    assert summarize_run([]).energy_efficiency is None
 
 
 def test_ee_monotone_in_energy():
@@ -77,6 +88,7 @@ def test_ee_monotone_in_energy():
     costly = log(10, 5, e_active=100.0)
     costly[3] = record(attempt=3, acked=True, e_active=150.0)
     assert energy_efficiency(costly) < energy_efficiency(cheap)
+    assert summarize_run(costly).energy_efficiency < summarize_run(cheap).energy_efficiency
 
 
 # --- TP selection ratio ---------------------------------------------------------

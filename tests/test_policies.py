@@ -23,27 +23,49 @@ from lorabandit.policies import (
     EpsilonGreedyPolicy,
     Feedback,
     Phase,
+    PolicyDecision,
     UcbTunedPolicy,
     adr_lite_list,
     adr_lite_next,
-    select_epsilon_greedy,
     select_fixed,
-    select_ucb,
     ucb_score,
     ucb_scores,
     ucb_variance,
-    update,
 )
 
 REL = 1e-12
 
 
-def arm(pulls=0, reward_sum=0.0, reward_sq_sum=0.0, successes=0):
-    return ArmState(pulls, reward_sum, reward_sq_sum, successes)
+def arm(pulls=0, reward_sum=0.0, reward_sq_sum=0.0):
+    return ArmState(pulls, reward_sum, reward_sq_sum)
 
 
 def default_arms():
     return build_arm_space(default_channels(), default_powers())
+
+
+def with_arms(policy, arms):
+    """policy, its statistics replaced by arms as if it had pulled them."""
+    policy.arms = arms
+    policy.total_plays = sum(a.pulls for a in arms)
+    policy.unpulled = sum(a.pulls == 0 for a in arms)
+    return policy
+
+
+def ucb(arms, rng, m=None):
+    """A UCB learner holding arms, after m plays (default: their pulls)."""
+    policy = with_arms(UcbTunedPolicy(len(arms), rng), arms)
+    if m is not None:
+        policy.total_plays = m
+    return policy
+
+
+def eps_greedy(arms, epsilon, rng):
+    return with_arms(EpsilonGreedyPolicy(len(arms), epsilon, rng), arms)
+
+
+def learner():
+    return UcbTunedPolicy(1, np.random.default_rng(0))
 
 
 # --- UCB variance and score -------------------------------------------------
@@ -99,12 +121,11 @@ def test_equal_states_equal_scores():
     assert ucb_score(a, m=10) == ucb_score(b, m=10)
 
 
-# --- select_ucb ---------------------------------------------------------------
+# --- UCB selection ------------------------------------------------------------
 
 def test_select_ucb_initialization_pass():
     rng = np.random.default_rng(0)
-    arms = [arm() for _ in range(4)]
-    d = select_ucb(arms, m=0, tie_rng=rng)
+    d = UcbTunedPolicy(4, rng).select()
     assert d.arm_index == 0
     assert d.phase is Phase.INITIALIZATION
 
@@ -112,7 +133,7 @@ def test_select_ucb_initialization_pass():
 def test_select_ucb_lowest_unpulled_first():
     rng = np.random.default_rng(0)
     arms = [arm(pulls=1), arm(), arm()]
-    assert select_ucb(arms, m=1, tie_rng=rng).arm_index == 1
+    assert ucb(arms, rng).select().arm_index == 1
 
 
 def test_select_ucb_prefers_higher_score():
@@ -121,7 +142,7 @@ def test_select_ucb_prefers_higher_score():
         arm(pulls=1, reward_sum=1.0, reward_sq_sum=1.0),   # score ~1.8971 at m=25
         arm(pulls=20, reward_sum=2.0, reward_sq_sum=0.2),  # low mean, low bonus
     ]
-    d = select_ucb(arms, m=25, tie_rng=rng)
+    d = ucb(arms, rng, m=25).select()
     assert d.arm_index == 0
     assert d.phase is Phase.LEARNED
 
@@ -131,7 +152,7 @@ def test_select_ucb_tie_break_is_uniform():
     wins = 0
     for _ in range(10_000):
         arms = [arm(pulls=2, reward_sum=1.0, reward_sq_sum=0.5) for _ in range(2)]
-        wins += select_ucb(arms, m=4, tie_rng=rng).arm_index
+        wins += ucb(arms, rng).select().arm_index
     assert abs(wins / 10_000 - 0.5) < 0.05
 
 
@@ -152,7 +173,29 @@ def bits(x: float) -> bytes:
 
 
 def from_sums(arms: list[ArmState]) -> list[ArmState]:
-    return [ArmState(a.pulls, a.reward_sum, a.reward_sq_sum, a.successes) for a in arms]
+    return [ArmState(a.pulls, a.reward_sum, a.reward_sq_sum) for a in arms]
+
+
+def tied_argmax(values: list[float], rng) -> int:
+    """Index of the largest value, with one draw from rng among exact ties."""
+    best = max(values)
+    tied = [i for i, v in enumerate(values) if v == best]
+    return tied[0] if len(tied) == 1 else tied[rng.integers(len(tied))]
+
+
+def ucb_oracle(arms: list[ArmState], m: int, rng) -> PolicyDecision:
+    """The lowest unpulled arm, else the arm of highest ucb_score."""
+    for i, a in enumerate(arms):
+        if a.pulls == 0:
+            return PolicyDecision(i, Phase.INITIALIZATION)
+    return PolicyDecision(tied_argmax([ucb_score(a, m) for a in arms], rng), Phase.LEARNED)
+
+
+def epsilon_oracle(arms: list[ArmState], epsilon: float, rng) -> PolicyDecision:
+    """A uniform arm with probability epsilon, else the arm of highest mean."""
+    if rng.random() < epsilon:
+        return PolicyDecision(rng.integers(len(arms)))
+    return PolicyDecision(tied_argmax([a.mean for a in arms], rng))
 
 
 def drive(policy, feedback, expected_decision):
@@ -180,7 +223,7 @@ def test_ucb_incremental_matches_sums(n_arms, feedback, seed):
         if all(a.pulls for a in arms):
             for arm_state, score in zip(policy.arms, ucb_scores(policy.arms, m)):
                 assert bits(score) == bits(ucb_score(arm_state, m))
-        return select_ucb(arms, m, rng)
+        return ucb_oracle(arms, m, rng)
 
     drive(policy, feedback, expected)
 
@@ -191,17 +234,17 @@ def test_ucb_incremental_matches_sums(n_arms, feedback, seed):
        seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_epsilon_greedy_incremental_matches_sums(n_arms, feedback, epsilon, seed):
     policy = EpsilonGreedyPolicy(n_arms, epsilon, np.random.default_rng(seed))
-    drive(policy, feedback, lambda arms, rng: select_epsilon_greedy(arms, epsilon, rng))
+    drive(policy, feedback, lambda arms, rng: epsilon_oracle(arms, epsilon, rng))
 
 
 def test_select_ucb_draws_only_on_ties():
     rng = np.random.default_rng(3)
     state = rng.bit_generator.state
     distinct = [arm(pulls=2, reward_sum=1.0, reward_sq_sum=0.5), arm(pulls=2)]
-    assert select_ucb(distinct, m=4, tie_rng=rng).arm_index == 0
+    assert ucb(distinct, rng).select().arm_index == 0
     assert rng.bit_generator.state == state
     tied = [arm(pulls=2, reward_sum=1.0, reward_sq_sum=0.5) for _ in range(3)]
-    select_ucb(tied, m=6, tie_rng=rng)
+    ucb(tied, rng).select()
     rng_once = np.random.default_rng(3)
     rng_once.integers(3)
     assert rng.bit_generator.state == rng_once.bit_generator.state
@@ -227,9 +270,10 @@ def test_epsilon_one_is_uniform():
     arms = [arm(pulls=1, reward_sum=0.9, reward_sq_sum=0.81)] + [
         arm(pulls=1) for _ in range(24)
     ]
+    policy = eps_greedy(arms, 1.0, rng)
     counts = np.zeros(25, dtype=int)
     for _ in range(10_000):
-        counts[select_epsilon_greedy(arms, 1.0, rng).arm_index] += 1
+        counts[policy.select().arm_index] += 1
     _, p_value = stats.chisquare(counts)
     assert p_value > 0.01
 
@@ -238,8 +282,9 @@ def test_epsilon_zero_is_pure_exploitation():
     rng = np.random.default_rng(7)
     arms = [arm(pulls=10, reward_sum=1.0, reward_sq_sum=0.1) for _ in range(24)]
     arms.insert(13, arm(pulls=10, reward_sum=9.0, reward_sq_sum=8.1))
+    policy = eps_greedy(arms, 0.0, rng)
     for _ in range(200):
-        assert select_epsilon_greedy(arms, 0.0, rng).arm_index == 13
+        assert policy.select().arm_index == 13
 
 
 def test_epsilon_point_one_greedy_frequency():
@@ -247,53 +292,55 @@ def test_epsilon_point_one_greedy_frequency():
     arms = [arm(pulls=10, reward_sum=9.0, reward_sq_sum=8.1)] + [
         arm(pulls=10, reward_sum=1.0, reward_sq_sum=0.1) for _ in range(24)
     ]
-    hits = sum(
-        select_epsilon_greedy(arms, 0.1, rng).arm_index == 0 for _ in range(10_000)
-    )
+    policy = eps_greedy(arms, 0.1, rng)
+    hits = sum(policy.select().arm_index == 0 for _ in range(10_000))
     assert abs(hits / 10_000 - (0.9 + 0.1 / 25)) < 0.02
 
 
 def test_epsilon_out_of_range():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        select_epsilon_greedy([arm()], -0.1, rng)
+        EpsilonGreedyPolicy(1, -0.1, rng)
     with pytest.raises(ValueError):
-        select_epsilon_greedy([arm()], 1.5, rng)
+        EpsilonGreedyPolicy(1, 1.5, rng)
 
 
 def test_unpulled_arms_lose_greedy_ties():
     rng = np.random.default_rng(3)
     arms = [arm(), arm(pulls=5, reward_sum=1.0, reward_sq_sum=0.2), arm()]
+    policy = eps_greedy(arms, 0.0, rng)
     for _ in range(100):
-        assert select_epsilon_greedy(arms, 0.0, rng).arm_index == 1
+        assert policy.select().arm_index == 1
 
 
-# --- update -------------------------------------------------------------------
+# --- observe ------------------------------------------------------------------
 
 def test_update_single_ack():
-    a = arm()
-    update(a, Feedback(0, acked=True, reward=1.0))
-    assert (a.pulls, a.reward_sum, a.successes) == (1, 1.0, 1)
+    policy = learner()
+    policy.observe(Feedback(0, acked=True, reward=1.0))
+    a = policy.arms[0]
+    assert (a.pulls, a.reward_sum) == (1, 1.0)
     assert a.variance == 0.0
 
 
 def test_update_nack_means_zero_reward():
-    a = arm()
-    update(a, Feedback(0, acked=False, reward=0.0))
-    assert (a.pulls, a.reward_sum, a.successes) == (1, 0.0, 0)
+    policy = learner()
+    policy.observe(Feedback(0, acked=False, reward=0.0))
+    a = policy.arms[0]
+    assert (a.pulls, a.reward_sum) == (1, 0.0)
 
 
 def test_update_two_point_variance():
-    a = arm()
-    update(a, Feedback(0, acked=True, reward=1.0))
-    update(a, Feedback(0, acked=False, reward=0.0))
-    assert a.mean == 0.5
-    assert a.variance == 0.25
+    policy = learner()
+    policy.observe(Feedback(0, acked=True, reward=1.0))
+    policy.observe(Feedback(0, acked=False, reward=0.0))
+    assert policy.arms[0].mean == 0.5
+    assert policy.arms[0].variance == 0.25
 
 
 def test_update_rejects_negative_reward():
     with pytest.raises(ValueError):
-        update(arm(), Feedback(0, acked=True, reward=-0.1))
+        learner().observe(Feedback(0, acked=True, reward=-0.1))
 
 
 @given(
@@ -304,13 +351,13 @@ def test_update_rejects_negative_reward():
     n_arms=st.integers(min_value=1, max_value=5),
 )
 def test_update_conservation(rewards, n_arms):
-    arms = [arm() for _ in range(n_arms)]
+    policy = UcbTunedPolicy(n_arms, np.random.default_rng(0))
     for i, (acked, reward) in enumerate(rewards):
-        update(arms[i % n_arms], Feedback(i % n_arms, acked, reward))
-    assert sum(a.pulls for a in arms) == len(rewards)
-    assert sum(a.successes for a in arms) == sum(1 for ack, _ in rewards if ack)
+        policy.observe(Feedback(i % n_arms, acked, reward))
+    assert sum(a.pulls for a in policy.arms) == policy.total_plays == len(rewards)
+    assert policy.unpulled == sum(a.pulls == 0 for a in policy.arms)
     total = math.fsum(r for _, r in rewards)
-    assert math.fsum(a.reward_sum for a in arms) == pytest.approx(total, abs=1e-9)
+    assert math.fsum(a.reward_sum for a in policy.arms) == pytest.approx(total, abs=1e-9)
 
 
 # --- fixed allocation -----------------------------------------------------------
@@ -392,7 +439,9 @@ def test_adr_repeated_nacks_reach_tail(start):
 
 
 def test_adr_list_default_order():
-    combos = adr_lite_list(default_channels(), default_powers())
+    arms = default_arms()
+    combos = adr_lite_list(arms)
+    assert sorted(combos, key=lambda a: a.arm_index) == arms
     assert (combos[0].channel.mhz, combos[0].power.level_dbm) == (920.6, -3)
     assert (combos[4].channel.mhz, combos[4].power.level_dbm) == (921.8, -3)
     assert (combos[24].channel.mhz, combos[24].power.level_dbm) == (921.8, 13)
@@ -405,36 +454,33 @@ def test_adr_list_default_order():
 def test_adr_list_rejects_unknown_plan_without_order():
     channels = [Channel(900.0e6, True), Channel(900.4e6, False)]
     with pytest.raises(ConfigError):
-        adr_lite_list(channels, default_powers())
+        adr_lite_list(build_arm_space(channels, default_powers()))
 
 
 def test_adr_list_explicit_quality_order():
     channels = [Channel(900.0e6, True), Channel(900.4e6, False)]
     combos = adr_lite_list(
-        channels, default_powers()[:2], quality_order_hz=[900.4e6, 900.0e6]
+        build_arm_space(channels, default_powers()[:2]), quality_order_hz=[900.4e6, 900.0e6]
     )
-    assert [c.channel.mhz for c in combos[:2]] == [900.4, 900.0]
+    assert [(c.channel.mhz, c.power.level_dbm) for c in combos] == [
+        (900.4, -3), (900.0, -3), (900.4, 1), (900.0, 1)]
 
 
 def test_adr_list_rejects_incomplete_quality_order():
     channels = [Channel(900.0e6, True), Channel(900.4e6, False)]
     with pytest.raises(ConfigError):
-        adr_lite_list(channels, default_powers()[:1], quality_order_hz=[900.0e6])
+        adr_lite_list(build_arm_space(channels, default_powers()[:1]),
+                      quality_order_hz=[900.0e6])
 
 
 def test_adr_policy_starts_at_tail_and_walks():
     arms = default_arms()
     policy = AdrLitePolicy(arms)
-    search = adr_lite_list(default_channels(), default_powers())
+    search = adr_lite_list(arms)
     d = policy.select()
-    tail = search[24]
-    assert arms[d.arm_index].channel.mhz == tail.channel.mhz
-    assert arms[d.arm_index].power.level_dbm == tail.power.level_dbm
+    assert d.arm_index == search[24].arm_index
     policy.observe(Feedback(d.arm_index, acked=True, reward=1.0))
-    d = policy.select()
-    mid = search[12]
-    assert arms[d.arm_index].channel.mhz == mid.channel.mhz
-    assert arms[d.arm_index].power.level_dbm == mid.power.level_dbm
+    assert policy.select().arm_index == search[12].arm_index
 
 
 def test_adr_policy_observe_requires_select():
