@@ -15,24 +15,25 @@ from lorabandit import (
     time_on_air,
 )
 
-radio = RadioConfig(sf=7, bw_hz=125_000, n_preamble=8, n_payload=36)
+radio = RadioConfig(sf=7, bw_hz=125_000, n_preamble=8)
+n_payload = 36
 powers = default_powers()
 energy = EnergyModel()
 
 print(f"symbol time    : {symbol_time(radio) * 1e3:.3f} ms")
-t_pre, t_pay, t_toa = time_on_air(radio)
+t_pre, t_pay, t_toa = time_on_air(radio, n_payload)
 print(f"preamble       : {t_pre * 1e3:.3f} ms  (4.25 + 8 symbols)")
-print(f"payload        : {t_pay * 1e3:.3f} ms  (36 symbols)")
+print(f"payload        : {t_pay * 1e3:.3f} ms  ({n_payload} symbols)")
 print(f"time on air    : {t_toa * 1e3:.3f} ms")
 print(f"fixed overhead : {energy.overhead_mj:.1f} mJ per attempt "
       "(wake-up + processing + receive window)")
 print()
 
 # Rewards are normalized by the transmission energy at the cheapest power.
-e_min = min(attempt_energy(radio, energy, p).e_toa_mj for p in powers)
+e_min = min(attempt_energy(radio, n_payload, energy, p).e_toa_mj for p in powers)
 print(f"{'power':>6} {'draw':>7} {'e_toa':>8} {'e_active':>9} {'ack reward':>11}")
 for p in powers:
-    e = attempt_energy(radio, energy, p)
+    e = attempt_energy(radio, n_payload, energy, p)
     r = reward_basis(e, "normalized", e_min)
     print(f"{p.level_dbm:>4} dBm {p.draw_mw:>5.0f} mW {e.e_toa_mj:>6.2f} mJ "
           f"{e.e_active_mj:>6.1f} mJ {r:>11.3f}")

@@ -30,14 +30,14 @@ DEFAULT_DEVICE_COUNTS = (10, 15, 20, 25, 30)
 
 # The config fields a document gives as plain values, and the fields of its
 # "energy" and "radio" objects (each power's draw comes from "powers" or
-# energy.p_toa_mw, and a radio's payload size from payload_base).
+# energy.p_toa_mw).
 _SCALAR_FIELDS = (
     "policies", "device_counts", "runs_per_point", "t_attempts", "interval_s",
     "epsilon", "cs_duration_s", "reward_mode", "epsilon_reward",
     "payload_base", "payload_spread", "base_seed",
 )
-_ENERGY_FIELDS = ("e_wu_mj", "e_proc_mj", "e_r_mj", "p_mcu_mw")
-_RADIO_FIELDS = ("sf", "bw_hz", "n_preamble")
+_ENERGY_FIELDS = {f.name for f in dataclasses.fields(EnergyModel)}
+_RADIO_FIELDS = {f.name for f in dataclasses.fields(RadioConfig)}
 
 
 @dataclass
@@ -55,7 +55,7 @@ class ExperimentConfig:
     cs_duration_s: float = 0.005
     reward_mode: str = "normalized"
     epsilon_reward: str = "energy"
-    payload_base: int = RadioConfig.n_payload
+    payload_base: int = 36
     payload_spread: int = 9
     adr_quality_hz: list[float] | None = None
     base_seed: int = 20240901
@@ -73,6 +73,11 @@ class ExperimentConfig:
             raise ConfigError("device_counts must be a non-empty list")
         for n in self.device_counts:
             _check_int("device_counts entry", n, 1)
+        for name in ("policies", "device_counts"):
+            entries = getattr(self, name)
+            for entry in entries:
+                if entries.count(entry) > 1:
+                    raise ConfigError(f"duplicate {name} entry {entry!r}")
         _check_int("runs_per_point", self.runs_per_point, 1)
         _check_int("t_attempts", self.t_attempts, 1)
         _check_int("payload_base", self.payload_base, 0)
@@ -90,6 +95,10 @@ class ExperimentConfig:
             raise ConfigError("epsilon_reward must be 'energy' or 'ack'")
         if not 6 <= self.radio.sf <= 12:
             raise ConfigError(f"radio.sf must be in 6..12, got {self.radio.sf}")
+        for c in self.channels:
+            _check_number("channel frequency in Hz", c.center_frequency_hz)
+        for hz in self.adr_quality_hz or ():
+            _check_number("adr quality frequency in Hz", hz)
         arms = build_arm_space(self.channels, self.powers)  # duplicate or missing channels/levels
         if not any(c.receivable for c in self.channels):
             raise ConfigError("at least one channel must be receivable")
@@ -113,10 +122,10 @@ class ExperimentConfig:
             "powers": [
                 {"level_dbm": p.level_dbm, "draw_mw": p.draw_mw} for p in self.powers
             ],
-            "energy": {name: getattr(self.energy, name) for name in _ENERGY_FIELDS} | {
+            "energy": dataclasses.asdict(self.energy) | {
                 "p_toa_mw": {str(p.level_dbm): p.draw_mw for p in self.powers},
             },
-            "radio": {name: getattr(self.radio, name) for name in _RADIO_FIELDS},
+            "radio": dataclasses.asdict(self.radio),
             "adr_quality_mhz": (
                 None
                 if self.adr_quality_hz is None
@@ -172,17 +181,16 @@ def _parse_channels(raw) -> list[Channel]:
     return channels
 
 
-def _parse_fields(section: str, doc: dict, names: tuple[str, ...], base):
-    """base with the fields doc gives replaced, each checked as an integer
-    where base's default is one and as a finite number otherwise."""
+def _parse_fields(section: str, doc: dict, cls):
+    """A cls built from the fields doc gives, each checked as an integer
+    where its default is one and as a finite number otherwise."""
     values = {}
-    for name in names:
-        if name in doc:
-            label = f"{section}.{name}"
-            is_int = isinstance(getattr(base, name), int)
-            values[name] = (_check_int(label, doc[name], None) if is_int
-                            else _check_number(label, doc[name]))
-    return dataclasses.replace(base, **values)
+    for f in dataclasses.fields(cls):
+        if f.name in doc:
+            label = f"{section}.{f.name}"
+            values[f.name] = (_check_int(label, doc[f.name], None) if isinstance(f.default, int)
+                              else _check_number(label, doc[f.name]))
+    return cls(**values)
 
 
 def _parse_powers(raw, table: dict[int, float] | None) -> list[TxPower]:
@@ -239,7 +247,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         kwargs["channels"] = _parse_channels(doc["channels"])
 
     energy_doc = _check_keys("energy", doc.get("energy", {}), {*_ENERGY_FIELDS, "p_toa_mw"})
-    kwargs["energy"] = _parse_fields("energy", energy_doc, _ENERGY_FIELDS, EnergyModel())
+    kwargs["energy"] = _parse_fields("energy", energy_doc, EnergyModel)
     table = None
     if "p_toa_mw" in energy_doc:
         table = _parse_draw_table(energy_doc["p_toa_mw"])
@@ -247,8 +255,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         default = [{"level_dbm": dbm} for dbm in DEFAULT_DRAW_MW]
         kwargs["powers"] = _parse_powers(doc.get("powers", default), table)
 
-    radio_doc = _check_keys("radio", doc.get("radio", {}), set(_RADIO_FIELDS))
-    kwargs["radio"] = _parse_fields("radio", radio_doc, _RADIO_FIELDS, RadioConfig())
+    radio_doc = _check_keys("radio", doc.get("radio", {}), _RADIO_FIELDS)
+    kwargs["radio"] = _parse_fields("radio", radio_doc, RadioConfig)
 
     if doc.get("adr_quality_mhz") is not None:
         quality = _check_type("adr_quality_mhz", doc["adr_quality_mhz"], list)

@@ -13,17 +13,16 @@ from .params import ConfigError, TxPower
 
 @dataclass(frozen=True)
 class RadioConfig:
-    """PHY parameters fixed per attempt: SF, bandwidth and symbol counts."""
+    """PHY parameters shared by every device: a config's "radio" block."""
 
     sf: int = 7
     bw_hz: float = 125_000.0
     n_preamble: int = 8
-    n_payload: int = 36
 
     def __post_init__(self):
         if self.bw_hz <= 0:
             raise ConfigError("bandwidth must be positive")
-        if self.n_preamble < 0 or self.n_payload < 0:
+        if self.n_preamble < 0:
             raise ConfigError("symbol counts must be non-negative")
 
 
@@ -66,25 +65,28 @@ def symbol_time(cfg: RadioConfig) -> float:
     return (2 ** cfg.sf) / cfg.bw_hz
 
 
-def time_on_air(cfg: RadioConfig) -> tuple[float, float, float]:
+def time_on_air(cfg: RadioConfig, n_payload: int) -> tuple[float, float, float]:
     """Preamble, payload and total on-air time for one packet.
 
     Preamble lasts (4.25 + n_preamble) symbols; payload lasts n_payload
     symbols; the total is their sum.
     """
+    if n_payload < 0:
+        raise ConfigError("symbol counts must be non-negative")
     t_sym = symbol_time(cfg)
     t_preamble = (4.25 + cfg.n_preamble) * t_sym
-    t_payload = cfg.n_payload * t_sym
+    t_payload = n_payload * t_sym
     return t_preamble, t_payload, t_preamble + t_payload
 
 
-def attempt_energy(cfg: RadioConfig, model: EnergyModel, power: TxPower) -> AttemptEnergy:
-    """Full energy accounting of one transmitted attempt.
+def attempt_energy(cfg: RadioConfig, n_payload: int, model: EnergyModel,
+                   power: TxPower) -> AttemptEnergy:
+    """Full energy accounting of one transmitted attempt of n_payload symbols.
 
     e_toa = (p_mcu + power.draw_mw) * t_toa;
     e_active = e_wu + e_proc + e_toa + e_r.
     """
-    t_toa = time_on_air(cfg)[2]
+    t_toa = time_on_air(cfg, n_payload)[2]
     e_toa = (model.p_mcu_mw + power.draw_mw) * t_toa
     e_active = model.e_wu_mj + model.e_proc_mj + e_toa + model.e_r_mj
     return AttemptEnergy(t_toa=t_toa, e_toa_mj=e_toa, e_active_mj=e_active)

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, asdict
-from enum import Enum
 from typing import NamedTuple
 
 
-class Cause(str, Enum):
+class Cause:
+    """The outcome of an attempt, as its record's cause."""
+
     SUCCESS = "Success"
     CHANNEL_NOT_RECEIVABLE = "ChannelNotReceivable"
     CARRIER_BUSY = "CarrierBusy"

@@ -10,7 +10,6 @@ event ordering is exact and runs are bit-reproducible.
 
 from __future__ import annotations
 
-import dataclasses
 import heapq
 import math
 import sys
@@ -20,13 +19,7 @@ from typing import TYPE_CHECKING
 from .energy import attempt_energy, reward_basis
 from .metrics import Cause, RunRecord
 from .params import Channel, ConfigError, ParamCombo, build_arm_space
-from .policies import (
-    AdrLitePolicy,
-    EpsilonGreedyPolicy,
-    Feedback,
-    FixedPolicy,
-    UcbTunedPolicy,
-)
+from .policies import AdrLitePolicy, EpsilonGreedyPolicy, FixedPolicy, UcbTunedPolicy
 from .rng import device_rng
 
 if TYPE_CHECKING:
@@ -34,7 +27,7 @@ if TYPE_CHECKING:
 
 POLICY_NAMES = ("proposed_ucb_tuned", "epsilon_greedy", "adr_lite", "fixed")
 
-# Each has select() -> PolicyDecision and observe(Feedback).
+# Each has select() -> PolicyDecision and observe(arm_index, acked, reward).
 Policy = UcbTunedPolicy | EpsilonGreedyPolicy | FixedPolicy | AdrLitePolicy
 
 # The simulator counts time in whole microseconds, and each device's start
@@ -94,15 +87,14 @@ def cost_rows(
 
     Raises ConfigError unless, for every size, e_toa rises strictly with the
     level from a positive value (rewards rank powers by it), every e_active
-    is finite and every reward small enough to square, and a transmission
-    ends before the device's next wake.
+    is finite and every reward small enough to square, a transmission ends
+    before the device's next wake, and the run's e_active can be summed.
     """
     powers = sorted(cfg.powers, key=lambda p: p.level_dbm)
     rows = {}
     for n_payload in range(cfg.payload_base,
                            cfg.payload_base + min(cfg.payload_spread, n_devices)):
-        radio = dataclasses.replace(cfg.radio, n_payload=n_payload)
-        energies = [attempt_energy(radio, cfg.energy, p) for p in powers]
+        energies = [attempt_energy(cfg.radio, n_payload, cfg.energy, p) for p in powers]
         e_toa = [e.e_toa_mj for e in energies]
         if any(b <= a for a, b in zip(e_toa, e_toa[1:])):
             raise ConfigError(
@@ -133,6 +125,13 @@ def cost_rows(
             f"interval_s must exceed carrier sense plus the longest airtime "
             f"({busy_us / 1e6} s), got {cfg.interval_s}"
         )
+    # summarize_run sums every attempt's e_active, none above the largest.
+    largest = max(row[2] for table in rows.values() for row in table)
+    if n_devices * cfg.t_attempts > sys.float_info.max / largest:
+        raise ConfigError(
+            f"the active energy of {n_devices} devices x {cfg.t_attempts} attempts at up "
+            f"to {largest} mJ each must sum to a finite total"
+        )
     return rows
 
 
@@ -149,8 +148,8 @@ def carrier_sense(in_flight: list[_Transmission], t_us: int, cs_duration_us: int
     return False
 
 
-def resolve_reception(channel: Channel, tx: _Transmission) -> Cause:
-    """Outcome of a completed transmission as seen by the gateway."""
+def resolve_reception(channel: Channel, tx: _Transmission) -> str:
+    """Outcome of a completed transmission as seen by the gateway: a Cause."""
     if not channel.receivable:
         return Cause.CHANNEL_NOT_RECEIVABLE
     if tx.collided:
@@ -222,7 +221,7 @@ def run_simulation(setup: RunSetup, seed: int) -> list[RunRecord]:
     heappush, heappop = heapq.heappush, heapq.heappop
     last_attempt = cfg.t_attempts - 1
     seq = 0
-    success, busy = Cause.SUCCESS, Cause.CARRIER_BUSY.value
+    success, busy = Cause.SUCCESS, Cause.CARRIER_BUSY
     in_flight: list[list[_Transmission]] = [[] for _ in cfg.channels]
     records: list[RunRecord] = []
     record = records.append
@@ -235,12 +234,12 @@ def run_simulation(setup: RunSetup, seed: int) -> list[RunRecord]:
             in_flight[arm_channel[arm]].remove(tx)
             cause = resolve_reception(arm_receiver[arm], tx)
             _, e_toa, e_active, reward = device_table[i][arm]
-            acked = cause is success
+            acked = cause == success
             if not acked:
                 reward = 0.0
-            observe[i](Feedback(arm, acked, reward))
+            observe[i](arm, acked, reward)
             record(RunRecord(seed, i, tx.attempt, arm, arm_hz[arm], arm_dbm[arm],
-                             cause.value, acked, reward, e_toa, e_active, tx.wake_us / 1e6))
+                             cause, acked, reward, e_toa, e_active, tx.wake_us / 1e6))
             continue
 
         i, attempt = key, item
@@ -251,7 +250,7 @@ def run_simulation(setup: RunSetup, seed: int) -> list[RunRecord]:
 
         if carrier_sense(on_channel, t_us, cs_us):
             # Abandon this interval: overheads are paid, the radio never fires.
-            observe[i](Feedback(arm, False, 0.0))
+            observe[i](arm, False, 0.0)
             record(RunRecord(seed, i, attempt, arm, arm_hz[arm], arm_dbm[arm],
                              busy, False, 0.0, 0.0, busy_mj, t_us / 1e6))
             continue

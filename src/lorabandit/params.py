@@ -97,10 +97,3 @@ def build_arm_space(channels: list[Channel], powers: list[TxPower]) -> list[Para
             combos.append(ParamCombo(ch, pw, len(combos)))
     return combos
 
-
-def receivable_channels(channels: list[Channel]) -> list[Channel]:
-    """The gateway-visible channels, sorted by frequency."""
-    return sorted(
-        (c for c in channels if c.receivable), key=lambda c: c.center_frequency_hz
-    )
-

@@ -13,13 +13,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple
 
-from .params import (
-    DEFAULT_CHANNEL_MHZ,
-    DEFAULT_RECEIVABLE_MHZ,
-    ConfigError,
-    ParamCombo,
-    receivable_channels,
-)
+from .params import DEFAULT_CHANNEL_MHZ, DEFAULT_RECEIVABLE_MHZ, ConfigError, ParamCombo
 
 if TYPE_CHECKING:
     from .rng import DeviceRng
@@ -60,14 +54,6 @@ class ArmState:
 class PolicyDecision(NamedTuple):
     arm_index: int
     phase: Phase = Phase.LEARNED
-
-
-class Feedback(NamedTuple):
-    """Outcome of one attempt, as seen by the policy."""
-
-    arm_index: int
-    acked: bool
-    reward: float
 
 
 def ucb_variance(arm: ArmState, m: int) -> float:
@@ -120,9 +106,8 @@ def _uniform_argmax(values: list[float], rng: DeviceRng) -> int:
 
 def select_fixed(device_index: int, arms: list[ParamCombo]) -> PolicyDecision:
     """Static assignment: receivable channels round-robin, minimum power."""
-    channels = receivable_channels(sorted(
-        {a.channel for a in arms}, key=lambda c: c.center_frequency_hz
-    ))
+    channels = sorted({a.channel for a in arms if a.channel.receivable},
+                      key=lambda c: c.center_frequency_hz)
     if not channels:
         raise ConfigError("no receivable channel to pin the fixed policy on")
     target = channels[device_index % len(channels)]
@@ -187,16 +172,16 @@ class _ArmLearner:
         self.total_plays = 0
         self.unpulled = n_arms
 
-    def observe(self, fb: Feedback) -> None:
-        """Fold one attempt's feedback into its arm's statistics."""
-        if fb.reward < 0:
-            raise ValueError(f"negative reward {fb.reward}")
-        arm = self.arms[fb.arm_index]
+    def observe(self, arm_index: int, acked: bool, reward: float) -> None:
+        """Fold one attempt's reward into its arm's statistics."""
+        if reward < 0:
+            raise ValueError(f"negative reward {reward}")
+        arm = self.arms[arm_index]
         if arm.pulls == 0:
             self.unpulled -= 1
         arm.pulls += 1
-        arm.reward_sum += fb.reward
-        arm.reward_sq_sum += fb.reward ** 2
+        arm.reward_sum += reward
+        arm.reward_sq_sum += reward ** 2
         arm._refresh()
         self.total_plays += 1
 
@@ -244,7 +229,7 @@ class FixedPolicy:
     def select(self) -> PolicyDecision:
         return self.decision
 
-    def observe(self, fb: Feedback) -> None:
+    def observe(self, arm_index: int, acked: bool, reward: float) -> None:
         pass
 
 
@@ -264,10 +249,10 @@ class AdrLitePolicy:
         self._pending_list_index = self.next_list_index
         return PolicyDecision(self.search_arms[self.next_list_index])
 
-    def observe(self, fb: Feedback) -> None:
+    def observe(self, arm_index: int, acked: bool, reward: float) -> None:
         if self._pending_list_index is None:
             raise RuntimeError("observe() without a preceding select()")
         self.next_list_index = adr_lite_next(
-            self._pending_list_index, fb.acked, len(self.search_arms)
+            self._pending_list_index, acked, len(self.search_arms)
         )
         self._pending_list_index = None

@@ -74,7 +74,7 @@ def write_records(records: list[RunRecord], path: Path) -> None:
     Each line is written from one template and is byte for byte what
     json.dumps(r.to_dict(), sort_keys=True, separators=(",", ":")) gives for
     the records the simulator makes: floats finite and written by repr, and
-    cause one of the Cause values, which need no escaping.
+    cause one of the Cause strings, which need no escaping.
     """
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(

@@ -12,19 +12,11 @@ McKeeman 1998).
 
 from __future__ import annotations
 
-import dataclasses
-
 from lorabandit.energy import attempt_energy, reward_basis
 from lorabandit.metrics import Cause, RunRecord
 from lorabandit.netsim import device_rng, payload_symbols
 from lorabandit.params import build_arm_space
-from lorabandit.policies import (
-    AdrLitePolicy,
-    EpsilonGreedyPolicy,
-    Feedback,
-    FixedPolicy,
-    UcbTunedPolicy,
-)
+from lorabandit.policies import AdrLitePolicy, EpsilonGreedyPolicy, FixedPolicy, UcbTunedPolicy
 
 
 def _policy(setup, i, arms, seed):
@@ -48,10 +40,8 @@ def reference_run(setup, seed, events=None):
     devices = []
     for i in range(setup.n_devices):
         offset = int(device_rng(seed, i, stream=1).integers(0, interval_us))
-        radio = dataclasses.replace(
-            cfg.radio, n_payload=payload_symbols(i, cfg.payload_base, cfg.payload_spread))
-        devices.append({"policy": _policy(setup, i, arms, seed), "next": offset,
-                        "done": 0, "radio": radio})
+        devices.append({"policy": _policy(setup, i, arms, seed), "next": offset, "done": 0,
+                        "payload": payload_symbols(i, cfg.payload_base, cfg.payload_spread)})
     in_flight = []  # dicts, in the order their transmissions started
     records = []
 
@@ -72,13 +62,13 @@ def reference_run(setup, seed, events=None):
             dev["next"] += interval_us
             same_channel = [tx for tx in in_flight if tx["arm"].channel == arm.channel]
             if any(tx["start"] < t + cs_us and tx["end"] > t for tx in same_channel):
-                dev["policy"].observe(Feedback(arm.arm_index, False, 0.0))
+                dev["policy"].observe(arm.arm_index, False, 0.0)
                 records.append(RunRecord(
                     seed, i, attempt, arm.arm_index, arm.channel.center_frequency_hz,
-                    arm.power.level_dbm, Cause.CARRIER_BUSY.value, False, 0.0, 0.0,
+                    arm.power.level_dbm, Cause.CARRIER_BUSY, False, 0.0, 0.0,
                     cfg.energy.overhead_mj, t / 1e6))
                 continue
-            energy = attempt_energy(dev["radio"], cfg.energy, arm.power)
+            energy = attempt_energy(cfg.radio, dev["payload"], cfg.energy, arm.power)
             tx = {"device": i, "arm": arm, "attempt": attempt, "wake": t,
                   "energy": energy, "start": t + cs_us,
                   "end": t + cs_us + round(energy.t_toa * 1e6), "collided": False}
@@ -100,17 +90,17 @@ def reference_run(setup, seed, events=None):
         else:
             cause = Cause.SUCCESS
         reward = 0.0
-        if cause is Cause.SUCCESS:
+        acked = cause == Cause.SUCCESS
+        if acked:
             if setup.policy == "epsilon_greedy" and cfg.epsilon_reward == "ack":
                 reward = 1.0
             else:
-                radio = devices[tx["device"]]["radio"]
-                e_min = min(attempt_energy(radio, cfg.energy, p).e_toa_mj for p in cfg.powers)
+                n_payload = devices[tx["device"]]["payload"]
+                e_min = min(attempt_energy(cfg.radio, n_payload, cfg.energy, p).e_toa_mj
+                            for p in cfg.powers)
                 reward = reward_basis(energy, cfg.reward_mode, e_min)
-        devices[tx["device"]]["policy"].observe(
-            Feedback(arm.arm_index, cause is Cause.SUCCESS, reward))
+        devices[tx["device"]]["policy"].observe(arm.arm_index, acked, reward)
         records.append(RunRecord(
             seed, tx["device"], tx["attempt"], arm.arm_index,
-            arm.channel.center_frequency_hz, arm.power.level_dbm, cause.value,
-            cause is Cause.SUCCESS, reward, energy.e_toa_mj, energy.e_active_mj,
-            tx["wake"] / 1e6))
+            arm.channel.center_frequency_hz, arm.power.level_dbm, cause,
+            acked, reward, energy.e_toa_mj, energy.e_active_mj, tx["wake"] / 1e6))

@@ -7,6 +7,7 @@ session; criterion 8 runs the sweep a second time and compares bytes.
 """
 
 import filecmp
+import functools
 import math
 import os
 import random
@@ -20,7 +21,7 @@ from lorabandit.config import ExperimentConfig
 from lorabandit.energy import RadioConfig, attempt_energy
 from lorabandit.metrics import aggregate_runs, summarize_run
 from lorabandit.netsim import device_rng, run_simulation
-from lorabandit.policies import ArmState, Feedback, Phase, UcbTunedPolicy, ucb_score, ucb_variance
+from lorabandit.policies import ArmState, Phase, UcbTunedPolicy, ucb_score, ucb_variance
 from lorabandit.sweep import read_records, run_seed, run_sweep
 
 POLICIES = ("proposed_ucb_tuned", "epsilon_greedy", "adr_lite", "fixed")
@@ -47,15 +48,23 @@ def default_sweep(tmp_path_factory):
     return cfg, manifest
 
 
-def point_mean(manifest, policy, n, attr):
+@pytest.fixture(scope="session")
+def point_means(default_sweep):
+    """(policy, n) -> the mean of that point's run summaries; shared by
+    criteria 5, 6 and 7, so each run's records are summarized once."""
+    _, manifest = default_sweep
     out = Path(manifest.out_dir)
-    summaries = [
-        summarize_run(read_records(out / e["records"]), config_key="pt")
-        for e in manifest.runs
-        if e["policy"] == policy and e["n_devices"] == n
-    ]
-    agg = aggregate_runs(summaries)
-    return getattr(agg, attr) if attr != "tp_ratio" else agg.tp_ratio
+    runs = {}
+    for e in manifest.runs:
+        summary = summarize_run(read_records(out / e["records"]), config_key="pt")
+        runs.setdefault((e["policy"], e["n_devices"]), []).append(summary)
+    return {point: aggregate_runs(summaries) for point, summaries in runs.items()}
+
+
+@pytest.fixture(scope="session")
+def breakdown(default_sweep):
+    """breakdown_at_30 of the default sweep, worked out once, on first call."""
+    return functools.cache(lambda: breakdown_at_30(default_sweep[1]))
 
 
 def breakdown_at_30(manifest, first_phase: int = 25) -> str:
@@ -86,12 +95,12 @@ def breakdown_at_30(manifest, first_phase: int = 25) -> str:
 # --- criterion 1 -------------------------------------------------------------
 
 def test_criterion_1_airtime_oracle():
-    cfg = RadioConfig(sf=7, bw_hz=125_000.0, n_preamble=8, n_payload=36)
+    cfg = RadioConfig(sf=7, bw_hz=125_000.0, n_preamble=8)
     t_symbol = (2 ** 7) / 125_000.0
     expected = t_symbol * (4.25 + 8 + 36)  # 49.408 ms by hand
     from lorabandit.energy import time_on_air
 
-    _, _, t_toa = time_on_air(cfg)
+    _, _, t_toa = time_on_air(cfg, 36)
     ok = math.isclose(t_toa, expected, rel_tol=1e-12) and math.isclose(
         t_toa, 49.408e-3, rel_tol=1e-12
     )
@@ -159,7 +168,7 @@ def test_criterion_3_selection_conformance():
                     failures += 1
             if decision.arm_index != r.arm_index:
                 failures += 1
-            replay.observe(Feedback(r.arm_index, r.acked, r.reward))
+            replay.observe(r.arm_index, r.acked, r.reward)
         if sorted(init_arms) != list(range(n_arms)):
             failures += 1
     verdict(3, "every decision replays from the log (init pass + argmax + ties)",
@@ -179,7 +188,7 @@ def test_criterion_4_stationary_convergence():
             d = policy.select()
             p = 0.9 if d.arm_index == best_arm else 0.3
             acked = rng.random() < p
-            policy.observe(Feedback(d.arm_index, acked, 1.0 if acked else 0.0))
+            policy.observe(d.arm_index, acked, 1.0 if acked else 0.0)
             if 500 <= t < 2000 and d.arm_index == best_arm:
                 hits += 1
         fractions.append(hits / 1500)
@@ -190,10 +199,9 @@ def test_criterion_4_stationary_convergence():
 
 # --- criteria 5-7: trend reproduction over the default sweep ------------------
 
-def test_criterion_5_success_rate_trends(default_sweep):
-    _, manifest = default_sweep
+def test_criterion_5_success_rate_trends(point_means, breakdown):
     rates = {
-        (p, n): point_mean(manifest, p, n, "success_rate")
+        (p, n): point_means[p, n].success_rate
         for p in POLICIES for n in COUNTS
     }
     problems = []
@@ -214,14 +222,13 @@ def test_criterion_5_success_rate_trends(default_sweep):
             + ", ".join(f"{p}={v:.4f}" for p, v in at30.items())
         )
     verdict(5, "success rate non-increasing in N and ordered at N=30",
-            not problems, "; ".join(problems), lambda: breakdown_at_30(manifest))
+            not problems, "; ".join(problems), breakdown)
 
 
-def test_criterion_6_energy_efficiency_ranking(default_sweep):
-    _, manifest = default_sweep
+def test_criterion_6_energy_efficiency_ranking(point_means, breakdown):
     problems = []
     for n in COUNTS:
-        ee = {p: point_mean(manifest, p, n, "energy_efficiency") for p in POLICIES}
+        ee = {p: point_means[p, n].energy_efficiency for p in POLICIES}
         best = max(ee, key=ee.get)
         if best != "proposed_ucb_tuned":
             problems.append(f"N={n}: best EE is {best} ({ee[best]:.6f}), "
@@ -229,13 +236,12 @@ def test_criterion_6_energy_efficiency_ranking(default_sweep):
         if best == "adr_lite":
             problems.append(f"N={n}: ADR-Lite ranks highest")
     verdict(6, "proposed has highest EE at every N (and ADR-Lite never does)",
-            not problems, "; ".join(problems), lambda: breakdown_at_30(manifest))
+            not problems, "; ".join(problems), breakdown)
 
 
-def test_criterion_7_min_power_share(default_sweep):
-    _, manifest = default_sweep
+def test_criterion_7_min_power_share(point_means):
     share = {
-        p: point_mean(manifest, p, 30, "tp_ratio").get(-3, 0.0)
+        p: point_means[p, 30].tp_ratio.get(-3, 0.0)
         for p in ("proposed_ucb_tuned", "epsilon_greedy", "adr_lite")
     }
     ok = (share["proposed_ucb_tuned"] > share["epsilon_greedy"]
@@ -275,7 +281,7 @@ def test_criterion_9_degenerate_exactness():
     records = run_simulation(cfg.run_setup("fixed", 1), seed=cfg.base_seed)
     s = summarize_run(records, config_key="degenerate")
     e = attempt_energy(
-        RadioConfig(n_payload=36), cfg.energy,
+        RadioConfig(), 36, cfg.energy,
         next(p for p in cfg.powers if p.level_dbm == -3),
     )
     ok = (

@@ -77,6 +77,15 @@ TWO_CHANNELS = [{"mhz": 921.0, "receivable": True}, {"mhz": 921.4, "receivable":
     {"policies": ["proposed_ucb_tuned"], "t_attempts": 30, "reward_mode": "raw",
      "radio": {"bw_hz": 1e300},
      "energy": {"p_mcu_mw": 1e-10, "p_toa_mw": {"-3": 1e-10, "1": 2e-10, "5": 3e-10, "9": 4e-10, "13": 5e-10}}},
+    # A run's total active energy that overflows when summed (40 x 1e307 mJ).
+    {"energy": {"e_wu_mj": 1e307}, "t_attempts": 20},
+    # A frequency finite in MHz but not in Hz, which records and the manifest
+    # would write as inf.
+    {"channels": [{"mhz": 1e308, "receivable": True}, TWO_CHANNELS[0]], "t_attempts": 2},
+    {"adr_quality_mhz": [1e308]},
+    # Sweep points given twice, whose jobs would overwrite each other's files.
+    {"policies": ["fixed", "fixed"], "device_counts": [2, 2], "t_attempts": 2},
+    {"device_counts": [2, 3, 2]},
 ])
 def test_validate_implies_run(tmp_path, capsys, doc):
     # Whatever validate refuses, run refuses the same way, before any work.

@@ -3,6 +3,8 @@
 import dataclasses
 import itertools
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
@@ -15,8 +17,10 @@ from lorabandit.config import (
     load_config,
 )
 from lorabandit.energy import RadioConfig, attempt_energy, time_on_air
+from lorabandit.metrics import summarize_run
 from lorabandit.netsim import POLICY_NAMES, RunSetup, run_simulation
 from lorabandit.params import DEFAULT_CHANNEL_MHZ, DEFAULT_DRAW_MW, ConfigError, TxPower
+from lorabandit.sweep import read_records, write_records
 
 
 def test_empty_document_yields_full_defaults():
@@ -212,7 +216,7 @@ def test_validate_checks_only_the_payloads_a_run_uses(monkeypatch):
     cfg = config_from_dict({"payload_spread": 10**9})
     # Devices 0..29 of the largest device count use sizes 36..65, 5 powers each.
     assert len(calls) == 30 * 5
-    assert {args[0].n_payload for args in calls} == set(range(36, 66))
+    assert {args[1] for args in calls} == set(range(36, 66))
     calls.clear()
     cfg.run_setup("fixed", 30)
     assert not calls
@@ -229,6 +233,23 @@ def test_run_setup_checks_payloads_past_the_device_counts():
         cfg.run_setup("fixed", 9)
     with pytest.raises(ConfigError, match="interval_s must exceed"):
         RunSetup(cfg, "fixed", 9)
+
+
+def test_run_setup_checks_the_energy_total_past_the_device_counts():
+    # Each attempt costs a little over 1e305 mJ: 8 devices x 200 attempts
+    # sum to 1.6e308 mJ, and 9 devices would overflow a float.
+    cfg = config_from_dict({"energy": {"e_wu_mj": 1e305}, "device_counts": [2]})
+    summary = summarize_run(run_simulation(cfg.run_setup("fixed", 8), 1))
+    assert summary.attempts == 1600 and summary.energy_efficiency_network > 0
+    with pytest.raises(ConfigError, match="must sum to a finite total"):
+        cfg.run_setup("fixed", 9)
+
+
+def test_duplicate_sweep_points_named():
+    with pytest.raises(ConfigError, match="duplicate policies entry 'fixed'"):
+        config_from_dict({"policies": ["fixed", "adr_lite", "fixed"]})
+    with pytest.raises(ConfigError, match="duplicate device_counts entry 10"):
+        config_from_dict({"device_counts": [10, 15, 10]})
 
 
 def test_duplicate_power_level_named():
@@ -250,7 +271,7 @@ def test_e_toa_tie_rejected():
 
 def test_radio_defaults_come_from_radio_config():
     cfg = config_from_dict({"radio": {"bw_hz": 250_000}})
-    assert cfg.radio == dataclasses.replace(RadioConfig(), bw_hz=250_000.0)
+    assert cfg.radio == RadioConfig(bw_hz=250_000.0)
 
 
 # --- validate implies run -------------------------------------------------------
@@ -329,12 +350,12 @@ def config_docs(draw):
 
     # The interval must outlast carrier sense plus the longest airtime of the
     # payloads the default device counts use.
-    radio = dataclasses.replace(RadioConfig(), **doc.get("radio", {}))
-    base = doc.get("payload_base", RadioConfig.n_payload)
+    radio = RadioConfig(**doc.get("radio", {}))
+    base = doc.get("payload_base", ExperimentConfig.payload_base)
     spread = doc.get("payload_spread", ExperimentConfig.payload_spread)
-    longest = dataclasses.replace(
-        radio, n_payload=base + min(spread, max(DEFAULT_DEVICE_COUNTS)) - 1)
-    busy = doc.get("cs_duration_s", ExperimentConfig.cs_duration_s) + time_on_air(longest)[2]
+    longest = base + min(spread, max(DEFAULT_DEVICE_COUNTS)) - 1
+    busy = (doc.get("cs_duration_s", ExperimentConfig.cs_duration_s)
+            + time_on_air(radio, longest)[2])
     low = busy * 1.01 + 1e-3
     if low > ExperimentConfig.interval_s or draw(st.booleans()):
         doc["interval_s"] = draw(st.floats(low, low + 20.0))
@@ -348,16 +369,23 @@ def config_docs(draw):
 @given(doc=config_docs(), seed=st.integers(0, 2**64 - 1))
 def test_accepted_config_dicts_run(doc, seed):
     # Every refusal is a ConfigError; a config that is accepted runs every
-    # policy it lists without raising anything, now that rewards are worked
-    # out for every arm before the first event.
+    # policy it lists without raising anything, and each run goes through
+    # what `lorabandit run` does with it: its summary is strict JSON and its
+    # record log reads back as the records written.
     try:
         cfg = config_from_dict(doc)
     except ConfigError:
         event("refused")
         return
     event("accepted")
-    for policy in cfg.policies:
-        run_simulation(cfg.run_setup(policy, 6), seed)
+    json.dumps(cfg.to_dict(), allow_nan=False)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "records.jsonl"
+        for policy in cfg.policies:
+            records = run_simulation(cfg.run_setup(policy, 6), seed)
+            json.dumps(summarize_run(records).to_dict(), allow_nan=False)
+            write_records(records, path)
+            assert read_records(path) == records
 
 
 def test_config_docs_are_mostly_accepted():

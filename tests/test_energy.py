@@ -37,26 +37,26 @@ def test_symbol_time_degenerate():
 
 
 def test_time_on_air_default_payload():
-    t_pre, t_pay, t_toa = time_on_air(RadioConfig(sf=7, bw_hz=125_000, n_preamble=8, n_payload=36))
+    t_pre, t_pay, t_toa = time_on_air(RadioConfig(sf=7, bw_hz=125_000, n_preamble=8), 36)
     assert t_pre == pytest.approx(12.544e-3, rel=REL)
     assert t_pay == pytest.approx(36.864e-3, rel=REL)
     assert t_toa == pytest.approx(49.408e-3, rel=REL)
 
 
 def test_time_on_air_zero_payload():
-    t_pre, t_pay, t_toa = time_on_air(RadioConfig(n_payload=0))
+    t_pre, t_pay, t_toa = time_on_air(RadioConfig(), 0)
     assert t_pay == 0.0
     assert t_toa == t_pre
 
 
 def test_time_on_air_max_payload():
-    _, t_pay, t_toa = time_on_air(RadioConfig(n_payload=44))
+    _, t_pay, t_toa = time_on_air(RadioConfig(), 44)
     assert t_pay == pytest.approx(45.056e-3, rel=REL)
     assert t_toa == pytest.approx(57.600e-3, rel=REL)
 
 
 def test_attempt_energy_known_values():
-    e = attempt_energy(RadioConfig(), EnergyModel(), TxPower(13, 100.0))
+    e = attempt_energy(RadioConfig(), 36, EnergyModel(), TxPower(13, 100.0))
     # (29.7 + 100) mW * 49.408 ms
     assert e.e_toa_mj == pytest.approx(129.7 * 0.049408, rel=REL)
     assert e.e_toa_mj == pytest.approx(6.408, rel=1e-4)
@@ -65,25 +65,25 @@ def test_attempt_energy_known_values():
 
 
 def test_attempt_energy_depends_on_power_only_through_draw():
-    e1 = attempt_energy(RadioConfig(), EnergyModel(), TxPower(1, 50.0))
-    e9 = attempt_energy(RadioConfig(), EnergyModel(), TxPower(9, 50.0))
+    e1 = attempt_energy(RadioConfig(), 36, EnergyModel(), TxPower(1, 50.0))
+    e9 = attempt_energy(RadioConfig(), 36, EnergyModel(), TxPower(9, 50.0))
     assert e1.e_toa_mj == e9.e_toa_mj
 
 
 def test_reward_normalized():
-    e = attempt_energy(RadioConfig(), EnergyModel(), TxPower(-3, 15.0))
+    e = attempt_energy(RadioConfig(), 36, EnergyModel(), TxPower(-3, 15.0))
     assert reward_basis(e, "normalized", e.e_toa_mj) == 1.0
     assert reward_basis(e, "normalized", e.e_toa_mj / 2) == 0.5
 
 
 def test_reward_raw():
-    e = attempt_energy(RadioConfig(), EnergyModel(), TxPower(13, 100.0))
+    e = attempt_energy(RadioConfig(), 36, EnergyModel(), TxPower(13, 100.0))
     assert reward_basis(e, "raw") == pytest.approx(1.0 / 6.408, rel=1e-4)
     assert reward_basis(e, "raw") == 1.0 / e.e_toa_mj
 
 
 def test_reward_unknown_mode():
-    e = attempt_energy(RadioConfig(), EnergyModel(), TxPower(-3, 15.0))
+    e = attempt_energy(RadioConfig(), 36, EnergyModel(), TxPower(-3, 15.0))
     with pytest.raises(ConfigError):
         reward_basis(e, "bogus")
 
@@ -92,10 +92,10 @@ def test_min_toa_energy_matches_cheapest_level():
     # A run's normalized rewards divide the e_toa at the cheapest power.
     powers = [TxPower(13, 100.0), TxPower(-3, 15.0), TxPower(1, 30.0)]
     cfg = ExperimentConfig(powers=powers, payload_spread=1)
-    e_min = attempt_energy(cfg.radio, cfg.energy, TxPower(-3, 15.0)).e_toa_mj
+    e_min = attempt_energy(cfg.radio, cfg.payload_base, cfg.energy, TxPower(-3, 15.0)).e_toa_mj
     (rows,) = cost_rows(cfg, 1).values()
     assert [reward for *_, reward in rows] == [
-        e_min / attempt_energy(cfg.radio, cfg.energy, p).e_toa_mj
+        e_min / attempt_energy(cfg.radio, cfg.payload_base, cfg.energy, p).e_toa_mj
         for p in sorted(powers, key=lambda p: p.level_dbm)
     ]
     assert rows[0][1] == e_min and rows[0][3] == 1.0
@@ -105,7 +105,9 @@ def test_invalid_radio_config():
     with pytest.raises(ConfigError):
         RadioConfig(bw_hz=0)
     with pytest.raises(ConfigError):
-        RadioConfig(n_payload=-1)
+        RadioConfig(n_preamble=-1)
+    with pytest.raises(ConfigError):
+        time_on_air(RadioConfig(), -1)
 
 
 def test_energy_model_validation():
@@ -120,8 +122,8 @@ def test_energy_model_validation():
     n_pay=st.integers(min_value=0, max_value=64),
 )
 def test_airtime_additivity(sf, bw, n_pre, n_pay):
-    cfg = RadioConfig(sf=sf, bw_hz=bw, n_preamble=n_pre, n_payload=n_pay)
-    _, _, t_toa = time_on_air(cfg)
+    cfg = RadioConfig(sf=sf, bw_hz=bw, n_preamble=n_pre)
+    _, _, t_toa = time_on_air(cfg, n_pay)
     expected = symbol_time(cfg) * (4.25 + n_pre + n_pay)
     assert t_toa == pytest.approx(expected, rel=REL)
 
@@ -145,8 +147,8 @@ def test_e_toa_monotone_in_draw(draws):
         assert "e_toa must be strictly increasing" in str(exc)
         return
     for n_payload in range(cfg.payload_base, cfg.payload_base + cfg.payload_spread):
-        radio = RadioConfig(n_payload=n_payload)
-        energies = [attempt_energy(radio, cfg.energy, p).e_toa_mj for p in powers]
+        energies = [attempt_energy(cfg.radio, n_payload, cfg.energy, p).e_toa_mj
+                    for p in powers]
         assert all(b > a for a, b in zip(energies, energies[1:]))
 
 
@@ -156,9 +158,9 @@ def test_reward_strictly_decreasing_in_power(mode):
     table = {-3: 15.0, 1: 30.0, 5: 70.0, 9: 165.0, 13: 400.0}
     m = EnergyModel()
     powers = [TxPower(lvl, mw) for lvl, mw in sorted(table.items())]
-    e_min = min(attempt_energy(cfg, m, p).e_toa_mj for p in powers)
+    e_min = min(attempt_energy(cfg, 36, m, p).e_toa_mj for p in powers)
     rewards = [
-        reward_basis(attempt_energy(cfg, m, p), mode, e_min) for p in powers
+        reward_basis(attempt_energy(cfg, 36, m, p), mode, e_min) for p in powers
     ]
     assert all(b < a for a, b in zip(rewards, rewards[1:]))
     if mode == "normalized":
@@ -167,8 +169,8 @@ def test_reward_strictly_decreasing_in_power(mode):
 
 
 def test_all_quantities_positive():
-    e = attempt_energy(RadioConfig(), EnergyModel(), TxPower(-3, 15.0))
-    t_preamble, t_payload, t_toa = time_on_air(RadioConfig())
+    e = attempt_energy(RadioConfig(), 36, EnergyModel(), TxPower(-3, 15.0))
+    t_preamble, t_payload, t_toa = time_on_air(RadioConfig(), 36)
     assert t_preamble > 0 and t_payload > 0
     assert e.t_toa > 0 and e.e_toa_mj > 0 and e.e_active_mj > 0
     assert e.e_active_mj >= e.e_toa_mj

@@ -19,7 +19,7 @@ def record(device=0, attempt=0, arm=0, power=-3, acked=True, e_active=200.0,
     return RunRecord(
         run_seed=1, device=device, attempt=attempt, arm_index=arm,
         channel_hz=channel, power_dbm=power,
-        cause=Cause.SUCCESS.value if acked else Cause.COLLISION.value,
+        cause=Cause.SUCCESS if acked else Cause.COLLISION,
         acked=acked, reward=0.5 if acked else 0.0,
         e_toa=2.0, e_active=e_active, wake_time=attempt * 10.0,
     )

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from reference_sim import reference_run
 
 from lorabandit.config import ExperimentConfig, config_from_dict
-from lorabandit.energy import RadioConfig, attempt_energy
+from lorabandit.energy import attempt_energy
 from lorabandit.metrics import Cause
 from lorabandit.netsim import (
     POLICY_NAMES,
@@ -65,28 +65,28 @@ def test_in_flight_removal_matches_identity():
 
 def test_reception_non_receivable_channel():
     ch = Channel(920.6e6, receivable=False)
-    assert resolve_reception(ch, tx(0, 10)) is Cause.CHANNEL_NOT_RECEIVABLE
+    assert resolve_reception(ch, tx(0, 10)) == Cause.CHANNEL_NOT_RECEIVABLE
 
 
 def test_reception_sole_transmission():
     ch = Channel(921.4e6, receivable=True)
-    assert resolve_reception(ch, tx(0, 10)) is Cause.SUCCESS
+    assert resolve_reception(ch, tx(0, 10)) == Cause.SUCCESS
 
 
 def test_reception_overlap_kills_both():
     # Seed 10370 wakes devices 1 and 4 in the same µs of TIE_DOC (below):
     # both transmit on one channel and both are lost.
     setup = config_from_dict(TIE_DOC).run_setup("proposed_ucb_tuned", 6)
-    lost = [r for r in run_simulation(setup, 10370) if r.cause == Cause.COLLISION.value]
+    lost = [r for r in run_simulation(setup, 10370) if r.cause == Cause.COLLISION]
     assert [(r.device, r.attempt, r.wake_time) for r in lost] == [
         (1, 0, 0.012717), (4, 0, 0.012717)
     ]
     # Non-receivability still wins over a collision.
     a = tx(0, 49_408)
     a.collided = True
-    assert resolve_reception(Channel(921.0e6, receivable=True), a) is Cause.COLLISION
+    assert resolve_reception(Channel(921.0e6, receivable=True), a) == Cause.COLLISION
     bad = Channel(920.6e6, receivable=False)
-    assert resolve_reception(bad, a) is Cause.CHANNEL_NOT_RECEIVABLE
+    assert resolve_reception(bad, a) == Cause.CHANNEL_NOT_RECEIVABLE
 
 
 # --- scheduling ----------------------------------------------------------------
@@ -144,8 +144,8 @@ def test_lone_device_never_collides():
     records = run_simulation(make_setup(), seed=7)
     assert len(records) == 200
     assert all(r.device == 0 for r in records)
-    assert not any(r.cause == Cause.COLLISION.value for r in records)
-    assert not any(r.cause == Cause.CARRIER_BUSY.value for r in records)
+    assert not any(r.cause == Cause.COLLISION for r in records)
+    assert not any(r.cause == Cause.CARRIER_BUSY for r in records)
 
 
 def test_lone_fixed_device_all_acked():
@@ -200,14 +200,13 @@ def test_energy_accounting_matches_model():
     cfg = setup.config
     powers = {p.level_dbm: p for p in cfg.powers}
     for r in records:
-        if r.cause == Cause.CARRIER_BUSY.value:
+        if r.cause == Cause.CARRIER_BUSY:
             assert r.e_toa == 0.0
             assert r.e_active == cfg.energy.overhead_mj
             assert r.reward == 0.0
             continue
-        radio = RadioConfig(
-            n_payload=payload_symbols(r.device, cfg.payload_base, cfg.payload_spread))
-        e = attempt_energy(radio, cfg.energy, powers[r.power_dbm])
+        n_payload = payload_symbols(r.device, cfg.payload_base, cfg.payload_spread)
+        e = attempt_energy(cfg.radio, n_payload, cfg.energy, powers[r.power_dbm])
         assert r.e_toa == e.e_toa_mj
         assert r.e_active == e.e_active_mj
 
@@ -216,7 +215,7 @@ def test_nack_reward_is_zero_and_ack_reward_bounded():
     records = run_simulation(make_setup(n_devices=10, t_attempts=100), seed=13)
     for r in records:
         if r.acked:
-            assert r.cause == Cause.SUCCESS.value
+            assert r.cause == Cause.SUCCESS
             assert 0.0 < r.reward <= 1.0
         else:
             assert r.reward == 0.0
@@ -232,7 +231,7 @@ def test_collision_symmetry():
     cs_us = round(cfg.cs_duration_s * 1e6)
     intervals = []
     for r in records:
-        if r.cause == Cause.CARRIER_BUSY.value:
+        if r.cause == Cause.CARRIER_BUSY:
             continue
         start = round(r.wake_time * 1e6) + cs_us
         end = start + round(r.e_toa / (29.7 + dict(
@@ -252,11 +251,11 @@ def test_collision_symmetry():
             if c.center_frequency_hz == r.channel_hz
         )
         if not ch_receivable:
-            assert r.cause == Cause.CHANNEL_NOT_RECEIVABLE.value
+            assert r.cause == Cause.CHANNEL_NOT_RECEIVABLE
         elif expect_collision:
-            assert r.cause == Cause.COLLISION.value
+            assert r.cause == Cause.COLLISION
         else:
-            assert r.cause == Cause.SUCCESS.value
+            assert r.cause == Cause.SUCCESS
 
 
 def test_fixed_distinct_channels_full_success():
@@ -345,4 +344,4 @@ def test_tie_examples_share_a_microsecond():
                 for t, n in per_us.items() if n > 1}
         assert kinds <= tied
         # Devices that wake in the same µs on one channel both transmit.
-        assert (causes[Cause.COLLISION.value] > 0) == (("wake", "wake") in kinds)
+        assert (causes[Cause.COLLISION] > 0) == (("wake", "wake") in kinds)

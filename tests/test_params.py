@@ -12,7 +12,6 @@ from lorabandit.params import (
     build_arm_space,
     default_channels,
     default_powers,
-    receivable_channels,
 )
 
 
@@ -82,12 +81,6 @@ def test_empty_inputs_rejected():
         build_arm_space([], make_powers([5]))
     with pytest.raises(ConfigError):
         build_arm_space(make_channels([921.0]), [])
-
-
-def test_receivable_channels_sorted_by_frequency():
-    channels = make_channels([922.2, 921.0, 921.8], receivable=(922.2, 921.0))
-    got = receivable_channels(channels)
-    assert [c.mhz for c in got] == [921.0, 922.2]
 
 
 @given(

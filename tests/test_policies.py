@@ -21,7 +21,6 @@ from lorabandit.policies import (
     AdrLitePolicy,
     ArmState,
     EpsilonGreedyPolicy,
-    Feedback,
     Phase,
     PolicyDecision,
     UcbTunedPolicy,
@@ -209,7 +208,7 @@ def drive(policy, feedback, expected_decision):
         got = policy.select()
         assert got == want
         assert policy.rng.bit_generator.state == clone.bit_generator.state
-        policy.observe(Feedback(got.arm_index, acked, reward if acked else 0.0))
+        policy.observe(got.arm_index, acked, reward if acked else 0.0)
 
 
 @settings(deadline=None)
@@ -257,7 +256,7 @@ def test_ucb_initialization_completeness():
         d = policy.select()
         assert d.phase is Phase.INITIALIZATION
         seen.append(d.arm_index)
-        policy.observe(Feedback(d.arm_index, acked=True, reward=0.5))
+        policy.observe(d.arm_index, acked=True, reward=0.5)
     assert sorted(seen) == list(range(25))
     assert all(a.pulls == 1 for a in policy.arms)
     assert policy.select().phase is Phase.LEARNED
@@ -317,7 +316,7 @@ def test_unpulled_arms_lose_greedy_ties():
 
 def test_update_single_ack():
     policy = learner()
-    policy.observe(Feedback(0, acked=True, reward=1.0))
+    policy.observe(0, acked=True, reward=1.0)
     a = policy.arms[0]
     assert (a.pulls, a.reward_sum) == (1, 1.0)
     assert a.variance == 0.0
@@ -325,22 +324,22 @@ def test_update_single_ack():
 
 def test_update_nack_means_zero_reward():
     policy = learner()
-    policy.observe(Feedback(0, acked=False, reward=0.0))
+    policy.observe(0, acked=False, reward=0.0)
     a = policy.arms[0]
     assert (a.pulls, a.reward_sum) == (1, 0.0)
 
 
 def test_update_two_point_variance():
     policy = learner()
-    policy.observe(Feedback(0, acked=True, reward=1.0))
-    policy.observe(Feedback(0, acked=False, reward=0.0))
+    policy.observe(0, acked=True, reward=1.0)
+    policy.observe(0, acked=False, reward=0.0)
     assert policy.arms[0].mean == 0.5
     assert policy.arms[0].variance == 0.25
 
 
 def test_update_rejects_negative_reward():
     with pytest.raises(ValueError):
-        learner().observe(Feedback(0, acked=True, reward=-0.1))
+        learner().observe(0, acked=True, reward=-0.1)
 
 
 @given(
@@ -353,7 +352,7 @@ def test_update_rejects_negative_reward():
 def test_update_conservation(rewards, n_arms):
     policy = UcbTunedPolicy(n_arms, np.random.default_rng(0))
     for i, (acked, reward) in enumerate(rewards):
-        policy.observe(Feedback(i % n_arms, acked, reward))
+        policy.observe(i % n_arms, acked, reward)
     assert sum(a.pulls for a in policy.arms) == policy.total_plays == len(rewards)
     assert policy.unpulled == sum(a.pulls == 0 for a in policy.arms)
     total = math.fsum(r for _, r in rewards)
@@ -386,6 +385,13 @@ def test_fixed_requires_receivable_channel():
     arms = build_arm_space(channels, default_powers())
     with pytest.raises(ConfigError):
         select_fixed(0, arms)
+
+
+def test_fixed_round_robins_an_unsorted_plan_by_frequency():
+    channels = [Channel(922.2e6, True), Channel(921.0e6, True), Channel(921.8e6, False)]
+    arms = build_arm_space(channels, default_powers())
+    chosen = [arms[select_fixed(i, arms).arm_index].channel.mhz for i in range(4)]
+    assert chosen == [921.0, 922.2, 921.0, 922.2]
 
 
 def test_fixed_policy_is_constant():
@@ -479,14 +485,14 @@ def test_adr_policy_starts_at_tail_and_walks():
     search = adr_lite_list(arms)
     d = policy.select()
     assert d.arm_index == search[24].arm_index
-    policy.observe(Feedback(d.arm_index, acked=True, reward=1.0))
+    policy.observe(d.arm_index, acked=True, reward=1.0)
     assert policy.select().arm_index == search[12].arm_index
 
 
 def test_adr_policy_observe_requires_select():
     policy = AdrLitePolicy(default_arms())
     with pytest.raises(RuntimeError):
-        policy.observe(Feedback(0, acked=True, reward=1.0))
+        policy.observe(0, acked=True, reward=1.0)
 
 
 # --- determinism across policies -------------------------------------------------
@@ -501,7 +507,7 @@ def test_policies_deterministic_given_seed(seed):
             d = policy.select()
             out.append(d.arm_index)
             acked = (d.arm_index + t) % 3 == 0
-            policy.observe(Feedback(d.arm_index, acked, 0.7 if acked else 0.0))
+            policy.observe(d.arm_index, acked, 0.7 if acked else 0.0)
         return out
 
     for factory in (

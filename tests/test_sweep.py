@@ -76,11 +76,12 @@ FLOATS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
 )
 INTS = st.integers(min_value=-(2**63), max_value=2**64 - 1)
+CAUSES = [Cause.SUCCESS, Cause.CHANNEL_NOT_RECEIVABLE, Cause.CARRIER_BUSY, Cause.COLLISION]
 
 
 @given(st.lists(st.builds(
     RunRecord, run_seed=INTS, device=INTS, attempt=INTS, arm_index=INTS,
-    channel_hz=FLOATS, power_dbm=INTS, cause=st.sampled_from([c.value for c in Cause]),
+    channel_hz=FLOATS, power_dbm=INTS, cause=st.sampled_from(CAUSES),
     acked=st.booleans(), reward=FLOATS, e_toa=FLOATS, e_active=FLOATS, wake_time=FLOATS,
 ), max_size=5))
 def test_record_lines_match_sorted_json(records):
