@@ -80,7 +80,8 @@ class ExperimentConfig:
                     raise ConfigError(f"duplicate {name} entry {entry!r}")
         _check_int("runs_per_point", self.runs_per_point, 1)
         _check_int("t_attempts", self.t_attempts, 1)
-        _check_int("payload_base", self.payload_base, 0)
+        if _check_int("payload_base", self.payload_base, 0) > 2 ** 53:  # exact as a float
+            raise ConfigError("payload_base must be at most 2**53 symbols")
         _check_int("payload_spread", self.payload_spread, 1)
         _check_int("base_seed", self.base_seed, None)
         for name in ("interval_s", "epsilon", "cs_duration_s"):

@@ -9,6 +9,7 @@ parameter list.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple
@@ -79,19 +80,19 @@ def ucb_score(arm: ArmState, m: int) -> float:
     return arm.mean + bonus
 
 
-def ucb_scores(arms: list[ArmState], m: int) -> list[float]:
-    """ucb_score of every arm, with ln m taken once: the same operations in
-    the same order, so each score equals ucb_score(arm, m) bit for bit.
-    Every arm must have been pulled."""
-    log_m = math.log(m)
-    two_log_m = 2.0 * log_m
-    sqrt = math.sqrt
-    return [
-        arm.mean + sqrt(log_m / arm.pulls * (v if v < MAX_BERNOULLI_VARIANCE
-                                             else MAX_BERNOULLI_VARIANCE))
-        for arm in arms
-        for v in (arm.variance + sqrt(two_log_m / arm.pulls),)
-    ]
+def _score(arm: ArmState, log_m: float) -> float:
+    """ucb_score(arm, m) from log_m = math.log(m), bit for bit: the same
+    operations in the same order."""
+    v = arm.variance + math.sqrt(2.0 * log_m / arm.pulls)
+    return arm.mean + math.sqrt(
+        log_m / arm.pulls * (v if v < MAX_BERNOULLI_VARIANCE else MAX_BERNOULLI_VARIANCE)
+    )
+
+
+def _bound(arm: ArmState, log_h: float) -> float:
+    """_score's chain with log_h for log_m and 1/4 for min(1/4, V). Every
+    step rounds monotonically, so log_m <= log_h gives _score <= _bound."""
+    return arm.mean + math.sqrt(log_h / arm.pulls * MAX_BERNOULLI_VARIANCE)
 
 
 def _uniform_argmax(values: list[float], rng: DeviceRng) -> int:
@@ -187,20 +188,56 @@ class _ArmLearner:
 
 
 class UcbTunedPolicy(_ArmLearner):
+    """Each arm keeps a bound _bound(arm, ln H) on its score for every m with
+    ln m <= ln H, H a horizon ahead of the total plays; the (bound, arm)
+    pairs stay sorted, so a decision scores only the arms that can still win.
+    """
+
+    def __init__(self, n_arms: int, rng: DeviceRng):
+        super().__init__(n_arms, rng)
+        self._log_h = -math.inf  # no bounds before the first learned decision
+        self._bounds: list[float] = []
+        self._ranked: list[tuple[float, int]] = []
+
+    def observe(self, arm_index: int, acked: bool, reward: float) -> None:
+        super().observe(arm_index, acked, reward)
+        if self._ranked:
+            del self._ranked[bisect_left(self._ranked, (self._bounds[arm_index], arm_index))]
+            self._bounds[arm_index] = b = _bound(self.arms[arm_index], self._log_h)
+            insort(self._ranked, (b, arm_index))
+
     def select(self) -> PolicyDecision:
         """Uncovered arms first, then max score.
 
         While any arm is unpulled the lowest-indexed such arm is forced
         (initialization pass); afterwards the max-score arm wins, with exact
-        ties broken uniformly at random.
+        ties broken uniformly at random. Arms are scored in descending bound
+        order until a bound falls below the best score: none after it can
+        reach that score, let alone tie it.
         """
         if self.unpulled:
             for i, arm in enumerate(self.arms):
                 if arm.pulls == 0:
                     return PolicyDecision(i, Phase.INITIALIZATION)
-        return PolicyDecision(
-            _uniform_argmax(ucb_scores(self.arms, self.total_plays), self.rng), Phase.LEARNED
-        )
+        m = self.total_plays
+        log_m = math.log(m)
+        if log_m > self._log_h:  # rebuild, valid for ~1/8 more plays: few rebuilds, tight bounds
+            self._log_h = log_h = math.log(m + m // 8 + 1)
+            self._bounds = [_bound(arm, log_h) for arm in self.arms]
+            self._ranked = sorted(zip(self._bounds, range(len(self.arms))))
+        best, tied = -math.inf, []
+        for bound, k in reversed(self._ranked):
+            if bound < best:
+                break
+            score = _score(self.arms[k], log_m)
+            if score > best:
+                best, tied = score, [k]
+            elif score == best:
+                tied.append(k)
+        if len(tied) > 1:
+            tied.sort()
+            return PolicyDecision(tied[self.rng.integers(len(tied))], Phase.LEARNED)
+        return PolicyDecision(tied[0], Phase.LEARNED)
 
 
 class EpsilonGreedyPolicy(_ArmLearner):

@@ -40,6 +40,7 @@ TWO_CHANNELS = [{"mhz": 921.0, "receivable": True}, {"mhz": 921.4, "receivable":
     {"device_counts": ["3"]},
     {"t_attempts": 2.5},
     {"payload_spread": 0},
+    {"payload_base": 10 ** 400},  # beyond a float: time_on_air could not convert it
     {"interval_s": 1e-9},
     {"interval_s": 0.03, "policies": ["adr_lite"]},
     {"radio": {"sf": 3}},

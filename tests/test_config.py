@@ -129,6 +129,12 @@ def test_time_beyond_the_microsecond_clock_rejected():
         config_from_dict({"interval_s": 9.3e12})
 
 
+def test_payload_base_beyond_a_float_named():
+    # A payload size the airtime model cannot turn into a float.
+    with pytest.raises(ConfigError, match="payload_base must be at most"):
+        config_from_dict({"payload_base": 10 ** 400})
+
+
 def test_bad_policy_rejected():
     with pytest.raises(ConfigError):
         config_from_dict({"policies": ["thompson"]})

@@ -6,9 +6,10 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
+from lorabandit import ExperimentConfig, policies, run_simulation
 from lorabandit.params import (
     Channel,
     ConfigError,
@@ -28,7 +29,6 @@ from lorabandit.policies import (
     adr_lite_next,
     select_fixed,
     ucb_score,
-    ucb_scores,
     ucb_variance,
 )
 
@@ -220,11 +220,57 @@ def test_ucb_incremental_matches_sums(n_arms, feedback, seed):
     def expected(arms, rng):
         m = policy.total_plays
         if all(a.pulls for a in arms):
-            for arm_state, score in zip(policy.arms, ucb_scores(policy.arms, m)):
-                assert bits(score) == bits(ucb_score(arm_state, m))
+            for a in policy.arms:
+                assert bits(policies._score(a, math.log(m))) == bits(ucb_score(a, m))
         return ucb_oracle(arms, m, rng)
 
     drive(policy, feedback, expected)
+
+
+# Long runs, so that a learner crosses many horizon refreshes, with rewards
+# either all from {0, 1/2, 1} (many exact ties) or from REWARDS.
+LONG_FEEDBACK = st.one_of(
+    st.lists(st.tuples(st.booleans(), st.sampled_from([0.0, 0.5, 1.0])),
+             min_size=100, max_size=400),
+    st.lists(st.tuples(st.booleans(), REWARDS), min_size=100, max_size=400),
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(n_arms=st.sampled_from([1, 2, 3, 4, 5, 6, 25]), feedback=LONG_FEEDBACK,
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+# After this initialization pass every arm is identical: every bound equals
+# the floor, all 25 arms are scored, and the one draw covers them all.
+@example(n_arms=25, feedback=[(True, 0.5)] * 100, seed=0)
+def test_ucb_pruned_select_matches_full_scan(n_arms, feedback, seed):
+    # select scores only the arms whose bound reaches the best score so far;
+    # it must pick (and draw) exactly as scoring every arm would.
+    policy = UcbTunedPolicy(n_arms, np.random.default_rng(seed))
+    drive(policy, feedback, lambda arms, rng: ucb_oracle(arms, policy.total_plays, rng))
+
+
+def test_ucb_scores_few_arms_per_decision(monkeypatch):
+    # Work guard for the pruned select on the long UCB run of the benchmark
+    # (N=30, 600 attempts, three seeds): a full scan scores all 25 arms.
+    scored, learned = [0], [0]
+    score, select = policies._score, UcbTunedPolicy.select
+
+    def counting_score(arm, log_m):
+        scored[0] += 1
+        return score(arm, log_m)
+
+    def counting_select(self):
+        decision = select(self)
+        learned[0] += decision.phase is Phase.LEARNED
+        return decision
+
+    monkeypatch.setattr(policies, "_score", counting_score)
+    monkeypatch.setattr(UcbTunedPolicy, "select", counting_select)
+    cfg = ExperimentConfig(policies=["proposed_ucb_tuned"], device_counts=[30], t_attempts=600)
+    for seed in (1, 2, 3):
+        run_simulation(cfg.run_setup("proposed_ucb_tuned", 30), seed=seed)
+    assert learned[0] > 50_000
+    assert scored[0] / learned[0] <= 8
 
 
 @settings(deadline=None)
