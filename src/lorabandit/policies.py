@@ -95,16 +95,6 @@ def _bound(arm: ArmState, log_h: float) -> float:
     return arm.mean + math.sqrt(log_h / arm.pulls * MAX_BERNOULLI_VARIANCE)
 
 
-def _uniform_argmax(values: list[float], rng: DeviceRng) -> int:
-    """Index of the largest value; exact ties break uniformly at random,
-    with one draw from rng only when more than one index ties."""
-    best = max(values)
-    if values.count(best) == 1:
-        return values.index(best)
-    tied = [i for i, v in enumerate(values) if v == best]
-    return tied[rng.integers(len(tied))]
-
-
 def select_fixed(device_index: int, arms: list[ParamCombo]) -> PolicyDecision:
     """Static assignment: receivable channels round-robin, minimum power."""
     channels = sorted({a.channel for a in arms if a.channel.receivable},
@@ -246,15 +236,37 @@ class EpsilonGreedyPolicy(_ArmLearner):
             raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
         super().__init__(n_arms, rng)
         self.epsilon = epsilon
+        self._best, self._tied = 0.0, []  # the ascending arms of mean _best; [] if unknown
+
+    def observe(self, arm_index: int, acked: bool, reward: float) -> None:
+        super().observe(arm_index, acked, reward)
+        tied = self._tied
+        if tied:  # only this arm's mean moved
+            mean = self.arms[arm_index].mean
+            if mean > self._best:
+                self._best, self._tied = mean, [arm_index]
+            elif mean == self._best:
+                if arm_index not in tied:
+                    insort(tied, arm_index)
+            elif arm_index in tied:
+                tied.remove(arm_index)
 
     def select(self) -> PolicyDecision:
         """Uniform random arm with probability epsilon, else best mean reward.
 
-        Unpulled arms count as mean 0; greedy ties break uniformly at random.
+        Unpulled arms count as mean 0; greedy ties break uniformly at random,
+        with one draw only if arms tie. observe keeps the tie set current; it is
+        rebuilt from the means before the first greedy pick and when it empties.
         """
         if self.rng.random() < self.epsilon:
             return PolicyDecision(self.rng.integers(len(self.arms)))
-        return PolicyDecision(_uniform_argmax([arm.mean for arm in self.arms], self.rng))
+        tied = self._tied
+        if not tied:
+            self._best = best = max(arm.mean for arm in self.arms)
+            self._tied = tied = [i for i, arm in enumerate(self.arms) if arm.mean == best]
+        if len(tied) > 1:
+            return PolicyDecision(tied[self.rng.integers(len(tied))])
+        return PolicyDecision(tied[0])
 
 
 class FixedPolicy:

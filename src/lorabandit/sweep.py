@@ -69,22 +69,30 @@ class RunManifest:
 
 
 def write_records(records: list[RunRecord], path: Path) -> None:
-    """Newline-delimited JSON, one record per line, keys sorted.
+    """Newline-delimited JSON, one record per line, keys sorted: byte for byte
+    json.dumps(r.to_dict(), sort_keys=True, separators=(",", ":")) for the
+    simulator's records: floats finite (written by repr), causes Cause strings.
 
-    Each line is written from one template and is byte for byte what
-    json.dumps(r.to_dict(), sort_keys=True, separators=(",", ":")) gives for
-    the records the simulator makes: floats finite and written by repr, and
-    cause one of the Cause strings, which need no escaping.
+    Only attempt and wake_time vary between a run's records of one (device,
+    arm, cause), so the fragments around them are built once per rest of
+    the record. That key holds floats by id, as 0.0 == -0.0 with unequal
+    reprs; the records keep the ids live, and netsim reuses table floats.
     """
+    fragments = {}
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(
-            f'{{"acked":{"true" if r.acked else "false"},"arm_index":{r.arm_index},'
-            f'"attempt":{r.attempt},"cause":"{r.cause}","channel_hz":{r.channel_hz!r},'
-            f'"device":{r.device},"e_active":{r.e_active!r},"e_toa":{r.e_toa!r},'
-            f'"power_dbm":{r.power_dbm},"reward":{r.reward!r},"run_seed":{r.run_seed},'
-            f'"wake_time":{r.wake_time!r}}}\n'
-            for r in records
-        )
+        write = fh.write
+        for r in records:
+            seed, device, attempt, arm, hz, dbm, cause, acked, reward, e_toa, e_active, wake = r
+            key = (device, arm, cause, acked, seed, dbm, id(hz), id(reward), id(e_toa), id(e_active))
+            try:
+                head, middle = fragments[key]
+            except KeyError:
+                head, middle = fragments[key] = (
+                    f'{{"acked":{"true" if acked else "false"},"arm_index":{arm},"attempt":',
+                    f',"cause":"{cause}","channel_hz":{hz!r},"device":{device},"e_active":'
+                    f'{e_active!r},"e_toa":{e_toa!r},"power_dbm":{dbm},"reward":{reward!r},'
+                    f'"run_seed":{seed},"wake_time":')
+            write(f"{head}{attempt}{middle}{wake!r}}}\n")
 
 
 def read_records(path) -> list[RunRecord]:

@@ -31,6 +31,7 @@ from lorabandit.policies import (
     ucb_score,
     ucb_variance,
 )
+from lorabandit.sweep import run_seed
 
 REL = 1e-12
 
@@ -274,12 +275,62 @@ def test_ucb_scores_few_arms_per_decision(monkeypatch):
 
 
 @settings(deadline=None)
-@given(n_arms=st.integers(min_value=1, max_value=6), feedback=FEEDBACK,
+@given(n_arms=st.sampled_from([1, 2, 3, 4, 5, 6, 25]),
+       feedback=st.one_of(FEEDBACK, LONG_FEEDBACK),
        epsilon=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
-       seed=st.integers(min_value=0, max_value=2**32 - 1))
-def test_epsilon_greedy_incremental_matches_sums(n_arms, feedback, epsilon, seed):
+       seed=st.integers(min_value=0, max_value=2**32 - 1),
+       prior=st.lists(st.tuples(st.integers(min_value=0, max_value=24),
+                                st.sampled_from([0.0, 0.5, 1.0])), max_size=80))
+# The rewards of ack mode: every ACK earns 1.0, so the arms that never
+# failed tie at mean 1.0, join the tie set one by one and leave it on a NACK.
+@example(n_arms=25, feedback=[(True, 1.0)] * 200, epsilon=0.1, seed=0, prior=[])
+@example(n_arms=25, feedback=[(i % 7 != 6, 1.0) for i in range(300)], epsilon=0.5, seed=1,
+         prior=[])
+def test_epsilon_greedy_incremental_matches_sums(n_arms, feedback, epsilon, seed, prior):
+    # The tie set select keeps up to date must give the decisions and the
+    # draws of a scan over the means rebuilt from the sums, also when the
+    # statistics were put in place (with_arms) after construction.
     policy = EpsilonGreedyPolicy(n_arms, epsilon, np.random.default_rng(seed))
+    if prior:
+        donor = UcbTunedPolicy(n_arms, np.random.default_rng(0))
+        for arm_index, reward in prior:
+            donor.observe(arm_index % n_arms, reward > 0, reward)
+        with_arms(policy, donor.arms)
     drive(policy, feedback, lambda arms, rng: epsilon_oracle(arms, epsilon, rng))
+
+
+def test_epsilon_greedy_rebuilds_ties_rarely(monkeypatch):
+    # Work guard for the tie set on the stock config's epsilon-greedy runs
+    # (one run per device count, 20,000 decisions): select scans the arms
+    # only before its first exploit and after the tie set empties.
+    decisions, rebuilds, scans = [0], [0], [0]
+
+    class ScanCounted(list):
+        def __iter__(self):
+            scans[0] += 1
+            return super().__iter__()
+
+    init, select = EpsilonGreedyPolicy.__init__, EpsilonGreedyPolicy.select
+
+    def counted_init(self, *args):
+        init(self, *args)
+        self.arms = ScanCounted(self.arms)
+
+    def counting_select(self):
+        before = scans[0]
+        decision = select(self)
+        decisions[0] += 1
+        rebuilds[0] += scans[0] > before
+        return decision
+
+    monkeypatch.setattr(EpsilonGreedyPolicy, "__init__", counted_init)
+    monkeypatch.setattr(EpsilonGreedyPolicy, "select", counting_select)
+    cfg = ExperimentConfig()
+    for n in cfg.device_counts:
+        run_simulation(cfg.run_setup("epsilon_greedy", n),
+                       seed=run_seed(cfg.base_seed, "epsilon_greedy", n, 0))
+    assert decisions[0] == 20_000
+    assert 0 < rebuilds[0] <= 0.1 * decisions[0]
 
 
 def test_select_ucb_draws_only_on_ties():

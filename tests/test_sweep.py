@@ -1,12 +1,13 @@
 """Sweep execution, seed derivation, artifact layout, and CSV emission."""
 
 import csv
+import hashlib
 import json
 import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from lorabandit import sweep
 from lorabandit.config import ExperimentConfig
@@ -79,13 +80,43 @@ INTS = st.integers(min_value=-(2**63), max_value=2**64 - 1)
 CAUSES = [Cause.SUCCESS, Cause.CHANNEL_NOT_RECEIVABLE, Cause.CARRIER_BUSY, Cause.COLLISION]
 
 
+# Records that differ from another only in the sign of a zero reward or
+# e_toa, in which of two equal but distinct float objects they hold, or in
+# their cause or ACK: a writer that reuses a line's fragments must not take
+# one for the other.
+_A, _B = float("0.25"), float("0.25")
+_BASE = RunRecord(7, 1, 0, 3, 868100000.0, -3, Cause.SUCCESS, True, 0.0, 0.0, _A, 1.5)
+TWINS = [
+    _BASE,
+    _BASE._replace(attempt=1, reward=-0.0),
+    _BASE._replace(attempt=2, e_toa=-0.0),
+    _BASE._replace(attempt=3, reward=-0.0, e_toa=-0.0),
+    _BASE._replace(attempt=4, e_active=_B),
+    _BASE._replace(attempt=5, cause=Cause.COLLISION),
+    _BASE._replace(attempt=6, acked=False),
+    _BASE._replace(attempt=7),
+]
+
+
+def test_record_lines_tell_twins_apart(tmp_path):
+    assert _A == _B and _A is not _B
+    assert [repr(r.reward) + repr(r.e_toa) for r in TWINS[:4]] == [
+        "0.00.0", "-0.00.0", "0.0-0.0", "-0.0-0.0"]
+    path = tmp_path / "r.jsonl"
+    write_records(TWINS, path)
+    assert path.read_bytes() == "".join(
+        json.dumps(r.to_dict(), sort_keys=True, separators=(",", ":")) + "\n" for r in TWINS
+    ).encode()
+
+
 @given(st.lists(st.builds(
     RunRecord, run_seed=INTS, device=INTS, attempt=INTS, arm_index=INTS,
     channel_hz=FLOATS, power_dbm=INTS, cause=st.sampled_from(CAUSES),
     acked=st.booleans(), reward=FLOATS, e_toa=FLOATS, e_active=FLOATS, wake_time=FLOATS,
 ), max_size=5))
+@example(TWINS)
 def test_record_lines_match_sorted_json(records):
-    """The template writer gives the bytes of the sorted-key JSON form, and
+    """The record writer gives the bytes of the sorted-key JSON form, and
     they read back as the same records.
 
     Floats here are finite: the simulator writes no inf or nan, because a
@@ -102,6 +133,23 @@ def test_record_lines_match_sorted_json(records):
 
 
 # --- sweeps ------------------------------------------------------------------
+
+def test_sweep_records_bytes_pinned(tmp_path):
+    # The records/ bytes of a small sweep over all four policies, epsilon-greedy
+    # in ack mode (its means tie at 1.0), as written before the record writer
+    # reused line fragments and epsilon-greedy kept its tie set up to date.
+    cfg = ExperimentConfig(
+        policies=["proposed_ucb_tuned", "epsilon_greedy", "adr_lite", "fixed"],
+        device_counts=[3, 8], runs_per_point=2, t_attempts=60, epsilon_reward="ack",
+        base_seed=11,
+    )
+    run_sweep(cfg, tmp_path / "out")
+    digest = hashlib.sha256()
+    for path in sorted((tmp_path / "out" / "records").iterdir()):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    assert digest.hexdigest() == (
+        "71b7d669fbc4602523967a12e499d1e9142948fd308b81e2a89114fcc6a6594d")
+
 
 def test_singleton_sweep(tmp_path):
     cfg = tiny_config(policies=["fixed"], device_counts=[3], runs_per_point=1)
