@@ -5,15 +5,15 @@ ACK reward are derived from the radio configuration, and why the reward
 pushes a learner toward the cheapest transmit power that still gets through.
 """
 
-from lorabandit import (
+from lorabandit.energy import (
     EnergyModel,
     RadioConfig,
     attempt_energy,
-    default_powers,
     reward_basis,
     symbol_time,
     time_on_air,
 )
+from lorabandit.params import default_powers
 
 radio = RadioConfig(sf=7, bw_hz=125_000, n_preamble=8)
 n_payload = 36

@@ -7,22 +7,15 @@ transmission success rate and energy efficiency.
 
 The package exports what a script needs to run the model: the config
 (``ExperimentConfig``, ``ConfigError``), one run (``ExperimentConfig.run_setup``
-then ``run_simulation``, folded by ``summarize_run``), a full sweep
-(``run_sweep``) and the airtime/energy model.  Everything else lives in its
-submodule (``lorabandit.policies``, ``lorabandit.netsim``, ...).
+then ``run_simulation``, folded by ``summarize_run``) and a full sweep
+(``run_sweep``).  Everything else lives in its submodule
+(``lorabandit.energy`` for the airtime/energy model, ``lorabandit.policies``,
+``lorabandit.netsim``, ...).
 """
 
 __version__ = "0.1.0"
 
-from .params import ConfigError, default_powers
-from .energy import (
-    EnergyModel,
-    RadioConfig,
-    attempt_energy,
-    reward_basis,
-    symbol_time,
-    time_on_air,
-)
+from .params import ConfigError
 from .netsim import run_simulation
 from .metrics import summarize_run
 from .config import ExperimentConfig
@@ -30,15 +23,8 @@ from .sweep import run_sweep
 
 __all__ = [
     "ConfigError",
-    "EnergyModel",
     "ExperimentConfig",
-    "RadioConfig",
-    "attempt_energy",
-    "default_powers",
-    "reward_basis",
     "run_simulation",
     "run_sweep",
     "summarize_run",
-    "symbol_time",
-    "time_on_air",
 ]

@@ -10,7 +10,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field
 
 from .energy import EnergyModel, RadioConfig
@@ -20,6 +19,8 @@ from .params import (
     Channel,
     ConfigError,
     TxPower,
+    _check_int,
+    _check_number,
     build_arm_space,
     default_channels,
     default_powers,
@@ -78,14 +79,13 @@ class ExperimentConfig:
             for entry in entries:
                 if entries.count(entry) > 1:
                     raise ConfigError(f"duplicate {name} entry {entry!r}")
-        _check_int("runs_per_point", self.runs_per_point, 1)
+        _check_int("runs_per_point", self.runs_per_point, 1, 2 ** 64)  # run_seed's range
         _check_int("t_attempts", self.t_attempts, 1)
-        if _check_int("payload_base", self.payload_base, 0) > 2 ** 53:  # exact as a float
-            raise ConfigError("payload_base must be at most 2**53 symbols")
+        _check_int("payload_base", self.payload_base, 0, 2 ** 53)  # exact as a float
         _check_int("payload_spread", self.payload_spread, 1)
         _check_int("base_seed", self.base_seed, None)
         for name in ("interval_s", "epsilon", "cs_duration_s"):
-            _check_number(name, getattr(self, name))
+            setattr(self, name, _check_number(name, getattr(self, name)))
         if not 0.0 <= self.epsilon <= 1.0:
             raise ConfigError("epsilon must be in [0, 1]")
         if self.cs_duration_s < 0:
@@ -94,20 +94,11 @@ class ExperimentConfig:
             raise ConfigError("reward_mode must be 'normalized' or 'raw'")
         if self.epsilon_reward not in ("energy", "ack"):
             raise ConfigError("epsilon_reward must be 'energy' or 'ack'")
-        if not 6 <= self.radio.sf <= 12:
-            raise ConfigError(f"radio.sf must be in 6..12, got {self.radio.sf}")
-        for c in self.channels:
-            _check_number("channel frequency in Hz", c.center_frequency_hz)
         for hz in self.adr_quality_hz or ():
             _check_number("adr quality frequency in Hz", hz)
         arms = build_arm_space(self.channels, self.powers)  # duplicate or missing channels/levels
         if not any(c.receivable for c in self.channels):
             raise ConfigError("at least one channel must be receivable")
-        powers = sorted(self.powers, key=lambda p: p.level_dbm)
-        draws = [p.draw_mw for p in powers]
-        if any(b <= a for a, b in zip(draws, draws[1:])):
-            raise ConfigError("draw_mw must be strictly increasing in level_dbm")
-
         cost_rows(self, max(self.device_counts))  # what a run's payloads cost
         if "adr_lite" in self.policies:
             adr_lite_list(arms, self.adr_quality_hz)
@@ -139,20 +130,6 @@ class ExperimentConfig:
         return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _check_int(name: str, value, minimum: int | None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
-    return value
-
-
-def _check_number(name: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ConfigError(f"{name} must be a finite number, got {value!r}")
-    return float(value)
-
-
 def _check_type(name: str, value, kind: type):
     if not isinstance(value, kind):
         what = "an object" if kind is dict else "a list"
@@ -172,26 +149,10 @@ def _parse_channels(raw) -> list[Channel]:
     for entry in _check_type("channels", raw, list):
         _check_keys("channel entry", entry, {"mhz", "receivable"})
         try:
-            mhz = _check_number("mhz", entry["mhz"])
-            receivable = entry["receivable"]
-            if not isinstance(receivable, bool):
-                raise ConfigError(f"receivable must be true or false, got {receivable!r}")
-            channels.append(Channel(mhz * 1e6, receivable))
+            channels.append(Channel(_check_number("mhz", entry["mhz"]) * 1e6, entry["receivable"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad channel entry {entry!r}: {exc}") from exc
     return channels
-
-
-def _parse_fields(section: str, doc: dict, cls):
-    """A cls built from the fields doc gives, each checked as an integer
-    where its default is one and as a finite number otherwise."""
-    values = {}
-    for f in dataclasses.fields(cls):
-        if f.name in doc:
-            label = f"{section}.{f.name}"
-            values[f.name] = (_check_int(label, doc[f.name], None) if isinstance(f.default, int)
-                              else _check_number(label, doc[f.name]))
-    return cls(**values)
 
 
 def _parse_powers(raw, table: dict[int, float] | None) -> list[TxPower]:
@@ -202,20 +163,20 @@ def _parse_powers(raw, table: dict[int, float] | None) -> list[TxPower]:
     for entry in _check_type("powers", raw, list):
         _check_keys("power entry", entry, {"level_dbm", "draw_mw"})
         try:
-            level = _check_int("level_dbm", entry["level_dbm"], None)
+            level = _check_int("level_dbm", entry["level_dbm"], None)  # keys the draw tables
             if "draw_mw" in entry:
-                draw = _check_number("draw_mw", entry["draw_mw"])
-                if table is not None and table.get(level, draw) != draw:
+                power = TxPower(level, entry["draw_mw"])
+                if table is not None and table.get(level, power.draw_mw) != power.draw_mw:
                     raise ConfigError(
-                        f"{level} dBm draws {draw} mW here but {table[level]} mW "
+                        f"{level} dBm draws {power.draw_mw} mW here but {table[level]} mW "
                         f"in energy.p_toa_mw"
                     )
             elif level in lookup:
-                draw = lookup[level]
+                power = TxPower(level, lookup[level])
             else:
                 where = "the default draws" if table is None else "energy.p_toa_mw"
                 raise ConfigError(f"no draw_mw, and {where} lack {level} dBm")
-            powers.append(TxPower(level, draw))
+            powers.append(power)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad power entry {entry!r}: {exc}") from exc
     return powers
@@ -248,7 +209,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         kwargs["channels"] = _parse_channels(doc["channels"])
 
     energy_doc = _check_keys("energy", doc.get("energy", {}), {*_ENERGY_FIELDS, "p_toa_mw"})
-    kwargs["energy"] = _parse_fields("energy", energy_doc, EnergyModel)
+    kwargs["energy"] = EnergyModel(**{k: v for k, v in energy_doc.items() if k != "p_toa_mw"})
     table = None
     if "p_toa_mw" in energy_doc:
         table = _parse_draw_table(energy_doc["p_toa_mw"])
@@ -257,7 +218,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         kwargs["powers"] = _parse_powers(doc.get("powers", default), table)
 
     radio_doc = _check_keys("radio", doc.get("radio", {}), _RADIO_FIELDS)
-    kwargs["radio"] = _parse_fields("radio", radio_doc, RadioConfig)
+    kwargs["radio"] = RadioConfig(**radio_doc)
 
     if doc.get("adr_quality_mhz") is not None:
         quality = _check_type("adr_quality_mhz", doc["adr_quality_mhz"], list)

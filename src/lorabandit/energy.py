@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .params import ConfigError, TxPower
+from .params import ConfigError, TxPower, _check_int, _check_number
 
 
 @dataclass(frozen=True)
@@ -20,10 +20,9 @@ class RadioConfig:
     n_preamble: int = 8
 
     def __post_init__(self):
-        if self.bw_hz <= 0:
-            raise ConfigError("bandwidth must be positive")
-        if self.n_preamble < 0:
-            raise ConfigError("symbol counts must be non-negative")
+        _check_int("radio.sf", self.sf, 6, 12)
+        object.__setattr__(self, "bw_hz", _check_number("radio.bw_hz", self.bw_hz, positive=True))
+        _check_int("radio.n_preamble", self.n_preamble, 0, 2 ** 53)  # exact as a float
 
 
 @dataclass(frozen=True)
@@ -42,8 +41,8 @@ class EnergyModel:
 
     def __post_init__(self):
         for f in fields(self):
-            if getattr(self, f.name) <= 0:
-                raise ConfigError(f"{f.name} must be positive")
+            object.__setattr__(self, f.name, _check_number(
+                f"energy.{f.name}", getattr(self, f.name), positive=True))
 
     @property
     def overhead_mj(self) -> float:

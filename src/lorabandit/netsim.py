@@ -46,11 +46,6 @@ class RunSetup:
     policy: str
     n_devices: int
 
-    def __post_init__(self):
-        # validate checked the payload sizes of the config's own device counts.
-        if self.n_devices > max(self.config.device_counts):
-            cost_rows(self.config, self.n_devices)
-
 
 # eq=False: list.remove on the in-flight lists matches by identity.
 @dataclass(eq=False, slots=True)
@@ -178,7 +173,7 @@ def run_simulation(setup: RunSetup, seed: int) -> list[RunRecord]:
     their transmissions started. Each device has one pending wake, which
     pushes the next one, so the queue holds at most one wake per device and
     one end per transmission in flight. Airtime, energy and ACK reward are
-    worked out per (device payload, arm) before the first event.
+    worked out and checked per (device payload, arm) before the first event.
     """
     cfg = setup.config
     n_devices = setup.n_devices

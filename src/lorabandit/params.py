@@ -2,11 +2,34 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 
 class ConfigError(ValueError):
     """Raised for invalid or inconsistent configuration."""
+
+
+def _check_int(name: str, value, minimum: int | None, maximum: int | None = None) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"{name} must be at most {maximum}, got {value}")
+    return value
+
+
+def _check_number(name: str, value, positive: bool = False) -> float:
+    """value as a float, refused unless it is a finite int or float (and,
+    if positive, above 0). An int is compared exactly, never converted
+    before it is known to fit."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    if positive and value <= 0:
+        raise ConfigError(f"{name} must be positive, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -19,6 +42,12 @@ class Channel:
 
     center_frequency_hz: float
     receivable: bool
+
+    def __post_init__(self):
+        object.__setattr__(self, "center_frequency_hz", _check_number(
+            "channel frequency in Hz", self.center_frequency_hz))
+        if not isinstance(self.receivable, bool):
+            raise ConfigError(f"receivable must be true or false, got {self.receivable!r}")
 
     @property
     def mhz(self) -> float:
@@ -33,8 +62,8 @@ class TxPower:
     draw_mw: float
 
     def __post_init__(self):
-        if self.draw_mw <= 0:
-            raise ConfigError(f"draw_mw must be positive, got {self.draw_mw}")
+        _check_int("level_dbm", self.level_dbm, None)
+        object.__setattr__(self, "draw_mw", _check_number("draw_mw", self.draw_mw, positive=True))
 
 
 @dataclass(frozen=True)

@@ -56,12 +56,14 @@ class RunManifest:
     runs: list[dict] = field(default_factory=list)  # policy, n, run, seed, paths
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """Every field but out_dir, which load takes from the file's place."""
+        return {k: v for k, v in asdict(self).items() if k != "out_dir"}
 
     @classmethod
     def load(cls, path) -> "RunManifest":
         """Read a manifest; its artifacts are found next to the file, wherever
-        the sweep that wrote it was started from."""
+        the sweep that wrote it was started from (an out_dir it carries is
+        ignored)."""
         with open(path, encoding="utf-8") as fh:
             d = json.load(fh)
         d["out_dir"] = str(Path(path).parent)

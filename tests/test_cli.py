@@ -87,6 +87,12 @@ TWO_CHANNELS = [{"mhz": 921.0, "receivable": True}, {"mhz": 921.4, "receivable":
     # Sweep points given twice, whose jobs would overwrite each other's files.
     {"policies": ["fixed", "fixed"], "device_counts": [2, 2], "t_attempts": 2},
     {"device_counts": [2, 3, 2]},
+    # More runs than run_seed's 64-bit run index tells apart; run would list
+    # every job before the first one starts.
+    {"runs_per_point": 10 ** 30},
+    # Integers beyond a float, where a float or an exact-as-float count is due.
+    {"interval_s": 10 ** 400},
+    {"radio": {"n_preamble": 10 ** 400}},
 ])
 def test_validate_implies_run(tmp_path, capsys, doc):
     # Whatever validate refuses, run refuses the same way, before any work.

@@ -16,10 +16,16 @@ from lorabandit.config import (
     config_from_dict,
     load_config,
 )
-from lorabandit.energy import RadioConfig, attempt_energy, time_on_air
+from lorabandit.energy import EnergyModel, RadioConfig, attempt_energy, time_on_air
 from lorabandit.metrics import summarize_run
 from lorabandit.netsim import POLICY_NAMES, RunSetup, run_simulation
-from lorabandit.params import DEFAULT_CHANNEL_MHZ, DEFAULT_DRAW_MW, ConfigError, TxPower
+from lorabandit.params import (
+    DEFAULT_CHANNEL_MHZ,
+    DEFAULT_DRAW_MW,
+    Channel,
+    ConfigError,
+    TxPower,
+)
 from lorabandit.sweep import read_records, write_records
 
 
@@ -203,6 +209,40 @@ def test_to_dict_from_dict_round_trip():
     assert back.config_hash() == cfg.config_hash()
 
 
+def test_config_hash_is_canonical():
+    # An int in a float field is stored as a float, whichever path built it,
+    # so one experiment has one hash.
+    stock = config_from_dict({}).config_hash()
+    assert ExperimentConfig(interval_s=10).config_hash() == stock
+    assert config_from_dict({"interval_s": 10}).config_hash() == stock
+    assert (ExperimentConfig(radio=RadioConfig(bw_hz=250000)).config_hash()
+            == config_from_dict({"radio": {"bw_hz": 250000}}).config_hash())
+    cfg = ExperimentConfig(powers=[TxPower(dbm, round(mw)) for dbm, mw in DEFAULT_DRAW_MW.items()])
+    back = config_from_dict(json.loads(json.dumps(cfg.to_dict())))
+    assert back.config_hash() == cfg.config_hash()
+    # Records write these values as they are stored.
+    for value in (Channel(921_000_000, True).center_frequency_hz, TxPower(1, 30).draw_mw,
+                  RadioConfig(bw_hz=250000).bw_hz, EnergyModel(e_wu_mj=56).e_wu_mj,
+                  ExperimentConfig(epsilon=0).epsilon):
+        assert type(value) is float
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ExperimentConfig(radio=RadioConfig(sf=7.5)),
+    lambda: ExperimentConfig(radio=RadioConfig(n_preamble=8.5)),
+    lambda: ExperimentConfig(radio=RadioConfig(sf="x")),
+    lambda: ExperimentConfig(powers=[TxPower(1.5, 10.0)]),
+    lambda: ExperimentConfig(channels=[Channel(921e6, "yes")], policies=["fixed"]),
+    lambda: ExperimentConfig(energy=EnergyModel(e_wu_mj=True)),
+    lambda: ExperimentConfig(energy=EnergyModel(e_wu_mj="x")),
+], ids=["sf-float", "n_preamble-float", "sf-str", "level-float", "receivable-str",
+        "energy-bool", "energy-str"])
+def test_library_values_checked_as_json_ones(build):
+    # What a JSON config refuses, a config built in Python refuses the same way.
+    with pytest.raises(ConfigError):
+        build()
+
+
 def test_run_setup_carries_fields():
     cfg = ExperimentConfig(epsilon=0.25, cs_duration_s=0.001)
     setup = cfg.run_setup("epsilon_greedy", 12)
@@ -224,31 +264,45 @@ def test_validate_checks_only_the_payloads_a_run_uses(monkeypatch):
     assert len(calls) == 30 * 5
     assert {args[1] for args in calls} == set(range(36, 66))
     calls.clear()
-    cfg.run_setup("fixed", 30)
-    assert not calls
-    cfg.run_setup("fixed", 32)
+    # A run works out the sizes of its own devices, past the config's counts.
+    run_simulation(cfg.run_setup("fixed", 32), 1)
     assert len(calls) == 32 * 5
+    assert {args[1] for args in calls} == set(range(36, 68))
 
 
-def test_run_setup_checks_payloads_past_the_device_counts():
+def _count_records(monkeypatch) -> list:
+    """Every record a run builds from here on, as the list of its calls."""
+    made = []
+
+    def counting(*fields):
+        made.append(fields)
+        return netsim.RunRecord(*fields)
+
+    monkeypatch.setattr(netsim, "RunRecord", counting)
+    return made
+
+
+def test_run_checks_payloads_past_the_device_counts(monkeypatch):
     # One device sends 36 symbols (49.4 ms of airtime plus 5 ms of carrier
     # sense fit in 60 ms); nine devices reach 44 symbols (57.6 ms), which do not.
     cfg = config_from_dict({"device_counts": [1], "interval_s": 0.06})
-    cfg.run_setup("fixed", 1)
+    assert len(run_simulation(cfg.run_setup("fixed", 1), 1)) == 200
+    made = _count_records(monkeypatch)
     with pytest.raises(ConfigError, match="interval_s must exceed"):
-        cfg.run_setup("fixed", 9)
-    with pytest.raises(ConfigError, match="interval_s must exceed"):
-        RunSetup(cfg, "fixed", 9)
+        run_simulation(cfg.run_setup("fixed", 9), 1)
+    assert not made
 
 
-def test_run_setup_checks_the_energy_total_past_the_device_counts():
+def test_run_checks_the_energy_total_past_the_device_counts(monkeypatch):
     # Each attempt costs a little over 1e305 mJ: 8 devices x 200 attempts
     # sum to 1.6e308 mJ, and 9 devices would overflow a float.
     cfg = config_from_dict({"energy": {"e_wu_mj": 1e305}, "device_counts": [2]})
     summary = summarize_run(run_simulation(cfg.run_setup("fixed", 8), 1))
     assert summary.attempts == 1600 and summary.energy_efficiency_network > 0
+    made = _count_records(monkeypatch)
     with pytest.raises(ConfigError, match="must sum to a finite total"):
-        cfg.run_setup("fixed", 9)
+        run_simulation(cfg.run_setup("fixed", 9), 1)
+    assert not made
 
 
 def test_duplicate_sweep_points_named():

@@ -33,7 +33,7 @@ def test_symbol_time_halves_with_double_bandwidth():
 
 
 def test_symbol_time_degenerate():
-    assert symbol_time(RadioConfig(sf=0, bw_hz=1.0)) == 1.0
+    assert symbol_time(RadioConfig(sf=6, bw_hz=64.0)) == 1.0
 
 
 def test_time_on_air_default_payload():

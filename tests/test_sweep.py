@@ -184,6 +184,19 @@ def test_sweep_manifest_round_trip(tmp_path):
     assert loaded.config_hash == cfg.config_hash()
 
 
+def test_manifest_bytes_do_not_depend_on_the_directory(tmp_path):
+    cfg = tiny_config()
+    a = tmp_path / "a" / "manifest.json"
+    run_sweep(cfg, a.parent)
+    run_sweep(cfg, tmp_path / "b" / "deeper")
+    assert a.read_bytes() == (tmp_path / "b" / "deeper" / "manifest.json").read_bytes()
+    # A manifest that still names the directory it was written in loads
+    # from where it is now.
+    doc = json.loads(a.read_text()) | {"out_dir": "/elsewhere"}
+    a.write_text(json.dumps(doc))
+    assert RunManifest.load(a).out_dir == str(a.parent)
+
+
 def test_sweep_parallel_matches_serial(tmp_path):
     cfg = tiny_config()
     a = run_sweep(cfg, tmp_path / "serial", parallel=1)
