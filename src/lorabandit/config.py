@@ -94,6 +94,16 @@ class ExperimentConfig:
             raise ConfigError("reward_mode must be 'normalized' or 'raw'")
         if self.epsilon_reward not in ("energy", "ack"):
             raise ConfigError("epsilon_reward must be 'energy' or 'ack'")
+        for name, kind in (("radio", RadioConfig), ("energy", EnergyModel)):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise ConfigError(f"{name} must be of type {kind.__name__}, got {value!r}")
+        for name, kind in (("channels", Channel), ("powers", TxPower)):
+            value = getattr(self, name)
+            if not (isinstance(value, (list, tuple)) and all(isinstance(v, kind) for v in value)):
+                raise ConfigError(f"{name} must be a list of {kind.__name__}, got {value!r}")
+        if not isinstance(self.adr_quality_hz, (list, tuple, type(None))):
+            raise ConfigError(f"adr_quality_hz must be a list or None, got {self.adr_quality_hz!r}")
         for hz in self.adr_quality_hz or ():
             _check_number("adr quality frequency in Hz", hz)
         arms = build_arm_space(self.channels, self.powers)  # duplicate or missing channels/levels

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 from .energy import attempt_energy, reward_basis
 from .metrics import Cause, RunRecord
-from .params import Channel, ConfigError, ParamCombo, build_arm_space
+from .params import ConfigError, ParamCombo, build_arm_space
 from .policies import AdrLitePolicy, EpsilonGreedyPolicy, FixedPolicy, UcbTunedPolicy
 from .rng import device_rng
 
@@ -45,18 +45,6 @@ class RunSetup:
     config: ExperimentConfig
     policy: str
     n_devices: int
-
-
-# eq=False: list.remove on the in-flight lists matches by identity.
-@dataclass(eq=False, slots=True)
-class _Transmission:
-    device: int
-    start_us: int
-    end_us: int
-    arm_index: int
-    attempt: int
-    wake_us: int
-    collided: bool = False
 
 
 def payload_symbols(device_index: int, base: int, spread: int) -> int:
@@ -130,28 +118,6 @@ def cost_rows(
     return rows
 
 
-def carrier_sense(in_flight: list[_Transmission], t_us: int, cs_duration_us: int) -> bool:
-    """True iff any transmission in flight on the channel overlaps the sense window.
-
-    Intervals are half-open: a transmission ending exactly at t is not heard,
-    and one starting exactly at the end of the window is not heard either.
-    """
-    window_end = t_us + cs_duration_us
-    for tx in in_flight:
-        if tx.start_us < window_end and tx.end_us > t_us:
-            return True
-    return False
-
-
-def resolve_reception(channel: Channel, tx: _Transmission) -> str:
-    """Outcome of a completed transmission as seen by the gateway: a Cause."""
-    if not channel.receivable:
-        return Cause.CHANNEL_NOT_RECEIVABLE
-    if tx.collided:
-        return Cause.COLLISION
-    return Cause.SUCCESS
-
-
 def _make_policy(setup: RunSetup, device_index: int, arms: list[ParamCombo], seed: int) -> Policy:
     rng = device_rng(seed, device_index, stream=0)
     if setup.policy == "proposed_ucb_tuned":
@@ -165,15 +131,32 @@ def _make_policy(setup: RunSetup, device_index: int, arms: list[ParamCombo], see
     raise ConfigError(f"unknown policy {setup.policy!r}; expected one of {POLICY_NAMES}")
 
 
+def _calendar(offsets: list[tuple[int, int]], interval_us: int, t_attempts: int):
+    """(µs, device, attempt) of every wake in time order: period by period,
+    each in the (offset, device) order of offsets, then (inf, -1, t_attempts),
+    which comes after every end of airtime."""
+    for attempt in range(t_attempts):
+        period_us = attempt * interval_us
+        for offset, i in offsets:
+            yield period_us + offset, i, attempt
+    yield math.inf, -1, t_attempts
+
+
 def run_simulation(setup: RunSetup, seed: int) -> list[RunRecord]:
     """Execute one run and return every attempt record in event order.
 
-    Events run in time order, and at equal µs every wake runs before every
-    end of airtime, wakes run by device index and ends run in the order
-    their transmissions started. Each device has one pending wake, which
-    pushes the next one, so the queue holds at most one wake per device and
-    one end per transmission in flight. Airtime, energy and ACK reward are
-    worked out and checked per (device payload, arm) before the first event.
+    Events run in time order; at equal µs every wake runs before every end
+    of airtime, wakes run by device index and ends in the order their
+    transmissions started. Device i wakes at offset_i + k·interval, each
+    offset below the interval, so every period wakes the devices in the same
+    (offset, device) order: the loop sorts the offsets once and runs them
+    period by period. Only ends of airtime go on a heap. Before each wake
+    the loop runs the ends strictly earlier than it, and after the last wake
+    the rest. An end may fall after wakes of the next period, but never
+    after its own device's next wake: cost_rows requires the interval to
+    exceed carrier sense plus the longest airtime. Airtime, energy and ACK
+    reward are worked out and checked per (device payload, arm) before the
+    first event.
     """
     cfg = setup.config
     n_devices = setup.n_devices
@@ -181,10 +164,15 @@ def run_simulation(setup: RunSetup, seed: int) -> list[RunRecord]:
         raise ConfigError("need at least one device")
 
     arms = build_arm_space(cfg.channels, cfg.powers)
-    arm_channel = [cfg.channels.index(a.channel) for a in arms]
-    arm_receiver = [a.channel for a in arms]
     arm_hz = [a.channel.center_frequency_hz for a in arms]
     arm_dbm = [a.power.level_dbm for a in arms]
+    # The cause of an end of airtime by its collided flag: a channel the
+    # gateway does not hear loses the frame whether or not it collided.
+    arm_causes = [
+        (Cause.SUCCESS, Cause.COLLISION) if a.channel.receivable
+        else (Cause.CHANNEL_NOT_RECEIVABLE,) * 2
+        for a in arms
+    ]
     interval_us = round(cfg.interval_s * 1e6)
     cs_us = round(cfg.cs_duration_s * 1e6)
     busy_mj = cfg.energy.overhead_mj
@@ -206,60 +194,60 @@ def run_simulation(setup: RunSetup, seed: int) -> list[RunRecord]:
     policies = [_make_policy(setup, i, arms, seed) for i in range(n_devices)]
     select = [p.select for p in policies]
     observe = [p.observe for p in policies]
-    # (time_us, 0, device, attempt) for a wake, (time_us, 1, seq, tx) for an
-    # end of airtime; the first three fields are unique, so the order is total.
-    queue = [
-        (device_rng(seed, i, stream=1).integers(0, interval_us), 0, i, 0)
-        for i in range(n_devices)
-    ]
-    heapq.heapify(queue)
+    offsets = sorted(
+        (device_rng(seed, i, stream=1).integers(0, interval_us), i) for i in range(n_devices)
+    )
+    # (end_us, seq, tx): seq counts transmissions, so ends at equal µs run
+    # in the order they started and the tx lists are never compared.
+    ends: list[tuple[int, int, list]] = []
     heappush, heappop = heapq.heappush, heapq.heappop
-    last_attempt = cfg.t_attempts - 1
     seq = 0
     success, busy = Cause.SUCCESS, Cause.CARRIER_BUSY
-    in_flight: list[list[_Transmission]] = [[] for _ in cfg.channels]
+    # Per channel, its transmissions in flight, each [start_us, end_us,
+    # collided, device, arm, attempt, wake_us]. No two in flight share a
+    # device, so list.remove's equality test finds the very one it is given.
+    in_flight: list[list[list]] = [[] for _ in cfg.channels]
+    arm_in_flight = [in_flight[cfg.channels.index(a.channel)] for a in arms]
     records: list[RunRecord] = []
-    record = records.append
+    record, make_record = records.append, RunRecord._make  # _make skips __new__'s arg parsing
 
-    while queue:
-        t_us, is_end, key, item = heappop(queue)
-
-        if is_end:
-            tx, arm, i = item, item.arm_index, item.device
-            in_flight[arm_channel[arm]].remove(tx)
-            cause = resolve_reception(arm_receiver[arm], tx)
-            _, e_toa, e_active, reward = device_table[i][arm]
+    for t_us, i, attempt in _calendar(offsets, interval_us, cfg.t_attempts):
+        while ends and ends[0][0] < t_us:
+            tx = heappop(ends)[2]
+            _, _, collided, j, arm, k, wake_us = tx
+            arm_in_flight[arm].remove(tx)
+            cause = arm_causes[arm][collided]
+            _, e_toa, e_active, reward = device_table[j][arm]
             acked = cause == success
             if not acked:
                 reward = 0.0
-            observe[i](arm, acked, reward)
-            record(RunRecord(seed, i, tx.attempt, arm, arm_hz[arm], arm_dbm[arm],
-                             cause, acked, reward, e_toa, e_active, tx.wake_us / 1e6))
-            continue
+            observe[j](arm, acked, reward)
+            record(make_record((seed, j, k, arm, arm_hz[arm], arm_dbm[arm],
+                                cause, acked, reward, e_toa, e_active, wake_us / 1e6)))
+        if i < 0:
+            break
 
-        i, attempt = key, item
-        if attempt < last_attempt:
-            heappush(queue, (t_us + interval_us, 0, i, attempt + 1))
         arm = select[i]().arm_index
-        on_channel = in_flight[arm_channel[arm]]
-
-        if carrier_sense(on_channel, t_us, cs_us):
-            # Abandon this interval: overheads are paid, the radio never fires.
-            observe[i](arm, False, 0.0)
-            record(RunRecord(seed, i, attempt, arm, arm_hz[arm], arm_dbm[arm],
-                             busy, False, 0.0, 0.0, busy_mj, t_us / 1e6))
-            continue
-
+        on_channel = arm_in_flight[arm]
+        # Carrier sense over [t_us, start_us): half-open, so a transmission
+        # ending exactly at the wake or starting exactly at start_us is not heard.
         start_us = t_us + cs_us
-        end_us = start_us + device_table[i][arm][0]
-        tx = _Transmission(i, start_us, end_us, arm, attempt, t_us)
         for other in on_channel:
-            if other.start_us < end_us and other.end_us > start_us:
-                other.collided = True
-                tx.collided = True
-        on_channel.append(tx)
-        heappush(queue, (end_us, 1, seq, tx))
-        seq += 1
+            if other[0] < start_us and other[1] > t_us:
+                # Abandon this interval: overheads are paid, the radio never fires.
+                observe[i](arm, False, 0.0)
+                record(make_record((seed, i, attempt, arm, arm_hz[arm], arm_dbm[arm],
+                                    busy, False, 0.0, 0.0, busy_mj, t_us / 1e6)))
+                break
+        else:
+            end_us = start_us + device_table[i][arm][0]
+            tx = [start_us, end_us, False, i, arm, attempt, t_us]
+            for other in on_channel:
+                if other[0] < end_us and other[1] > start_us:
+                    other[2] = tx[2] = True
+            on_channel.append(tx)
+            heappush(ends, (end_us, seq, tx))
+            seq += 1
 
     if any(in_flight):
         raise RuntimeError("transmissions left in flight after the event queue drained")

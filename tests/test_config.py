@@ -243,6 +243,21 @@ def test_library_values_checked_as_json_ones(build):
         build()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("radio", 7),
+    ("energy", {"e_wu_mj": 1}),
+    ("channels", 5),
+    ("channels", [(921e6, True)]),
+    ("powers", [(1, 30.0)]),
+    ("adr_quality_hz", 5),
+])
+def test_nested_field_of_the_wrong_type(field, value):
+    # A config built in Python gets a ConfigError, not an AttributeError or
+    # TypeError from the first check that reads the field.
+    with pytest.raises(ConfigError, match=field):
+        ExperimentConfig(**{field: value})
+
+
 def test_run_setup_carries_fields():
     cfg = ExperimentConfig(epsilon=0.25, cs_duration_s=0.001)
     setup = cfg.run_setup("epsilon_greedy", 12)
@@ -271,14 +286,18 @@ def test_validate_checks_only_the_payloads_a_run_uses(monkeypatch):
 
 
 def _count_records(monkeypatch) -> list:
-    """Every record a run builds from here on, as the list of its calls."""
+    """Every record a run builds from here on (netsim makes each with
+    RunRecord._make), as the list of their fields."""
     made = []
+    real = netsim.RunRecord
 
-    def counting(*fields):
-        made.append(fields)
-        return netsim.RunRecord(*fields)
+    class Counting(real):
+        @classmethod
+        def _make(cls, fields):
+            made.append(fields)
+            return real._make(fields)
 
-    monkeypatch.setattr(netsim, "RunRecord", counting)
+    monkeypatch.setattr(netsim, "RunRecord", Counting)
     return made
 
 

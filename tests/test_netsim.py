@@ -7,17 +7,9 @@ from hypothesis import example, given, settings, strategies as st
 from reference_sim import reference_run
 
 from lorabandit.config import ExperimentConfig, config_from_dict
-from lorabandit.energy import attempt_energy
+from lorabandit.energy import attempt_energy, time_on_air
 from lorabandit.metrics import Cause
-from lorabandit.netsim import (
-    POLICY_NAMES,
-    _Transmission,
-    carrier_sense,
-    device_rng,
-    payload_symbols,
-    resolve_reception,
-    run_simulation,
-)
+from lorabandit.netsim import POLICY_NAMES, device_rng, payload_symbols, run_simulation
 from lorabandit.params import Channel, ConfigError
 
 
@@ -25,52 +17,94 @@ def make_setup(policy="proposed_ucb_tuned", n_devices=1, **kw):
     return ExperimentConfig(**kw).run_setup(policy, n_devices)
 
 
-def tx(start_us, end_us, device=0, arm=0):
-    return _Transmission(
-        device=device, start_us=start_us, end_us=end_us,
-        arm_index=arm, attempt=0, wake_us=start_us,
-    )
+# --- carrier sense and reception, on two hand-placed devices ------------------
+
+# With payload_spread 1 every device sends 36 symbols at SF7 and 125 kHz.
+AIR_US = 49_408
+HEARD = Channel(921.0e6, receivable=True)
+DEAF = Channel(920.6e6, receivable=False)
+# At 1 s, seed 3 wakes device 0 at 278,029 µs and device 1 at 397,295 µs.
+# At 60 ms, seed 11735 wakes both devices at 17,684 µs.
+APART_SEED, SAME_US_SEED = 3, 11735
 
 
-# --- carrier sense ----------------------------------------------------------
+def two_devices(seed, channels=(HEARD,), policy="proposed_ucb_tuned", t_attempts=1,
+                interval_s=1.0, cs_duration_s=0.005):
+    """The records of a two-device run, by (device, attempt). A UCB device
+    sends its first attempt on arm 0: the first channel at the lowest power."""
+    cfg = ExperimentConfig(t_attempts=t_attempts, interval_s=interval_s,
+                           cs_duration_s=cs_duration_s, payload_spread=1,
+                           channels=list(channels), policies=[policy])
+    return {(r.device, r.attempt): r for r in run_simulation(cfg.run_setup(policy, 2), seed)}
+
+
+def first_ends_after_second_wakes(delta_us, **kw):
+    """Device 1's first record, with carrier sense sized so that device 0's
+    transmission ends delta_us after device 1 wakes."""
+    first, second = (device_rng(APART_SEED, d, stream=1).integers(0, 1_000_000)
+                     for d in range(2))
+    assert (first, second) == (278_029, 397_295)
+    cs_us = second - first - AIR_US + delta_us
+    runs = two_devices(APART_SEED, cs_duration_s=cs_us / 1e6, **kw)
+    assert runs[0, 0].cause == Cause.SUCCESS
+    return runs[1, 0]
+
 
 def test_carrier_sense_empty_channel():
-    assert carrier_sense([], 1000, 5000) is False
+    # An end 1 µs before a wake runs first and leaves the channel empty.
+    assert first_ends_after_second_wakes(-1).cause == Cause.SUCCESS
 
 
 def test_carrier_sense_covered_window():
-    in_flight = [[tx(0, 1_000_000)], []]
-    assert carrier_sense(in_flight[0], 1000, 5000) is True
-    assert carrier_sense(in_flight[1], 1000, 5000) is False  # other channel
+    assert first_ends_after_second_wakes(AIR_US // 2).cause == Cause.CARRIER_BUSY
+    # The fixed policy pins device 1 on the other channel, which is free.
+    other = (HEARD, Channel(921.4e6, receivable=True))
+    assert first_ends_after_second_wakes(
+        AIR_US // 2, channels=other, policy="fixed").cause == Cause.SUCCESS
 
 
 def test_carrier_sense_half_open_boundaries():
-    on_channel = [tx(0, 1000)]
-    assert carrier_sense(on_channel, 1000, 5000) is False  # ends exactly at t
-    on_channel.append(tx(6000, 7000))
-    assert carrier_sense(on_channel, 1000, 5000) is False  # starts at window end
-    on_channel.append(tx(5999, 7000))
-    assert carrier_sense(on_channel, 1000, 5000) is True
+    # A transmission ending exactly at the wake is not heard; 1 µs later it is.
+    assert first_ends_after_second_wakes(0).cause == Cause.SUCCESS
+    assert first_ends_after_second_wakes(1).cause == Cause.CARRIER_BUSY
+    # Devices waking in the same µs: device 0 runs first, and its transmission
+    # starts exactly where device 1's sense window ends, so device 1 sends too.
+    runs = two_devices(SAME_US_SEED, interval_s=0.06)
+    assert runs[0, 0].wake_time == runs[1, 0].wake_time == 0.017684
+    assert runs[0, 0].cause == runs[1, 0].cause == Cause.COLLISION
 
 
 def test_in_flight_removal_matches_identity():
-    # Two transmissions with equal fields are still distinct entries.
-    a, b = tx(0, 1000), tx(0, 1000)
-    on_channel = [a, b]
-    on_channel.remove(b)
-    assert on_channel[0] is a
+    # At 100 ms, seed 1254827 wakes devices 1 and 2 in the same µs and device
+    # 0 97,619 µs later. With payload_spread 2, device 1 sends 37 symbols and
+    # device 2 36, so the first transmission put in flight is not the first
+    # to end. Carrier sense is sized so that device 0 wakes 1 µs after device
+    # 2's end, while device 1 is still on the air.
+    seed = 1254827
+    assert [device_rng(seed, d, stream=1).integers(0, 100_000)
+            for d in range(3)] == [99_847, 2_228, 2_228]
+    cs_us = 99_847 - 2_228 - AIR_US - 1
+    setup = ExperimentConfig(t_attempts=1, interval_s=0.1, cs_duration_s=cs_us / 1e6,
+                             payload_spread=2, channels=[HEARD],
+                             policies=["fixed"]).run_setup("fixed", 3)
+    assert [(r.device, r.cause) for r in run_simulation(setup, seed)] == [
+        (2, Cause.COLLISION), (0, Cause.CARRIER_BUSY), (1, Cause.COLLISION)
+    ]
 
-
-# --- reception outcomes -------------------------------------------------------
 
 def test_reception_non_receivable_channel():
-    ch = Channel(920.6e6, receivable=False)
-    assert resolve_reception(ch, tx(0, 10)) == Cause.CHANNEL_NOT_RECEIVABLE
+    runs = two_devices(APART_SEED, channels=(DEAF, HEARD))
+    for r in runs.values():
+        assert r.channel_hz == DEAF.center_frequency_hz
+        assert r.cause == Cause.CHANNEL_NOT_RECEIVABLE
+        assert (r.acked, r.reward) == (False, 0.0)
+        assert r.e_toa > 0  # it did transmit
 
 
 def test_reception_sole_transmission():
-    ch = Channel(921.4e6, receivable=True)
-    assert resolve_reception(ch, tx(0, 10)) == Cause.SUCCESS
+    for r in two_devices(APART_SEED).values():
+        assert r.cause == Cause.SUCCESS
+        assert r.acked and r.reward > 0
 
 
 def test_reception_overlap_kills_both():
@@ -82,11 +116,8 @@ def test_reception_overlap_kills_both():
         (1, 0, 0.012717), (4, 0, 0.012717)
     ]
     # Non-receivability still wins over a collision.
-    a = tx(0, 49_408)
-    a.collided = True
-    assert resolve_reception(Channel(921.0e6, receivable=True), a) == Cause.COLLISION
-    bad = Channel(920.6e6, receivable=False)
-    assert resolve_reception(bad, a) == Cause.CHANNEL_NOT_RECEIVABLE
+    runs = two_devices(SAME_US_SEED, channels=(DEAF, HEARD), interval_s=0.06)
+    assert runs[0, 0].cause == runs[1, 0].cause == Cause.CHANNEL_NOT_RECEIVABLE
 
 
 # --- scheduling ----------------------------------------------------------------
@@ -345,3 +376,29 @@ def test_tie_examples_share_a_microsecond():
         assert kinds <= tied
         # Devices that wake in the same µs on one channel both transmit.
         assert (causes[Cause.COLLISION] > 0) == (("wake", "wake") in kinds)
+
+
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+def test_airtime_crosses_into_the_next_period(policy):
+    # 63 ms just exceeds 5 ms of carrier sense plus the longest airtime (44
+    # symbols: 57.6 ms), so a transmission late in one period ends after
+    # wakes of the next, and the loop must interleave them.
+    setup = config_from_dict({"t_attempts": 40, "interval_s": 0.063}).run_setup(policy, 12)
+    cfg, seed = setup.config, 16
+    records = run_simulation(setup, seed)
+    assert [repr(r) for r in records] == [repr(r) for r in reference_run(setup, seed)]
+    cs_us = round(cfg.cs_duration_s * 1e6)
+    airtime_us = [
+        round(time_on_air(cfg.radio, payload_symbols(d, cfg.payload_base,
+                                                     cfg.payload_spread))[2] * 1e6)
+        for d in range(12)
+    ]
+    first_wake_us = {}
+    for r in records:
+        wake_us = round(r.wake_time * 1e6)
+        first_wake_us[r.attempt] = min(wake_us, first_wake_us.get(r.attempt, wake_us))
+    late = [r for r in records if r.cause != Cause.CARRIER_BUSY
+            and r.attempt + 1 in first_wake_us
+            and round(r.wake_time * 1e6) + cs_us + airtime_us[r.device]
+            >= first_wake_us[r.attempt + 1]]
+    assert late
