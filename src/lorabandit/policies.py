@@ -33,8 +33,8 @@ class ArmState:
 
     mean and variance (the empirical variance of the rewards, clamped at 0)
     are derived from the sums when the state is built and kept current by
-    _ArmLearner.observe(), so a decision reads them instead of recomputing
-    them.
+    _ArmLearner.observe() with the same operations, so a decision reads them
+    instead of recomputing them.
     """
 
     pulls: int = 0
@@ -45,11 +45,8 @@ class ArmState:
 
     def __post_init__(self):
         if self.pulls:
-            self._refresh()
-
-    def _refresh(self) -> None:
-        self.mean = mean = self.reward_sum / self.pulls
-        self.variance = max(self.reward_sq_sum / self.pulls - mean ** 2, 0.0)
+            self.mean = mean = self.reward_sum / self.pulls
+            self.variance = max(self.reward_sq_sum / self.pulls - mean ** 2, 0.0)
 
 
 class PolicyDecision(NamedTuple):
@@ -154,26 +151,31 @@ def adr_lite_list(
 
 
 class _ArmLearner:
-    """The per-arm statistics both learners keep: one ArmState per arm,
-    the total number of plays and how many arms are still unpulled."""
+    """The per-arm statistics both learners keep: one ArmState per arm, the
+    total number of plays, how many arms are unpulled and, built once, each
+    arm's learned-phase decision."""
 
     def __init__(self, n_arms: int, rng: DeviceRng):
         self.rng = rng
         self.arms = [ArmState() for _ in range(n_arms)]
         self.total_plays = 0
         self.unpulled = n_arms
+        self._decisions = [PolicyDecision(i, Phase.LEARNED) for i in range(n_arms)]
 
     def observe(self, arm_index: int, acked: bool, reward: float) -> None:
-        """Fold one attempt's reward into its arm's statistics."""
-        if reward < 0:
-            raise ValueError(f"negative reward {reward}")
+        """Fold one attempt's reward into its arm's statistics in this one
+        frame, with ArmState.__post_init__'s operations in the same order; a
+        reward outside [0, inf), NaN included, is refused before any change."""
+        if not 0.0 <= reward < math.inf:
+            raise ValueError(f"reward {reward} is not in [0, inf)")
         arm = self.arms[arm_index]
         if arm.pulls == 0:
             self.unpulled -= 1
-        arm.pulls += 1
-        arm.reward_sum += reward
-        arm.reward_sq_sum += reward ** 2
-        arm._refresh()
+        arm.pulls = pulls = arm.pulls + 1
+        arm.reward_sum = reward_sum = arm.reward_sum + reward
+        arm.reward_sq_sum = reward_sq_sum = arm.reward_sq_sum + reward ** 2
+        arm.mean = mean = reward_sum / pulls
+        arm.variance = max(reward_sq_sum / pulls - mean ** 2, 0.0)
         self.total_plays += 1
 
 
@@ -185,12 +187,13 @@ class UcbTunedPolicy(_ArmLearner):
 
     def __init__(self, n_arms: int, rng: DeviceRng):
         super().__init__(n_arms, rng)
+        self._initial = [PolicyDecision(i, Phase.INITIALIZATION) for i in range(n_arms)]
         self._log_h = -math.inf  # no bounds before the first learned decision
         self._bounds: list[float] = []
         self._ranked: list[tuple[float, int]] = []
 
     def observe(self, arm_index: int, acked: bool, reward: float) -> None:
-        super().observe(arm_index, acked, reward)
+        _ArmLearner.observe(self, arm_index, acked, reward)
         if self._ranked:
             del self._ranked[bisect_left(self._ranked, (self._bounds[arm_index], arm_index))]
             self._bounds[arm_index] = b = _bound(self.arms[arm_index], self._log_h)
@@ -205,29 +208,30 @@ class UcbTunedPolicy(_ArmLearner):
         order until a bound falls below the best score: none after it can
         reach that score, let alone tie it.
         """
+        arms = self.arms
         if self.unpulled:
-            for i, arm in enumerate(self.arms):
+            for i, arm in enumerate(arms):
                 if arm.pulls == 0:
-                    return PolicyDecision(i, Phase.INITIALIZATION)
+                    return self._initial[i]
         m = self.total_plays
         log_m = math.log(m)
         if log_m > self._log_h:  # rebuild, valid for ~1/8 more plays: few rebuilds, tight bounds
             self._log_h = log_h = math.log(m + m // 8 + 1)
-            self._bounds = [_bound(arm, log_h) for arm in self.arms]
-            self._ranked = sorted(zip(self._bounds, range(len(self.arms))))
-        best, tied = -math.inf, []
+            self._bounds = [_bound(arm, log_h) for arm in arms]
+            self._ranked = sorted(zip(self._bounds, range(len(arms))))
+        best, tied = -math.inf, None  # tied lists the arms only once two scores tie
         for bound, k in reversed(self._ranked):
             if bound < best:
                 break
-            score = _score(self.arms[k], log_m)
+            score = _score(arms[k], log_m)
             if score > best:
-                best, tied = score, [k]
+                best, first, tied = score, k, None
             elif score == best:
-                tied.append(k)
-        if len(tied) > 1:
+                tied = (tied or [first]) + [k]
+        if tied:
             tied.sort()
-            return PolicyDecision(tied[self.rng.integers(len(tied))], Phase.LEARNED)
-        return PolicyDecision(tied[0], Phase.LEARNED)
+            return self._decisions[tied[self.rng.integers(len(tied))]]
+        return self._decisions[first]
 
 
 class EpsilonGreedyPolicy(_ArmLearner):
@@ -239,7 +243,7 @@ class EpsilonGreedyPolicy(_ArmLearner):
         self._best, self._tied = 0.0, []  # the ascending arms of mean _best; [] if unknown
 
     def observe(self, arm_index: int, acked: bool, reward: float) -> None:
-        super().observe(arm_index, acked, reward)
+        _ArmLearner.observe(self, arm_index, acked, reward)
         tied = self._tied
         if tied:  # only this arm's mean moved
             mean = self.arms[arm_index].mean
@@ -259,14 +263,14 @@ class EpsilonGreedyPolicy(_ArmLearner):
         rebuilt from the means before the first greedy pick and when it empties.
         """
         if self.rng.random() < self.epsilon:
-            return PolicyDecision(self.rng.integers(len(self.arms)))
+            return self._decisions[self.rng.integers(len(self.arms))]
         tied = self._tied
         if not tied:
             self._best = best = max(arm.mean for arm in self.arms)
             self._tied = tied = [i for i, arm in enumerate(self.arms) if arm.mean == best]
         if len(tied) > 1:
-            return PolicyDecision(tied[self.rng.integers(len(tied))])
-        return PolicyDecision(tied[0])
+            return self._decisions[tied[self.rng.integers(len(tied))]]
+        return self._decisions[tied[0]]
 
 
 class FixedPolicy:
@@ -290,18 +294,18 @@ class AdrLitePolicy:
         arms: list[ParamCombo],
         quality_order_hz: list[float] | None = None,
     ):
-        self.search_arms = [a.arm_index for a in adr_lite_list(arms, quality_order_hz)]
-        self.next_list_index = len(self.search_arms) - 1
+        self.search = [PolicyDecision(a.arm_index) for a in adr_lite_list(arms, quality_order_hz)]
+        self.next_list_index = len(self.search) - 1
         self._pending_list_index: int | None = None
 
     def select(self) -> PolicyDecision:
-        self._pending_list_index = self.next_list_index
-        return PolicyDecision(self.search_arms[self.next_list_index])
+        self._pending_list_index = i = self.next_list_index
+        return self.search[i]
 
     def observe(self, arm_index: int, acked: bool, reward: float) -> None:
         if self._pending_list_index is None:
             raise RuntimeError("observe() without a preceding select()")
         self.next_list_index = adr_lite_next(
-            self._pending_list_index, acked, len(self.search_arms)
+            self._pending_list_index, acked, len(self.search)
         )
         self._pending_list_index = None

@@ -22,6 +22,7 @@ from lorabandit.policies import (
     AdrLitePolicy,
     ArmState,
     EpsilonGreedyPolicy,
+    FixedPolicy,
     Phase,
     PolicyDecision,
     UcbTunedPolicy,
@@ -31,6 +32,7 @@ from lorabandit.policies import (
     ucb_score,
     ucb_variance,
 )
+from lorabandit.netsim import POLICY_NAMES
 from lorabandit.sweep import run_seed
 
 REL = 1e-12
@@ -271,6 +273,7 @@ def test_ucb_scores_few_arms_per_decision(monkeypatch):
     for seed in (1, 2, 3):
         run_simulation(cfg.run_setup("proposed_ucb_tuned", 30), seed=seed)
     assert learned[0] > 50_000
+    assert scored[0] >= learned[0]  # every learned decision scores an arm
     assert scored[0] / learned[0] <= 8
 
 
@@ -435,8 +438,18 @@ def test_update_two_point_variance():
 
 
 def test_update_rejects_negative_reward():
-    with pytest.raises(ValueError):
-        learner().observe(0, acked=True, reward=-0.1)
+    # Both learners refuse any reward outside [0, inf), NaN included, before
+    # the arm, the total plays or the unpulled count move; arm 0 has been
+    # pulled, arm 1 not.
+    for policy in (UcbTunedPolicy(2, np.random.default_rng(0)),
+                   EpsilonGreedyPolicy(2, 0.1, np.random.default_rng(0))):
+        policy.observe(0, acked=True, reward=0.5)
+        for arm_index in (0, 1):
+            for reward in (-0.1, -math.inf, math.nan, math.inf):
+                before = copy.deepcopy(policy.arms), policy.total_plays, policy.unpulled
+                with pytest.raises(ValueError):
+                    policy.observe(arm_index, acked=True, reward=reward)
+                assert (policy.arms, policy.total_plays, policy.unpulled) == before
 
 
 @given(
@@ -590,6 +603,33 @@ def test_adr_policy_observe_requires_select():
     policy = AdrLitePolicy(default_arms())
     with pytest.raises(RuntimeError):
         policy.observe(0, acked=True, reward=1.0)
+
+
+# --- decisions of every policy -------------------------------------------------
+
+def test_every_select_returns_a_policy_decision_of_its_phase(monkeypatch):
+    # A plain tuple would pass every equality test above, but the traced
+    # benchmark reads .phase on each UCB decision: UCB's first decision per
+    # arm is its initialization pass, every other decision is learned.
+    made = {}
+    for cls in (UcbTunedPolicy, EpsilonGreedyPolicy, FixedPolicy, AdrLitePolicy):
+        def recording_select(self, select=cls.select):
+            decision = select(self)
+            made.setdefault(self, []).append(decision)
+            return decision
+
+        monkeypatch.setattr(cls, "select", recording_select)
+    cfg = ExperimentConfig(device_counts=[5], t_attempts=60)
+    for name in POLICY_NAMES:
+        made.clear()
+        run_simulation(cfg.run_setup(name, 5), seed=1)
+        assert len(made) == 5
+        for policy, decisions in made.items():
+            assert len(decisions) == 60
+            assert all(type(d) is PolicyDecision for d in decisions)
+            n_init = len(policy.arms) if name == "proposed_ucb_tuned" else 0
+            assert [d.phase for d in decisions] == (
+                [Phase.INITIALIZATION] * n_init + [Phase.LEARNED] * (60 - n_init))
 
 
 # --- determinism across policies -------------------------------------------------
