@@ -1,4 +1,4 @@
-"""Evaluation metrics computed from per-attempt record logs.
+"""Evaluation metrics computed from per-attempt record logs, by record counts.
 
 Success rate is successes over selections; energy efficiency is successes
 per millijoule of active-mode energy.  The headline efficiency figure is the
@@ -9,7 +9,10 @@ the rate-over-mean-energy form.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field, asdict
+from itertools import chain, repeat, starmap
+from operator import itemgetter
 from typing import NamedTuple
 
 
@@ -85,45 +88,46 @@ class MetricsSummary:
         })
 
 
+#: A run summary depends on its records only through their counts by these.
+GROUP_FIELDS = ("device", "arm_index", "acked", "power_dbm", "e_active")
+_group_key = itemgetter(*map(RunRecord._fields.index, GROUP_FIELDS))
+
+
 def summarize_run(records: list[RunRecord], config_key: str = "") -> MetricsSummary:
-    """Fold one run's record log into a MetricsSummary in one pass.
+    """summarize_groups of the records counted by GROUP_FIELDS."""
+    return summarize_groups(Counter(map(_group_key, records)), config_key)
 
-    Energies are summed by math.fsum, which is exact, so no figure depends
-    on the order of the records.
+
+def summarize_groups(groups: dict[tuple, int], config_key: str = "") -> MetricsSummary:
+    """Fold one run's record counts, keyed by GROUP_FIELDS, into its summary.
+
+    math.fsum returns the correctly rounded exact sum, so a group's c equal
+    energies, summed as c copies, give the figures of any per-record sum.
+    Every device and every arm must have spent positive active energy.
     """
-    # [attempts, successes, active energies] per device and per arm.
-    by_device: dict[int, list] = {}
-    by_arm: dict[int, list] = {}
-    acked_by_dbm: dict[int, int] = {}
-    for r in records:
-        dev = by_device.get(r.device)
-        if dev is None:
-            dev = by_device[r.device] = [0, 0, []]
-        arm = by_arm.get(r.arm_index)
-        if arm is None:
-            arm = by_arm[r.arm_index] = [0, 0, []]
-        dev[0] += 1
-        arm[0] += 1
-        dev[2].append(r.e_active)
-        arm[2].append(r.e_active)
-        if r.acked:
-            dev[1] += 1
-            arm[1] += 1
-            acked_by_dbm[r.power_dbm] = acked_by_dbm.get(r.power_dbm, 0) + 1
+    # Per device and per arm: [attempts, successes, [(energy, count), ...]], then ArmStats.
+    by_device, by_arm, acked_by_dbm = {}, {}, {}
+    for (device, arm, acked, dbm, e_active), c in groups.items():
+        for tally, key in ((by_device, device), (by_arm, arm)):
+            t = tally.setdefault(key, [0, 0, []])
+            t[0] += c
+            t[1] += c if acked else 0
+            t[2].append((e_active, c))
+        if acked:
+            acked_by_dbm[dbm] = acked_by_dbm.get(dbm, 0) + c
+    for what, tally in (("device", by_device), ("arm", by_arm)):
+        for key, (n, s, pairs) in tally.items():
+            energy = math.fsum(chain.from_iterable(starmap(repeat, pairs)))
+            if energy <= 0:
+                raise ValueError(f"active energy of {what} {key} must be positive")
+            # Rate over mean energy, so a constant per-attempt energy yields
+            # exactly success_rate / e_active.
+            tally[key] = ArmStats(n, s, s / n, (s / n) / (energy / n))
 
-    attempts = len(records)
+    attempts = sum(groups.values())
     successes = sum(acked_by_dbm.values())
-    total_energy = math.fsum(e for _, _, es in by_device.values() for e in es)
-    if attempts and total_energy <= 0:
-        raise ValueError("total active energy must be positive")
-    # Per-device cumulative EE, written rate-over-mean-energy so a constant
-    # per-attempt energy yields exactly success_rate / e_active.
-    device_ee = [(s / n) / (math.fsum(es) / n) for n, s, es in by_device.values()]
-    per_arm = {}
-    for arm_index, (n, s, es) in by_arm.items():
-        rate = s / n
-        per_arm[arm_index] = ArmStats(n, s, rate, rate / (math.fsum(es) / n))
-
+    total_energy = math.fsum(chain.from_iterable(repeat(k[4], c) for k, c in groups.items()))
+    device_ee = [d.energy_efficiency for d in by_device.values()]  # cumulative, per device
     return MetricsSummary(
         config_key=config_key,
         n_runs=1,
@@ -134,7 +138,7 @@ def summarize_run(records: list[RunRecord], config_key: str = "") -> MetricsSumm
         energy_efficiency_network=successes / total_energy if attempts else None,
         # The share of each TX power among successful transmissions only.
         tp_ratio={dbm: c / successes for dbm, c in acked_by_dbm.items()},
-        per_arm=per_arm,
+        per_arm=by_arm,
     )
 
 

@@ -108,7 +108,7 @@ def cost_rows(
             f"interval_s must exceed carrier sense plus the longest airtime "
             f"({busy_us / 1e6} s), got {cfg.interval_s}"
         )
-    # summarize_run sums every attempt's e_active, none above the largest.
+    # The run summary sums every attempt's e_active, none above the largest.
     largest = max(row[2] for table in rows.values() for row in table)
     if n_devices * cfg.t_attempts > sys.float_info.max / largest:
         raise ConfigError(

@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from operator import attrgetter
@@ -14,7 +15,8 @@ from pathlib import Path
 
 from . import __version__
 from .config import ExperimentConfig
-from .metrics import MetricsSummary, RunRecord, aggregate_runs, summarize_run
+# summarize_run is unused here, but bound: perfbench/spans.py traces sweep.summarize_run.
+from .metrics import MetricsSummary, RunRecord, aggregate_runs, summarize_groups, summarize_run
 from .netsim import run_simulation
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -70,7 +72,7 @@ class RunManifest:
         return cls(**d)
 
 
-def write_records(records: list[RunRecord], path: Path) -> None:
+def write_records(records: list[RunRecord], path: Path) -> Counter:
     """Newline-delimited JSON, one record per line, keys sorted: byte for byte
     json.dumps(r.to_dict(), sort_keys=True, separators=(",", ":")) for the
     simulator's records: floats finite (written by repr), causes Cause strings.
@@ -79,22 +81,29 @@ def write_records(records: list[RunRecord], path: Path) -> None:
     arm, cause), so the fragments around them are built once per rest of
     the record. That key holds floats by id, as 0.0 == -0.0 with unequal
     reprs; the records keep the ids live, and netsim reuses table floats.
+    Each entry counts its records; merged by value, they are returned as the
+    run's counts by metrics.GROUP_FIELDS, for summarize_groups.
     """
     fragments = {}
     with open(path, "w", encoding="utf-8") as fh:
         write = fh.write
         for r in records:
             seed, device, attempt, arm, hz, dbm, cause, acked, reward, e_toa, e_active, wake = r
-            key = (device, arm, cause, acked, seed, dbm, id(hz), id(reward), id(e_toa), id(e_active))
+            key = (device, arm, acked, dbm, cause, seed, id(hz), id(reward), id(e_toa), id(e_active))
             try:
-                head, middle = fragments[key]
+                entry = fragments[key]
             except KeyError:
-                head, middle = fragments[key] = (
+                entry = fragments[key] = [
                     f'{{"acked":{"true" if acked else "false"},"arm_index":{arm},"attempt":',
                     f',"cause":"{cause}","channel_hz":{hz!r},"device":{device},"e_active":'
                     f'{e_active!r},"e_toa":{e_toa!r},"power_dbm":{dbm},"reward":{reward!r},'
-                    f'"run_seed":{seed},"wake_time":')
-            write(f"{head}{attempt}{middle}{wake!r}}}\n")
+                    f'"run_seed":{seed},"wake_time":', 0, e_active]
+            entry[2] += 1
+            write(f"{entry[0]}{attempt}{entry[1]}{wake!r}}}\n")
+    groups = Counter()
+    for key, (_, _, count, e_active) in fragments.items():
+        groups[(*key[:4], e_active)] += count
+    return groups
 
 
 def read_records(path) -> list[RunRecord]:
@@ -108,8 +117,7 @@ def read_records(path) -> list[RunRecord]:
 def _execute_point(args) -> MetricsSummary:
     cfg, policy, n, run_index, seed, records_path, config_hash = args
     records = run_simulation(cfg.run_setup(policy, n), seed)
-    write_records(records, Path(records_path))
-    return summarize_run(records, config_key=config_hash)
+    return summarize_groups(write_records(records, Path(records_path)), config_hash)
 
 
 def run_sweep(cfg: ExperimentConfig, out_dir, parallel: int = 1) -> RunManifest:

@@ -10,8 +10,10 @@ from lorabandit.metrics import (
     MetricsSummary,
     RunRecord,
     aggregate_runs,
+    summarize_groups,
     summarize_run,
 )
+from lorabandit.sweep import write_records
 
 
 def record(device=0, attempt=0, arm=0, power=-3, acked=True, e_active=200.0,
@@ -145,6 +147,21 @@ def test_summary_constant_energy_is_exact_ratio():
     records = log(200, 200, e_active=214.308)
     s = summarize_run(records)
     assert s.energy_efficiency == pytest.approx(1.0 / 214.308, rel=1e-15)
+
+
+@pytest.mark.parametrize("records,message", [
+    # Device 0 spent nothing; device 1 (on the same arm) did.
+    ([record(device=0, e_active=0.0), record(device=1, e_active=5.0)], "device 0"),
+    ([record(device=0, e_active=-1.0), record(device=1, e_active=5.0)], "device 0"),
+    # Device 0 spent 5 mJ in all, none of it on arm 0.
+    ([record(arm=0, e_active=0.0), record(arm=1, e_active=5.0)], "arm 0"),
+])
+def test_summary_refuses_no_active_energy(tmp_path, records, message):
+    # Through both paths: the records, and the counts the writer returns.
+    with pytest.raises(ValueError, match=f"active energy of {message} must be positive"):
+        summarize_run(records)
+    with pytest.raises(ValueError, match=f"active energy of {message} must be positive"):
+        summarize_groups(write_records(records, tmp_path / "r.jsonl"))
 
 
 # --- aggregation -------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -11,7 +12,7 @@ from hypothesis import example, given, strategies as st
 
 from lorabandit import sweep
 from lorabandit.config import ExperimentConfig
-from lorabandit.metrics import Cause, RunRecord, aggregate_runs
+from lorabandit.metrics import Cause, RunRecord, aggregate_runs, summarize_groups, summarize_run
 from lorabandit.sweep import (
     RunManifest,
     emit_tables,
@@ -21,6 +22,7 @@ from lorabandit.sweep import (
     write_records,
 )
 from lorabandit.netsim import run_simulation
+from reference_metrics import summarize_run as reference_summary
 
 
 def tiny_config(**kw):
@@ -132,6 +134,54 @@ def test_record_lines_match_sorted_json(records):
         assert read_records(path) == records
 
 
+# Energies a log can add up: positive, down to the least subnormal, and small
+# enough that the largest log's total stays finite. Past the largest float,
+# math.fsum's intermediate overflow depends on the order it adds in, and a
+# simulated run never gets there: config validation (netsim.cost_rows)
+# refuses a config whose run's total active energy would not be finite.
+_MAX_LOG = 12
+ENERGIES = st.one_of(
+    st.sampled_from([5e-324, 2.2250738585072014e-308, 0.25, 1.0, 214.308]),
+    st.floats(min_value=5e-324, max_value=sys.float_info.max / _MAX_LOG),
+)
+ZEROS = st.sampled_from([0.0, -0.0]).map(lambda z: float(repr(z)))
+
+
+@st.composite
+def record_logs(draw):
+    """Up to _MAX_LOG records over a few devices, arms and powers. Each
+    energy is one object of a small pool or an equal but distinct copy;
+    rewards and e_toa include both signed zeros."""
+    pool = draw(st.lists(ENERGIES, min_size=1, max_size=3))
+    pool += [float(repr(e)) for e in pool]
+    return [
+        RunRecord(
+            run_seed=1, device=draw(st.integers(0, 3)), attempt=i,
+            arm_index=draw(st.integers(0, 4)), channel_hz=868100000.0,
+            power_dbm=draw(st.sampled_from([-3, 1, 13])), cause=draw(st.sampled_from(CAUSES)),
+            acked=draw(st.booleans()), reward=draw(st.one_of(ZEROS, ENERGIES)),
+            e_toa=draw(st.one_of(ZEROS, ENERGIES)), e_active=draw(st.sampled_from(pool)),
+            wake_time=float(i),
+        )
+        for i in range(draw(st.integers(0, _MAX_LOG)))
+    ]
+
+
+@given(record_logs())
+@example(TWINS)
+def test_grouped_summaries_match_the_per_record_fold(records):
+    """summarize_run, and summarize_groups of the writer's counts, give the
+    per-record reference's summary, to the byte of its JSON."""
+    def as_json(summary):
+        return json.dumps(summary.to_dict(), sort_keys=True)
+
+    want = as_json(reference_summary(records, "k"))
+    assert as_json(summarize_run(records, "k")) == want
+    with tempfile.TemporaryDirectory() as tmp:
+        groups = write_records(records, Path(tmp) / "r.jsonl")
+    assert as_json(summarize_groups(groups, "k")) == want
+
+
 # --- sweeps ------------------------------------------------------------------
 
 def test_sweep_records_bytes_pinned(tmp_path):
@@ -149,6 +199,22 @@ def test_sweep_records_bytes_pinned(tmp_path):
         digest.update(path.name.encode() + b"\0" + path.read_bytes())
     assert digest.hexdigest() == (
         "71b7d669fbc4602523967a12e499d1e9142948fd308b81e2a89114fcc6a6594d")
+
+
+def test_sweep_summaries_match_the_per_record_fold(tmp_path):
+    # Every run's summary file holds the per-record reference's summary of
+    # the records the sweep wrote.
+    cfg = ExperimentConfig(
+        policies=["proposed_ucb_tuned", "epsilon_greedy", "adr_lite", "fixed"],
+        device_counts=[3, 8], runs_per_point=2, t_attempts=60, base_seed=11,
+    )
+    manifest = run_sweep(cfg, tmp_path / "out")
+    assert len(manifest.runs) == 16
+    for entry in manifest.runs:
+        want = reference_summary(read_records(tmp_path / "out" / entry["records"]),
+                                 manifest.config_hash)
+        assert (tmp_path / "out" / entry["summary"]).read_text(encoding="utf-8") == json.dumps(
+            want.to_dict(), sort_keys=True, indent=2)
 
 
 def test_singleton_sweep(tmp_path):
