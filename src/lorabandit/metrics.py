@@ -103,7 +103,8 @@ def summarize_groups(groups: dict[tuple, int], config_key: str = "") -> MetricsS
 
     math.fsum returns the correctly rounded exact sum, so a group's c equal
     energies, summed as c copies, give the figures of any per-record sum.
-    Every device and every arm must have spent positive active energy.
+    Every device and every arm must have spent positive active energy, and
+    the devices' efficiencies must sum to a finite total.
     """
     # Per device and per arm: [attempts, successes, [(energy, count), ...]], then ArmStats.
     by_device, by_arm, acked_by_dbm = {}, {}, {}
@@ -128,13 +129,18 @@ def summarize_groups(groups: dict[tuple, int], config_key: str = "") -> MetricsS
     successes = sum(acked_by_dbm.values())
     total_energy = math.fsum(chain.from_iterable(repeat(k[4], c) for k, c in groups.items()))
     device_ee = [d.energy_efficiency for d in by_device.values()]  # cumulative, per device
+    try:
+        ee_sum = math.fsum(device_ee)
+    except OverflowError:
+        raise ValueError(f"the energy efficiencies of the run's {len(device_ee)} devices "
+                         f"must sum to a finite total") from None
     return MetricsSummary(
         config_key=config_key,
         n_runs=1,
         attempts=attempts,
         successes=successes,
         success_rate=successes / attempts if attempts else None,
-        energy_efficiency=math.fsum(device_ee) / len(device_ee) if device_ee else None,
+        energy_efficiency=ee_sum / len(device_ee) if device_ee else None,
         energy_efficiency_network=successes / total_energy if attempts else None,
         # The share of each TX power among successful transmissions only.
         tp_ratio={dbm: c / successes for dbm, c in acked_by_dbm.items()},

@@ -10,10 +10,10 @@ event ordering is exact and runs are bit-reproducible.
 
 from __future__ import annotations
 
-import heapq
 import math
 import sys
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import TYPE_CHECKING
 
 from .energy import attempt_energy, reward_basis
@@ -71,7 +71,8 @@ def cost_rows(
     Raises ConfigError unless, for every size, e_toa rises strictly with the
     level from a positive value (rewards rank powers by it), every e_active
     is finite and every reward small enough to square, a transmission ends
-    before the device's next wake, and the run's e_active can be summed.
+    before the device's next wake, the run's e_active can be summed, and so
+    can the energy efficiencies of its devices and of a point's runs.
     """
     powers = sorted(cfg.powers, key=lambda p: p.level_dbm)
     rows = {}
@@ -115,31 +116,29 @@ def cost_rows(
             f"the active energy of {n_devices} devices x {cfg.t_attempts} attempts at up "
             f"to {largest} mJ each must sum to a finite total"
         )
+    # An efficiency is at most 1 / the smallest e_active. A run sums one per
+    # device and a sweep point one per run; half the largest float leaves
+    # room for rounding.
+    smallest = min(row[2] for table in rows.values() for row in table)
+    count = max(n_devices, cfg.runs_per_point)
+    if count / smallest > sys.float_info.max / 2:
+        raise ConfigError(f"the energy efficiencies of {count} devices or runs, each up to "
+                          f"1 / {smallest} per mJ, must sum to a finite total")
     return rows
 
 
 def _make_policy(setup: RunSetup, device_index: int, arms: list[ParamCombo], seed: int) -> Policy:
-    rng = device_rng(seed, device_index, stream=0)
+    # Only the learners draw, so only they get a random stream.
     if setup.policy == "proposed_ucb_tuned":
-        return UcbTunedPolicy(len(arms), rng)
+        return UcbTunedPolicy(len(arms), device_rng(seed, device_index, stream=0))
     if setup.policy == "epsilon_greedy":
-        return EpsilonGreedyPolicy(len(arms), setup.config.epsilon, rng)
+        return EpsilonGreedyPolicy(len(arms), setup.config.epsilon,
+                                   device_rng(seed, device_index, stream=0))
     if setup.policy == "fixed":
         return FixedPolicy(device_index, arms)
     if setup.policy == "adr_lite":
         return AdrLitePolicy(arms, setup.config.adr_quality_hz)
     raise ConfigError(f"unknown policy {setup.policy!r}; expected one of {POLICY_NAMES}")
-
-
-def _calendar(offsets: list[tuple[int, int]], interval_us: int, t_attempts: int):
-    """(µs, device, attempt) of every wake in time order: period by period,
-    each in the (offset, device) order of offsets, then (inf, -1, t_attempts),
-    which comes after every end of airtime."""
-    for attempt in range(t_attempts):
-        period_us = attempt * interval_us
-        for offset, i in offsets:
-            yield period_us + offset, i, attempt
-    yield math.inf, -1, t_attempts
 
 
 def run_simulation(setup: RunSetup, seed: int) -> list[RunRecord]:
@@ -148,15 +147,15 @@ def run_simulation(setup: RunSetup, seed: int) -> list[RunRecord]:
     Events run in time order; at equal µs every wake runs before every end
     of airtime, wakes run by device index and ends in the order their
     transmissions started. Device i wakes at offset_i + k·interval, each
-    offset below the interval, so every period wakes the devices in the same
-    (offset, device) order: the loop sorts the offsets once and runs them
-    period by period. Only ends of airtime go on a heap. Before each wake
-    the loop runs the ends strictly earlier than it, and after the last wake
-    the rest. An end may fall after wakes of the next period, but never
-    after its own device's next wake: cost_rows requires the interval to
-    exceed carrier sense plus the longest airtime. Airtime, energy and ACK
-    reward are worked out and checked per (device payload, arm) before the
-    first event.
+    offset below the interval, and its payload has one airtime, so a
+    transmission ends offset_i + cs + airtime_i into the period, or that
+    minus the interval into the next; cost_rows requires the interval to
+    exceed cs plus the longest airtime, so a wrapped end still precedes the
+    device's next wake. Every period thus runs the same 2N events in one
+    order: the loop sorts that template once, runs it period by period,
+    skips each end whose device has no transmission pending, and after the
+    last period runs the wrapped ends once more. Airtime, energy and ACK
+    reward are worked out and checked per (device payload, arm) first.
     """
     cfg = setup.config
     n_devices = setup.n_devices
@@ -166,89 +165,99 @@ def run_simulation(setup: RunSetup, seed: int) -> list[RunRecord]:
     arms = build_arm_space(cfg.channels, cfg.powers)
     arm_hz = [a.channel.center_frequency_hz for a in arms]
     arm_dbm = [a.power.level_dbm for a in arms]
-    # The cause of an end of airtime by its collided flag: a channel the
-    # gateway does not hear loses the frame whether or not it collided.
-    arm_causes = [
-        (Cause.SUCCESS, Cause.COLLISION) if a.channel.receivable
-        else (Cause.CHANNEL_NOT_RECEIVABLE,) * 2
-        for a in arms
-    ]
     interval_us = round(cfg.interval_s * 1e6)
     cs_us = round(cfg.cs_duration_s * 1e6)
     busy_mj = cfg.energy.overhead_mj
     ack_only = setup.policy == "epsilon_greedy" and cfg.epsilon_reward == "ack"
 
-    # Per device, per arm: (airtime µs, e_toa, e_active, reward on ACK), all
-    # checked before any event runs. Arms run channel-major with powers in
-    # ascending dBm (build_arm_space), so each channel repeats the power rows.
-    tables = {}
-    for n_payload, rows in cost_rows(cfg, n_devices).items():
-        if ack_only:
-            rows = [row[:3] + (1.0,) for row in rows]
-        tables[n_payload] = rows * len(cfg.channels)
-    device_table = [
-        tables[payload_symbols(i, cfg.payload_base, cfg.payload_spread)]
-        for i in range(n_devices)
-    ]
+    # Per payload size, per arm, by the collided flag of an end of airtime:
+    # its record's (channel_hz, power_dbm, cause, acked, reward, e_toa,
+    # e_active), all checked before any event runs. A channel the gateway
+    # does not hear loses the frame whether or not it collided. Arms run
+    # channel-major with powers in ascending dBm (build_arm_space), so each
+    # channel repeats the power rows.
+    costs = cost_rows(cfg, n_devices)
+    ends = {
+        n_payload: [
+            ((hz, dbm, Cause.SUCCESS, True, 1.0 if ack_only else reward, e_toa, e_active),
+             (hz, dbm, Cause.COLLISION, False, 0.0, e_toa, e_active)) if a.channel.receivable
+            else ((hz, dbm, Cause.CHANNEL_NOT_RECEIVABLE, False, 0.0, e_toa, e_active),) * 2
+            for a, hz, dbm, (_, e_toa, e_active, reward)
+            in zip(arms, arm_hz, arm_dbm, rows * len(cfg.channels))
+        ]
+        for n_payload, rows in costs.items()
+    }
+    payloads = [payload_symbols(i, cfg.payload_base, cfg.payload_spread) for i in range(n_devices)]
+    device_ends = [ends[n] for n in payloads]
+    device_air = [costs[n][0][0] for n in payloads]  # one airtime per payload
 
     policies = [_make_policy(setup, i, arms, seed) for i in range(n_devices)]
     select = [p.select for p in policies]
     observe = [p.observe for p in policies]
-    offsets = sorted(
+    # One period's events as (µs into the period, kind, device), kind 0 for a
+    # wake, 1 for an end wrapped in from the previous period and 2 for an end
+    # of this period's own. Listed in (offset, device) order and sorted
+    # stably by (µs, kind), so wakes at equal µs run by device index and ends
+    # in the order their transmissions started.
+    template = []
+    for offset, i in sorted(
         (device_rng(seed, i, stream=1).integers(0, interval_us), i) for i in range(n_devices)
-    )
-    # (end_us, seq, tx): seq counts transmissions, so ends at equal µs run
-    # in the order they started and the tx lists are never compared.
-    ends: list[tuple[int, int, list]] = []
-    heappush, heappop = heapq.heappush, heapq.heappop
-    seq = 0
-    success, busy = Cause.SUCCESS, Cause.CARRIER_BUSY
-    # Per channel, its transmissions in flight, each [start_us, end_us,
-    # collided, device, arm, attempt, wake_us]. No two in flight share a
-    # device, so list.remove's equality test finds the very one it is given.
+    ):
+        end_us = offset + cs_us + device_air[i]
+        template += [(offset, 0, i), (end_us - interval_us, 1, i) if end_us >= interval_us
+                     else (end_us, 2, i)]
+    template.sort(key=lambda event: event[:2])
+    wrapped = [event for event in template if event[1] == 1]
+    busy = Cause.CARRIER_BUSY
+    # Per device, its transmission in flight or None; per channel, those in
+    # flight on it. Each is [start_us, end_us, collided, device, arm, attempt,
+    # wake_us]; no two in flight share a device, so list.remove's equality
+    # test finds the very one it is given.
+    pending: list[list | None] = [None] * n_devices
     in_flight: list[list[list]] = [[] for _ in cfg.channels]
     arm_in_flight = [in_flight[cfg.channels.index(a.channel)] for a in arms]
     records: list[RunRecord] = []
-    record, make_record = records.append, RunRecord._make  # _make skips __new__'s arg parsing
+    record, new = records.append, tuple.__new__  # no RunRecord._make frame per record
 
-    for t_us, i, attempt in _calendar(offsets, interval_us, cfg.t_attempts):
-        while ends and ends[0][0] < t_us:
-            tx = heappop(ends)[2]
-            _, _, collided, j, arm, k, wake_us = tx
-            arm_in_flight[arm].remove(tx)
-            cause = arm_causes[arm][collided]
-            _, e_toa, e_active, reward = device_table[j][arm]
-            acked = cause == success
-            if not acked:
-                reward = 0.0
-            observe[j](arm, acked, reward)
-            record(make_record((seed, j, k, arm, arm_hz[arm], arm_dbm[arm],
-                                cause, acked, reward, e_toa, e_active, wake_us / 1e6)))
-        if i < 0:
-            break
+    # Period t_attempts has no wakes: it runs the ends wrapped in from the last.
+    for attempt, events in enumerate(chain(repeat(template, cfg.t_attempts), (wrapped,))):
+        period_us = attempt * interval_us
+        for t_us, kind, i in events:
+            if kind:
+                tx = pending[i]
+                if tx is None:
+                    continue
+                pending[i] = None
+                _, _, collided, _, arm, k, wake_us = tx
+                arm_in_flight[arm].remove(tx)
+                hz, dbm, cause, acked, reward, e_toa, e_active = device_ends[i][arm][collided]
+                observe[i](arm, acked, reward)
+                record(new(RunRecord, (seed, i, k, arm, hz, dbm, cause, acked, reward,
+                                       e_toa, e_active, wake_us / 1e6)))
+                continue
 
-        arm = select[i]().arm_index
-        on_channel = arm_in_flight[arm]
-        # Carrier sense over [t_us, start_us): half-open, so a transmission
-        # ending exactly at the wake or starting exactly at start_us is not heard.
-        start_us = t_us + cs_us
-        for other in on_channel:
-            if other[0] < start_us and other[1] > t_us:
-                # Abandon this interval: overheads are paid, the radio never fires.
-                observe[i](arm, False, 0.0)
-                record(make_record((seed, i, attempt, arm, arm_hz[arm], arm_dbm[arm],
-                                    busy, False, 0.0, 0.0, busy_mj, t_us / 1e6)))
-                break
-        else:
-            end_us = start_us + device_table[i][arm][0]
-            tx = [start_us, end_us, False, i, arm, attempt, t_us]
+            t_us += period_us
+            arm = select[i]().arm_index
+            on_channel = arm_in_flight[arm]
+            # Carrier sense over [t_us, start_us): half-open, so a transmission
+            # ending exactly at the wake or starting exactly at start_us is not heard.
+            start_us = t_us + cs_us
             for other in on_channel:
-                if other[0] < end_us and other[1] > start_us:
-                    other[2] = tx[2] = True
-            on_channel.append(tx)
-            heappush(ends, (end_us, seq, tx))
-            seq += 1
+                if other[0] < start_us and other[1] > t_us:
+                    # Abandon this interval: overheads are paid, the radio never fires.
+                    observe[i](arm, False, 0.0)
+                    record(new(RunRecord, (seed, i, attempt, arm, arm_hz[arm], arm_dbm[arm],
+                                           busy, False, 0.0, 0.0, busy_mj, t_us / 1e6)))
+                    break
+            else:
+                end_us = start_us + device_air[i]
+                tx = [start_us, end_us, False, i, arm, attempt, t_us]
+                for other in on_channel:
+                    if other[0] < end_us and other[1] > start_us:
+                        other[2] = tx[2] = True
+                on_channel.append(tx)
+                pending[i] = tx
 
     if any(in_flight):
-        raise RuntimeError("transmissions left in flight after the event queue drained")
+        raise RuntimeError("transmissions left in flight after the last period")
     return records

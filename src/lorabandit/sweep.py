@@ -8,7 +8,6 @@ import json
 import os
 import shutil
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from operator import attrgetter
 from pathlib import Path
@@ -155,6 +154,9 @@ def run_sweep(cfg: ExperimentConfig, out_dir, parallel: int = 1) -> RunManifest:
 
         workers = min(parallel, len(jobs), os.cpu_count() or 1)
         if workers > 1:
+            # Imported here: validate and serial runs need no process pool.
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_execute_point, jobs))
         else:

@@ -93,6 +93,10 @@ TWO_CHANNELS = [{"mhz": 921.0, "receivable": True}, {"mhz": 921.4, "receivable":
     # Integers beyond a float, where a float or an exact-as-float count is due.
     {"interval_s": 10 ** 400},
     {"radio": {"n_preamble": 10 ** 400}},
+    # Device efficiencies that overflow when summed (3 x about 1 / 9e-309 per mJ).
+    {"energy": {"e_wu_mj": 3e-309, "e_proc_mj": 3e-309, "e_r_mj": 3e-309, "p_mcu_mw": 1e-310},
+     "powers": [{"level_dbm": 1, "draw_mw": 1e-310}, {"level_dbm": 5, "draw_mw": 2e-310}],
+     "device_counts": [3]},
 ])
 def test_validate_implies_run(tmp_path, capsys, doc):
     # Whatever validate refuses, run refuses the same way, before any work.

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from reference_sim import reference_run
 
+from lorabandit import netsim
 from lorabandit.config import ExperimentConfig, config_from_dict
 from lorabandit.energy import attempt_energy, time_on_air
 from lorabandit.metrics import Cause
@@ -213,6 +214,23 @@ def test_adding_devices_preserves_existing_streams():
     assert small_wakes == big_wakes
 
 
+@pytest.mark.parametrize("policy,streams", [
+    ("fixed", [1]), ("adr_lite", [1]), ("proposed_ucb_tuned", [0, 1]), ("epsilon_greedy", [0, 1]),
+])
+def test_only_learners_get_a_policy_stream(monkeypatch, policy, streams):
+    # Every device draws its start offset from stream 1; only the policies
+    # that draw (the learners) are given stream 0.
+    calls = []
+
+    def counting(seed, device, stream):
+        calls.append((device, stream))
+        return device_rng(seed, device, stream)
+
+    monkeypatch.setattr(netsim, "device_rng", counting)
+    run_simulation(make_setup(policy=policy, n_devices=4, t_attempts=3), seed=5)
+    assert sorted(calls) == [(d, s) for d in range(4) for s in streams]
+
+
 def test_device_rng_streams_are_independent():
     def draws(seed, device, stream):
         rng = device_rng(seed, device, stream)
@@ -354,11 +372,34 @@ TIE_DOC = {
 TIE_SEEDS = {10370: {("wake", "wake"), ("end", "end")}, 4955: {("end", "wake")}}
 
 
+# The tightest interval cost_rows accepts for 44-symbol payloads: 5 ms of
+# carrier sense, 57.6 ms of airtime and 1 µs. So every end of airtime falls
+# in the next period, 1 µs before its device's next wake. With the fixed
+# and ADR-Lite policies, seed 1464 wakes device 3 in the µs that one of
+# device 4's transmissions ends.
+TIGHT_DOC = {"t_attempts": 6, "interval_s": 0.062601, "payload_base": 44, "payload_spread": 1}
+TIGHT_SEED = 1464
+# One period at 63 ms: the ends that fall in the next period find nothing
+# pending in this one, and run after the last wake.
+ONE_PERIOD_DOC = {"t_attempts": 1, "interval_s": 0.063}
+# Periods of 6 µs: about 2.4 GHz of bandwidth gives 3 µs of airtime, and
+# with 2 µs of carrier sense that is again the tightest interval. With the
+# fixed policy and seed 7, device 2 (offset 1 µs) ends each transmission
+# exactly at the period boundary, in the µs that device 1 (offset 0) wakes.
+MICRO_DOC = {"t_attempts": 8, "interval_s": 6e-6, "cs_duration_s": 2e-6, "payload_spread": 3,
+             "radio": {"bw_hz": 2.4e9}}
+
+
 @settings(deadline=None, max_examples=80)
 @given(doc=small_configs(), policy=st.sampled_from(POLICY_NAMES),
        n_devices=st.integers(1, 6), seed=st.integers(0, 2**64 - 1))
 @example(doc=TIE_DOC, policy="proposed_ucb_tuned", n_devices=6, seed=10370)
 @example(doc=TIE_DOC, policy="proposed_ucb_tuned", n_devices=6, seed=4955)
+@example(doc=TIGHT_DOC, policy="fixed", n_devices=6, seed=TIGHT_SEED)
+@example(doc=TIGHT_DOC, policy="adr_lite", n_devices=6, seed=TIGHT_SEED)
+@example(doc=ONE_PERIOD_DOC, policy="epsilon_greedy", n_devices=6, seed=16)
+@example(doc=ONE_PERIOD_DOC, policy="adr_lite", n_devices=6, seed=16)
+@example(doc=MICRO_DOC, policy="fixed", n_devices=6, seed=7)
 def test_loop_matches_reference(doc, policy, n_devices, seed):
     setup = config_from_dict(doc).run_setup(policy, n_devices)
     fast = run_simulation(setup, seed)
@@ -376,6 +417,42 @@ def test_tie_examples_share_a_microsecond():
         assert kinds <= tied
         # Devices that wake in the same µs on one channel both transmit.
         assert (causes[Cause.COLLISION] > 0) == (("wake", "wake") in kinds)
+
+
+@pytest.mark.parametrize("policy", ["fixed", "adr_lite"])
+def test_tight_interval_example_ends_as_a_device_wakes(policy):
+    # The interval 1 µs shorter is refused.
+    with pytest.raises(ConfigError, match="interval_s must exceed"):
+        config_from_dict(TIGHT_DOC | {"interval_s": 0.0626})
+    setup = config_from_dict(TIGHT_DOC).run_setup(policy, 6)
+    events = []
+    records = reference_run(setup, TIGHT_SEED, events)
+    sent = [round(r.wake_time * 1e6) for r in records if r.cause != Cause.CARRIER_BUSY]
+    assert sent
+    ends = [t for t, kind in events if kind == "end"]
+    assert sorted(ends) == sorted(wake_us + 62_600 for wake_us in sent)
+    assert set(ends) & {t for t, kind in events if kind == "wake"}
+
+
+def test_micro_example_ends_at_the_boundary_as_a_device_wakes():
+    with pytest.raises(ConfigError, match="interval_s must exceed"):
+        config_from_dict(MICRO_DOC | {"interval_s": 5e-6})
+    setup = config_from_dict(MICRO_DOC).run_setup("fixed", 6)
+    assert [device_rng(7, d, stream=1).integers(0, 6) for d in range(3)] == [4, 0, 1]
+    events = []
+    reference_run(setup, 7, events)
+    boundary = {(t, kind) for t, kind in events if t % 6 == 0}
+    assert {(6, "wake"), (6, "end"), (48, "end")} <= boundary
+
+
+def test_one_period_example_ends_after_its_last_wake():
+    setup = config_from_dict(ONE_PERIOD_DOC).run_setup("epsilon_greedy", 6)
+    events = []
+    reference_run(setup, 16, events)
+    last_wake = max(t for t, kind in events if kind == "wake")
+    assert [kind for _, kind in events].count("wake") == 6
+    assert any(kind == "end" and t >= 63_000 for t, kind in events)
+    assert any(kind == "end" and t > last_wake for t, kind in events)
 
 
 @pytest.mark.parametrize("policy", POLICY_NAMES)

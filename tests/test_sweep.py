@@ -1,15 +1,20 @@
 """Sweep execution, seed derivation, artifact layout, and CSV emission."""
 
+import concurrent.futures
 import csv
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import tempfile
+import textwrap
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+import lorabandit
 from lorabandit import sweep
 from lorabandit.config import ExperimentConfig
 from lorabandit.metrics import Cause, RunRecord, aggregate_runs, summarize_groups, summarize_run
@@ -138,7 +143,10 @@ def test_record_lines_match_sorted_json(records):
 # enough that the largest log's total stays finite. Past the largest float,
 # math.fsum's intermediate overflow depends on the order it adds in, and a
 # simulated run never gets there: config validation (netsim.cost_rows)
-# refuses a config whose run's total active energy would not be finite.
+# refuses a config whose run's total active energy would not be finite. The
+# efficiencies of devices that spent subnormal energies can still overflow
+# their sum; config validation refuses such runs too, and the summaries
+# refuse such logs.
 _MAX_LOG = 12
 ENERGIES = st.one_of(
     st.sampled_from([5e-324, 2.2250738585072014e-308, 0.25, 1.0, 214.308]),
@@ -167,19 +175,37 @@ def record_logs(draw):
     ]
 
 
+# Device 0 is about 1.8e308 successes per mJ and device 1 about 4.5e307:
+# their efficiencies are finite, but not their sum.
+_TINY = RunRecord(1, 0, 0, 0, 868100000.0, -3, Cause.SUCCESS, True, 0.0, 0.0, 5e-324, 0.0)
+OVERFLOWING = [_TINY._replace(attempt=i, wake_time=float(i)) for i in range(3)] + [
+    _TINY._replace(attempt=3, e_active=2.2250738585072014e-308, wake_time=3.0),
+    _TINY._replace(device=1, attempt=4, e_active=2.2250738585072014e-308, wake_time=4.0),
+]
+
+
 @given(record_logs())
 @example(TWINS)
+@example(OVERFLOWING)
 def test_grouped_summaries_match_the_per_record_fold(records):
     """summarize_run, and summarize_groups of the writer's counts, give the
-    per-record reference's summary, to the byte of its JSON."""
+    per-record reference's summary, to the byte of its JSON; where the
+    reference overflows, both refuse the log."""
     def as_json(summary):
         return json.dumps(summary.to_dict(), sort_keys=True)
 
-    want = as_json(reference_summary(records, "k"))
-    assert as_json(summarize_run(records, "k")) == want
     with tempfile.TemporaryDirectory() as tmp:
         groups = write_records(records, Path(tmp) / "r.jsonl")
-    assert as_json(summarize_groups(groups, "k")) == want
+    paths = (lambda: summarize_run(records, "k"), lambda: summarize_groups(groups, "k"))
+    try:
+        want = as_json(reference_summary(records, "k"))
+    except OverflowError:
+        for summarize in paths:
+            with pytest.raises(ValueError, match="must sum to a finite total"):
+                summarize()
+    else:
+        for summarize in paths:
+            assert as_json(summarize()) == want
 
 
 # --- sweeps ------------------------------------------------------------------
@@ -292,11 +318,32 @@ def test_pool_workers_capped(tmp_path, monkeypatch, parallel, cpus, expected):
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(sweep.os, "cpu_count", lambda: cpus)
     manifest = run_sweep(tiny_config(runs_per_point=1), tmp_path / "out", parallel=parallel)
     assert seen == [expected]
     assert len(manifest.runs) == 4
+
+
+def test_validate_and_serial_runs_load_no_process_pool(tmp_path):
+    # concurrent.futures brings multiprocessing, logging, socket and pickle;
+    # only a sweep with more than one worker imports it.
+    config = tmp_path / "tiny.json"
+    config.write_text(json.dumps({"device_counts": [2], "t_attempts": 3}))
+    script = textwrap.dedent(f"""
+        import sys
+        import lorabandit.cli
+        assert lorabandit.cli.main(["validate", {str(config)!r}]) == 0
+        assert "concurrent.futures" not in sys.modules
+        out = {str(tmp_path / "out")!r}
+        assert lorabandit.cli.main(["run", {str(config)!r}, "--out", out, "--parallel", "1"]) == 0
+        assert "concurrent.futures" not in sys.modules
+    """)
+    src = str(Path(lorabandit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env=os.environ | {"PYTHONPATH": path})
+    assert result.returncode == 0, result.stderr
 
 
 def test_aggregate_runs_once_per_point(tmp_path, monkeypatch):
