@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
+from operator import add, attrgetter, truediv
 from typing import TYPE_CHECKING
 
 from .energy import attempt_energy, reward_basis
@@ -141,6 +142,23 @@ def _make_policy(setup: RunSetup, device_index: int, arms: list[ParamCombo], see
     raise ConfigError(f"unknown policy {setup.policy!r}; expected one of {POLICY_NAMES}")
 
 
+def _repeat_cycle(records: list[RunRecord], start: int, cycle: int, skip: int,
+                  interval_us: int, offsets: list[int]) -> None:
+    """Append records[start:], the records of one cycle of periods, once for
+    each whole cycle in skip periods. A copy moves attempt on by the periods
+    it is ahead of the original, and works wake_time out again from whole
+    µs; every other field is the same object. Built by map and zip, as a
+    Python loop per record would cost as much as simulating it."""
+    fields = list(zip(*records[start:]))
+    attempts = fields[2]
+    wakes_us = list(map(add, map(interval_us.__mul__, attempts),
+                        map(offsets.__getitem__, fields[1])))
+    for shift in range(cycle, skip + 1, cycle):
+        fields[2] = map(add, attempts, repeat(shift))
+        fields[11] = map(truediv, map(add, wakes_us, repeat(shift * interval_us)), repeat(1e6))
+        records.extend(map(tuple.__new__, repeat(RunRecord), zip(*fields)))
+
+
 def run_simulation(setup: RunSetup, seed: int) -> list[RunRecord]:
     """Execute one run and return every attempt record in event order.
 
@@ -156,6 +174,18 @@ def run_simulation(setup: RunSetup, seed: int) -> list[RunRecord]:
     skips each end whose device has no transmission pending, and after the
     last period runs the wrapped ends once more. Airtime, energy and ACK
     reward are worked out and checked per (device payload, arm) first.
+
+    Fixed and ADR-Lite never draw, so the whole state of their run at a
+    period boundary is the key the loop takes there: ADR-Lite's next list
+    index per device (its pending index, if any, equals it), and per
+    wrapped end whether its device has a transmission on the air, with its
+    arm and collided flag. No other device has one on the air, and where
+    a transmission starts and ends in its period is fixed per device. At
+    the first key seen before, the periods since form a cycle that repeats
+    to the end of the run: their records are copied once for each whole
+    cycle before the last period, the transmissions on the air move on by
+    the periods copied, and the loop runs the rest. UCB and ε-greedy carry
+    their random streams' state, so their runs are never keyed.
     """
     cfg = setup.config
     n_devices = setup.n_devices
@@ -200,14 +230,17 @@ def run_simulation(setup: RunSetup, seed: int) -> list[RunRecord]:
     # stably by (µs, kind), so wakes at equal µs run by device index and ends
     # in the order their transmissions started.
     template = []
+    offsets = [0] * n_devices
     for offset, i in sorted(
         (device_rng(seed, i, stream=1).integers(0, interval_us), i) for i in range(n_devices)
     ):
+        offsets[i] = offset
         end_us = offset + cs_us + device_air[i]
         template += [(offset, 0, i), (end_us - interval_us, 1, i) if end_us >= interval_us
                      else (end_us, 2, i)]
     template.sort(key=lambda event: event[:2])
     wrapped = [event for event in template if event[1] == 1]
+    wrapped_devices = [i for _, _, i in wrapped]
     busy = Cause.CARRIER_BUSY
     # Per device, its transmission in flight or None; per channel, those in
     # flight on it. Each is [start_us, end_us, collided, device, arm, attempt,
@@ -218,11 +251,36 @@ def run_simulation(setup: RunSetup, seed: int) -> list[RunRecord]:
     arm_in_flight = [in_flight[cfg.channels.index(a.channel)] for a in arms]
     records: list[RunRecord] = []
     record, new = records.append, tuple.__new__  # no RunRecord._make frame per record
+    # Boundary keys of the policies that never draw, with the period and
+    # record count each was first seen at; None once a key has repeated.
+    seen = {} if setup.policy in ("fixed", "adr_lite") else None
+    adr, next_index = setup.policy == "adr_lite", attrgetter("next_list_index")
 
     # Period t_attempts has no wakes: it runs the ends wrapped in from the last.
-    for attempt, events in enumerate(chain(repeat(template, cfg.t_attempts), (wrapped,))):
+    attempt = 0
+    while attempt <= cfg.t_attempts:
+        if seen is not None:
+            key = (tuple(map(next_index, policies)) if adr else (),
+                   tuple(tx and (tx[4], tx[2]) for tx in map(pending.__getitem__,
+                                                             wrapped_devices)))
+            if key not in seen:
+                seen[key] = attempt, len(records)
+            else:
+                first, start = seen[key]
+                cycle = attempt - first
+                skip = (cfg.t_attempts - attempt) // cycle * cycle
+                _repeat_cycle(records, start, cycle, skip, interval_us, offsets)
+                skip_us = skip * interval_us
+                for tx in pending:
+                    if tx is not None:
+                        tx[0] += skip_us
+                        tx[1] += skip_us
+                        tx[5] += skip
+                        tx[6] += skip_us
+                attempt += skip
+                seen = None
         period_us = attempt * interval_us
-        for t_us, kind, i in events:
+        for t_us, kind, i in template if attempt < cfg.t_attempts else wrapped:
             if kind:
                 tx = pending[i]
                 if tx is None:
@@ -257,6 +315,8 @@ def run_simulation(setup: RunSetup, seed: int) -> list[RunRecord]:
                         other[2] = tx[2] = True
                 on_channel.append(tx)
                 pending[i] = tx
+
+        attempt += 1
 
     if any(in_flight):
         raise RuntimeError("transmissions left in flight after the last period")

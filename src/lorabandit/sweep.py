@@ -152,7 +152,10 @@ def run_sweep(cfg: ExperimentConfig, out_dir, parallel: int = 1) -> RunManifest:
                     # Any job may have written its records when another fails.
                     created.append(rec_path)
 
-        workers = min(parallel, len(jobs), os.cpu_count() or 1)
+        # A cpuset or taskset can forbid some of the machine's CPUs.
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        workers = min(parallel, len(jobs), cpus)
         if workers > 1:
             # Imported here: validate and serial runs need no process pool.
             from concurrent.futures import ProcessPoolExecutor

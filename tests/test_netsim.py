@@ -1,5 +1,6 @@
 """Event-driven network simulation: carrier sense, collisions, determinism."""
 
+import sys
 from collections import Counter
 
 import pytest
@@ -389,6 +390,22 @@ ONE_PERIOD_DOC = {"t_attempts": 1, "interval_s": 0.063}
 MICRO_DOC = {"t_attempts": 8, "interval_s": 6e-6, "cs_duration_s": 2e-6, "payload_spread": 3,
              "radio": {"bw_hz": 2.4e9}}
 
+# Fixed and ADR-Lite runs repeat a cycle of periods, whose records
+# run_simulation copies; each example's expected repeat is (the cycle's
+# first period, its length, the periods copied, the transmissions on the
+# air at its end). At 63 ms and seed 0, six fixed devices repeat from
+# period 1, with three transmissions on the air across each boundary.
+ON_AIR_DOC = {"t_attempts": 40, "interval_s": 0.063}
+CYCLES = {
+    "on the air": (ON_AIR_DOC, "fixed", 6, 0, (1, 1, 38, 3)),
+    # A 12-period ADR-Lite cycle from period 18 fits once into the 20
+    # periods left at period 30; the last 8 are simulated.
+    "part cycle": (ON_AIR_DOC | {"t_attempts": 50}, "adr_lite", 3, 1, (18, 12, 12, 2)),
+    # The cycle closes at the end of the last period: nothing is copied.
+    "last period": (TIGHT_DOC | {"t_attempts": 30}, "adr_lite", 3, 0, (18, 12, 0, 2)),
+    "one period": ({"t_attempts": 1}, "fixed", 6, 3, (0, 1, 0, 0)),
+}
+
 
 @settings(deadline=None, max_examples=80)
 @given(doc=small_configs(), policy=st.sampled_from(POLICY_NAMES),
@@ -400,6 +417,10 @@ MICRO_DOC = {"t_attempts": 8, "interval_s": 6e-6, "cs_duration_s": 2e-6, "payloa
 @example(doc=ONE_PERIOD_DOC, policy="epsilon_greedy", n_devices=6, seed=16)
 @example(doc=ONE_PERIOD_DOC, policy="adr_lite", n_devices=6, seed=16)
 @example(doc=MICRO_DOC, policy="fixed", n_devices=6, seed=7)
+@example(doc=ON_AIR_DOC, policy="fixed", n_devices=6, seed=0)
+@example(doc=ON_AIR_DOC | {"t_attempts": 50}, policy="adr_lite", n_devices=3, seed=1)
+@example(doc=TIGHT_DOC | {"t_attempts": 30}, policy="adr_lite", n_devices=3, seed=0)
+@example(doc={"t_attempts": 1}, policy="fixed", n_devices=6, seed=3)
 def test_loop_matches_reference(doc, policy, n_devices, seed):
     setup = config_from_dict(doc).run_setup(policy, n_devices)
     fast = run_simulation(setup, seed)
@@ -443,6 +464,51 @@ def test_micro_example_ends_at_the_boundary_as_a_device_wakes():
     reference_run(setup, 7, events)
     boundary = {(t, kind) for t, kind in events if t % 6 == 0}
     assert {(6, "wake"), (6, "end"), (48, "end")} <= boundary
+
+
+def repeats(monkeypatch, setup, seed):
+    """Run setup and return each repeat run_simulation copied, as (the
+    cycle's first period, its length, the periods copied, the
+    transmissions on the air)."""
+    found = []
+
+    def spy(records, start, cycle, skip, *rest):
+        loop = sys._getframe(1).f_locals
+        found.append((loop["attempt"] - cycle, cycle, skip,
+                      sum(tx is not None for tx in loop["pending"])))
+        real(records, start, cycle, skip, *rest)
+
+    real = netsim._repeat_cycle
+    monkeypatch.setattr(netsim, "_repeat_cycle", spy)
+    run_simulation(setup, seed)
+    return found
+
+
+@pytest.mark.parametrize("name", CYCLES)
+def test_cycle_examples_repeat_as_named(monkeypatch, name):
+    doc, policy, n_devices, seed, expected = CYCLES[name]
+    assert repeats(monkeypatch, config_from_dict(doc).run_setup(policy, n_devices),
+                   seed) == [expected]
+
+
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+def test_only_learners_select_every_period(monkeypatch, policy):
+    # The learners' random streams never repeat, so they select once per
+    # device and period; fixed and ADR-Lite stop once their network repeats.
+    calls = Counter()
+    for cls in (netsim.UcbTunedPolicy, netsim.EpsilonGreedyPolicy, netsim.FixedPolicy,
+                netsim.AdrLitePolicy):
+        def counting(self, select=cls.select):
+            calls[self] += 1
+            return select(self)
+
+        monkeypatch.setattr(cls, "select", counting)
+    run_simulation(make_setup(policy=policy, n_devices=10), seed=1)
+    assert len(calls) == 10
+    if policy in ("fixed", "adr_lite"):
+        assert max(calls.values()) < 200
+    else:
+        assert set(calls.values()) == {200}
 
 
 def test_one_period_example_ends_after_its_last_wake():

@@ -619,17 +619,20 @@ def test_every_select_returns_a_policy_decision_of_its_phase(monkeypatch):
             return decision
 
         monkeypatch.setattr(cls, "select", recording_select)
+    # Fixed and ADR-Lite select only in the periods simulated before their
+    # network repeats: 1 and 16 of the 60 here.
     cfg = ExperimentConfig(device_counts=[5], t_attempts=60)
     for name in POLICY_NAMES:
         made.clear()
         run_simulation(cfg.run_setup(name, 5), seed=1)
         assert len(made) == 5
+        selected = {"fixed": 1, "adr_lite": 16}.get(name, 60)
         for policy, decisions in made.items():
-            assert len(decisions) == 60
+            assert len(decisions) == selected
             assert all(type(d) is PolicyDecision for d in decisions)
             n_init = len(policy.arms) if name == "proposed_ucb_tuned" else 0
             assert [d.phase for d in decisions] == (
-                [Phase.INITIALIZATION] * n_init + [Phase.LEARNED] * (60 - n_init))
+                [Phase.INITIALIZATION] * n_init + [Phase.LEARNED] * (selected - n_init))
 
 
 # --- determinism across policies -------------------------------------------------

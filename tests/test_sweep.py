@@ -299,10 +299,17 @@ def test_sweep_parallel_matches_serial(tmp_path):
         assert bytes_a == bytes_b
 
 
-@pytest.mark.parametrize("parallel,cpus,expected", [(8, 3, 3), (8, 16, 4), (2, 16, 2)])
-def test_pool_workers_capped(tmp_path, monkeypatch, parallel, cpus, expected):
-    # Workers are capped at min(parallel, jobs, cpus); the fake pool maps
-    # serially, so no process starts.
+@pytest.mark.parametrize("parallel,cpus,allowed,expected", [
+    pytest.param(8, 3, 3, 3, id="8-3-3"),
+    pytest.param(8, 16, 16, 4, id="8-16-4"),
+    pytest.param(2, 16, 16, 2, id="2-16-2"),
+    pytest.param(8, 16, 2, 2, id="8-16-2-allowed"),
+    pytest.param(8, 3, None, 3, id="8-3-3-no-affinity"),
+])
+def test_pool_workers_capped(tmp_path, monkeypatch, parallel, cpus, allowed, expected):
+    # Workers are capped at min(parallel, jobs, CPUs the process may run
+    # on), by cpu_count where the platform has no affinity set (allowed is
+    # None); the fake pool maps serially, so no process starts.
     seen = []
 
     class SerialPool:
@@ -320,6 +327,10 @@ def test_pool_workers_capped(tmp_path, monkeypatch, parallel, cpus, expected):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(sweep.os, "cpu_count", lambda: cpus)
+    if allowed is None:
+        monkeypatch.delattr(sweep.os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(sweep.os, "sched_getaffinity", lambda pid: set(range(allowed)))
     manifest = run_sweep(tiny_config(runs_per_point=1), tmp_path / "out", parallel=parallel)
     assert seen == [expected]
     assert len(manifest.runs) == 4
