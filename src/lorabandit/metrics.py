@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, asdict
 from itertools import chain, repeat, starmap
-from operator import itemgetter
+from operator import add, eq, floordiv, itemgetter, truediv
 from typing import NamedTuple
 
 
@@ -28,7 +29,7 @@ class Cause:
 class RunRecord(NamedTuple):
     """One attempt: who transmitted what, with which outcome and cost.
 
-    An immutable named tuple: the simulator builds one per attempt.
+    An immutable named tuple, which a RunLog builds when it is read.
     """
 
     run_seed: int
@@ -46,6 +47,57 @@ class RunRecord(NamedTuple):
 
     def to_dict(self) -> dict:
         return self._asdict()
+
+
+class RunLog(Sequence):
+    """One run's records as a row table, each built when it is read. A row
+    is a (device, arm, outcome), outcome 0 or 1 for an end of airtime by its
+    collided flag and 2 for CarrierBusy: row = (device·n_arms + arm)·3 +
+    outcome, and its records' (channel_hz, power_dbm, cause, acked, reward,
+    e_toa, e_active) are ends[device][arm][outcome]. Per attempt the log
+    keeps its row and attempt; wake_time is (attempt·interval_us +
+    offsets_us[device]) / 1e6. Equal to a list of the same records and, as a
+    list is, unhashable."""
+
+    __hash__ = None
+
+    def __init__(self, seed, ends, interval_us, offsets_us, rows, attempts):
+        self.seed, self.ends, self.interval_us, self.offsets_us = seed, ends, interval_us, offsets_us
+        self.rows, self.attempts = rows, attempts
+
+    def row_fields(self, row: int) -> tuple:
+        """A row's record fields but attempt and wake_time, in record order."""
+        device, rest = divmod(row, 3 * len(self.ends[0]))
+        arm, outcome = divmod(rest, 3)
+        return (self.seed, device, arm, *self.ends[device][arm][outcome])
+
+    def wake_times(self, rows: list[int], attempts: list[int]) -> Iterator[float]:
+        devices = map(floordiv, rows, repeat(3 * len(self.ends[0])))
+        return map(truediv, map(add, map(self.interval_us.__mul__, attempts),
+                                map(self.offsets_us.__getitem__, devices)), repeat(1e6))
+
+    def _records(self, rows: list[int], attempts: list[int]) -> Iterator[RunRecord]:
+        used = list(set(rows))
+        columns = [map(dict(zip(used, column)).__getitem__, rows)
+                   for column in zip(*map(self.row_fields, used))]
+        return map(tuple.__new__, repeat(RunRecord), zip(
+            *columns[:2], attempts, *columns[2:], self.wake_times(rows, attempts)))
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __iter__(self) -> Iterator[RunRecord]:
+        return self._records(self.rows, self.attempts)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):  # a list, as a slice of the run's list was
+            return list(self._records(self.rows[index], self.attempts[index]))
+        return next(self._records([self.rows[index]], [self.attempts[index]]))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (RunLog, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
 
 
 @dataclass
@@ -93,8 +145,21 @@ GROUP_FIELDS = ("device", "arm_index", "acked", "power_dbm", "e_active")
 _group_key = itemgetter(*map(RunRecord._fields.index, GROUP_FIELDS))
 
 
-def summarize_run(records: list[RunRecord], config_key: str = "") -> MetricsSummary:
-    """summarize_groups of the records counted by GROUP_FIELDS."""
+def group_rows(counts: dict, row_fields) -> Counter:
+    """A run's record counts by GROUP_FIELDS, from its counts per row and
+    each row's fields in RunLog.row_fields's form."""
+    groups = Counter()
+    for row, count in counts.items():
+        _, device, arm, _, dbm, _, acked, _, _, e_active = row_fields(row)
+        groups[device, arm, acked, dbm, e_active] += count
+    return groups
+
+
+def summarize_run(records: Sequence[RunRecord], config_key: str = "") -> MetricsSummary:
+    """summarize_groups of the records counted by GROUP_FIELDS: for a RunLog,
+    from its row counts, as the record writer counts them."""
+    if isinstance(records, RunLog):
+        return summarize_groups(group_rows(Counter(records.rows), records.row_fields), config_key)
     return summarize_groups(Counter(map(_group_key, records)), config_key)
 
 

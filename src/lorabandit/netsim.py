@@ -14,13 +14,14 @@ import math
 import sys
 from dataclasses import dataclass
 from itertools import repeat
-from operator import add, attrgetter, truediv
+from operator import add, attrgetter
 from typing import TYPE_CHECKING
 
 from .energy import attempt_energy, reward_basis
-from .metrics import Cause, RunRecord
+from .metrics import Cause, RunLog
 from .params import ConfigError, ParamCombo, build_arm_space
-from .policies import AdrLitePolicy, EpsilonGreedyPolicy, FixedPolicy, UcbTunedPolicy
+from .policies import (AdrLitePolicy, EpsilonGreedyPolicy, FixedPolicy, UcbTunedPolicy,
+                       adr_lite_search, fixed_choices)
 from .rng import device_rng
 
 if TYPE_CHECKING:
@@ -128,39 +129,27 @@ def cost_rows(
     return rows
 
 
-def _make_policy(setup: RunSetup, device_index: int, arms: list[ParamCombo], seed: int) -> Policy:
-    # Only the learners draw, so only they get a random stream.
+def _make_policies(setup: RunSetup, arms: list[ParamCombo], seed: int) -> list[Policy]:
+    # Only the learners draw, so only they get a random stream. Fixed and
+    # ADR-Lite devices share the decisions they choose from, built once.
+    cfg, devices = setup.config, range(setup.n_devices)
     if setup.policy == "proposed_ucb_tuned":
-        return UcbTunedPolicy(len(arms), device_rng(seed, device_index, stream=0))
+        return [UcbTunedPolicy(len(arms), device_rng(seed, i, stream=0)) for i in devices]
     if setup.policy == "epsilon_greedy":
-        return EpsilonGreedyPolicy(len(arms), setup.config.epsilon,
-                                   device_rng(seed, device_index, stream=0))
+        return [EpsilonGreedyPolicy(len(arms), cfg.epsilon, device_rng(seed, i, stream=0))
+                for i in devices]
     if setup.policy == "fixed":
-        return FixedPolicy(device_index, arms)
+        choices = fixed_choices(arms)
+        return [FixedPolicy(choices[i % len(choices)]) for i in devices]
     if setup.policy == "adr_lite":
-        return AdrLitePolicy(arms, setup.config.adr_quality_hz)
+        search = adr_lite_search(arms, cfg.adr_quality_hz)
+        return [AdrLitePolicy(search) for _ in devices]
     raise ConfigError(f"unknown policy {setup.policy!r}; expected one of {POLICY_NAMES}")
 
 
-def _repeat_cycle(records: list[RunRecord], start: int, cycle: int, skip: int,
-                  interval_us: int, offsets: list[int]) -> None:
-    """Append records[start:], the records of one cycle of periods, once for
-    each whole cycle in skip periods. A copy moves attempt on by the periods
-    it is ahead of the original, and works wake_time out again from whole
-    µs; every other field is the same object. Built by map and zip, as a
-    Python loop per record would cost as much as simulating it."""
-    fields = list(zip(*records[start:]))
-    attempts = fields[2]
-    wakes_us = list(map(add, map(interval_us.__mul__, attempts),
-                        map(offsets.__getitem__, fields[1])))
-    for shift in range(cycle, skip + 1, cycle):
-        fields[2] = map(add, attempts, repeat(shift))
-        fields[11] = map(truediv, map(add, wakes_us, repeat(shift * interval_us)), repeat(1e6))
-        records.extend(map(tuple.__new__, repeat(RunRecord), zip(*fields)))
-
-
-def run_simulation(setup: RunSetup, seed: int) -> list[RunRecord]:
-    """Execute one run and return every attempt record in event order.
+def run_simulation(setup: RunSetup, seed: int) -> RunLog:
+    """Execute one run and return its RunLog: per attempt, in event order,
+    the loop appends only its prebuilt row id and its attempt index.
 
     Events run in time order; at equal µs every wake runs before every end
     of airtime, wakes run by device index and ends in the order their
@@ -182,10 +171,10 @@ def run_simulation(setup: RunSetup, seed: int) -> list[RunRecord]:
     arm and collided flag. No other device has one on the air, and where
     a transmission starts and ends in its period is fixed per device. At
     the first key seen before, the periods since form a cycle that repeats
-    to the end of the run: their records are copied once for each whole
-    cycle before the last period, the transmissions on the air move on by
-    the periods copied, and the loop runs the rest. UCB and ε-greedy carry
-    their random streams' state, so their runs are never keyed.
+    to the end of the run: their rows and moved-on attempts are copied once
+    for each whole cycle before the last period, the transmissions on the
+    air move on by the periods copied, and the loop runs the rest. UCB and
+    ε-greedy carry their random streams' state, so their runs are never keyed.
     """
     cfg = setup.config
     n_devices = setup.n_devices
@@ -193,35 +182,35 @@ def run_simulation(setup: RunSetup, seed: int) -> list[RunRecord]:
         raise ConfigError("need at least one device")
 
     arms = build_arm_space(cfg.channels, cfg.powers)
-    arm_hz = [a.channel.center_frequency_hz for a in arms]
-    arm_dbm = [a.power.level_dbm for a in arms]
     interval_us = round(cfg.interval_s * 1e6)
     cs_us = round(cfg.cs_duration_s * 1e6)
-    busy_mj = cfg.energy.overhead_mj
     ack_only = setup.policy == "epsilon_greedy" and cfg.epsilon_reward == "ack"
 
-    # Per payload size, per arm, by the collided flag of an end of airtime:
-    # its record's (channel_hz, power_dbm, cause, acked, reward, e_toa,
-    # e_active), all checked before any event runs. A channel the gateway
-    # does not hear loses the frame whether or not it collided. Arms run
-    # channel-major with powers in ascending dBm (build_arm_space), so each
-    # channel repeats the power rows.
+    # Per payload size, per arm, by outcome (RunLog's: the collided flag of
+    # an end of airtime, or 2 for CarrierBusy): its record's (channel_hz,
+    # power_dbm, cause, acked, reward, e_toa, e_active), all checked before
+    # any event runs. A channel the gateway does not hear loses the frame
+    # whether or not it collided. Arms run channel-major with powers in
+    # ascending dBm (build_arm_space), so each channel repeats the power rows.
     costs = cost_rows(cfg, n_devices)
-    ends = {
-        n_payload: [
-            ((hz, dbm, Cause.SUCCESS, True, 1.0 if ack_only else reward, e_toa, e_active),
-             (hz, dbm, Cause.COLLISION, False, 0.0, e_toa, e_active)) if a.channel.receivable
-            else ((hz, dbm, Cause.CHANNEL_NOT_RECEIVABLE, False, 0.0, e_toa, e_active),) * 2
-            for a, hz, dbm, (_, e_toa, e_active, reward)
-            in zip(arms, arm_hz, arm_dbm, rows * len(cfg.channels))
-        ]
-        for n_payload, rows in costs.items()
-    }
+    ends = {n_payload: [] for n_payload in costs}
+    for n_payload, rows in costs.items():
+        for a, (_, e_toa, e_active, reward) in zip(arms, rows * len(cfg.channels)):
+            hz, dbm, heard = a.channel.center_frequency_hz, a.power.level_dbm, a.channel.receivable
+            deaf = (hz, dbm, Cause.CHANNEL_NOT_RECEIVABLE, False, 0.0, e_toa, e_active)
+            ends[n_payload].append((
+                (hz, dbm, Cause.SUCCESS, True, 1.0 if ack_only else reward, e_toa, e_active)
+                if heard else deaf,
+                (hz, dbm, Cause.COLLISION, False, 0.0, e_toa, e_active) if heard else deaf,
+                (hz, dbm, Cause.CARRIER_BUSY, False, 0.0, 0.0, cfg.energy.overhead_mj)))
     payloads = [payload_symbols(i, cfg.payload_base, cfg.payload_spread) for i in range(n_devices)]
     device_ends = [ends[n] for n in payloads]
     device_air = [costs[n][0][0] for n in payloads]  # one airtime per payload
+    # RunLog's row ids, int objects made once: per device, per arm, by outcome.
+    ids = iter(range(3 * len(arms) * n_devices))
+    row_ids = [[(next(ids), next(ids), next(ids)) for _ in arms] for _ in range(n_devices)]
 
-    policies = [_make_policy(setup, i, arms, seed) for i in range(n_devices)]
+    policies = _make_policies(setup, arms, seed)
     select = [p.select for p in policies]
     observe = [p.observe for p in policies]
     # One period's events as (µs into the period, kind, device), kind 0 for a
@@ -241,18 +230,17 @@ def run_simulation(setup: RunSetup, seed: int) -> list[RunRecord]:
     template.sort(key=lambda event: event[:2])
     wrapped = [event for event in template if event[1] == 1]
     wrapped_devices = [i for _, _, i in wrapped]
-    busy = Cause.CARRIER_BUSY
     # Per device, its transmission in flight or None; per channel, those in
-    # flight on it. Each is [start_us, end_us, collided, device, arm, attempt,
-    # wake_us]; no two in flight share a device, so list.remove's equality
+    # flight on it. Each is [start_us, end_us, collided, device, arm,
+    # attempt]; no two in flight share a device, so list.remove's equality
     # test finds the very one it is given.
     pending: list[list | None] = [None] * n_devices
     in_flight: list[list[list]] = [[] for _ in cfg.channels]
     arm_in_flight = [in_flight[cfg.channels.index(a.channel)] for a in arms]
-    records: list[RunRecord] = []
-    record, new = records.append, tuple.__new__  # no RunRecord._make frame per record
+    rows, attempts = [], []
+    add_row, add_attempt = rows.append, attempts.append
     # Boundary keys of the policies that never draw, with the period and
-    # record count each was first seen at; None once a key has repeated.
+    # row count each was first seen at; None once a key has repeated.
     seen = {} if setup.policy in ("fixed", "adr_lite") else None
     adr, next_index = setup.policy == "adr_lite", attrgetter("next_list_index")
 
@@ -264,19 +252,21 @@ def run_simulation(setup: RunSetup, seed: int) -> list[RunRecord]:
                    tuple(tx and (tx[4], tx[2]) for tx in map(pending.__getitem__,
                                                              wrapped_devices)))
             if key not in seen:
-                seen[key] = attempt, len(records)
+                seen[key] = attempt, len(rows)
             else:
                 first, start = seen[key]
                 cycle = attempt - first
                 skip = (cfg.t_attempts - attempt) // cycle * cycle
-                _repeat_cycle(records, start, cycle, skip, interval_us, offsets)
+                cycle_rows, cycle_attempts = rows[start:], attempts[start:]
+                for shift in range(cycle, skip + 1, cycle):
+                    rows += cycle_rows
+                    attempts += map(add, cycle_attempts, repeat(shift))
                 skip_us = skip * interval_us
                 for tx in pending:
                     if tx is not None:
                         tx[0] += skip_us
                         tx[1] += skip_us
                         tx[5] += skip
-                        tx[6] += skip_us
                 attempt += skip
                 seen = None
         period_us = attempt * interval_us
@@ -286,12 +276,12 @@ def run_simulation(setup: RunSetup, seed: int) -> list[RunRecord]:
                 if tx is None:
                     continue
                 pending[i] = None
-                _, _, collided, _, arm, k, wake_us = tx
+                _, _, collided, _, arm, k = tx
                 arm_in_flight[arm].remove(tx)
-                hz, dbm, cause, acked, reward, e_toa, e_active = device_ends[i][arm][collided]
+                _, _, _, acked, reward, _, _ = device_ends[i][arm][collided]
                 observe[i](arm, acked, reward)
-                record(new(RunRecord, (seed, i, k, arm, hz, dbm, cause, acked, reward,
-                                       e_toa, e_active, wake_us / 1e6)))
+                add_row(row_ids[i][arm][collided])
+                add_attempt(k)
                 continue
 
             t_us += period_us
@@ -304,12 +294,12 @@ def run_simulation(setup: RunSetup, seed: int) -> list[RunRecord]:
                 if other[0] < start_us and other[1] > t_us:
                     # Abandon this interval: overheads are paid, the radio never fires.
                     observe[i](arm, False, 0.0)
-                    record(new(RunRecord, (seed, i, attempt, arm, arm_hz[arm], arm_dbm[arm],
-                                           busy, False, 0.0, 0.0, busy_mj, t_us / 1e6)))
+                    add_row(row_ids[i][arm][2])
+                    add_attempt(attempt)
                     break
             else:
                 end_us = start_us + device_air[i]
-                tx = [start_us, end_us, False, i, arm, attempt, t_us]
+                tx = [start_us, end_us, False, i, arm, attempt]
                 for other in on_channel:
                     if other[0] < end_us and other[1] > start_us:
                         other[2] = tx[2] = True
@@ -320,4 +310,4 @@ def run_simulation(setup: RunSetup, seed: int) -> list[RunRecord]:
 
     if any(in_flight):
         raise RuntimeError("transmissions left in flight after the last period")
-    return records
+    return RunLog(seed, device_ends, interval_us, offsets, rows, attempts)

@@ -92,18 +92,24 @@ def _bound(arm: ArmState, log_h: float) -> float:
     return arm.mean + math.sqrt(log_h / arm.pulls * MAX_BERNOULLI_VARIANCE)
 
 
-def select_fixed(device_index: int, arms: list[ParamCombo]) -> PolicyDecision:
-    """Static assignment: receivable channels round-robin, minimum power."""
+def fixed_choices(arms: list[ParamCombo]) -> list[PolicyDecision]:
+    """The fixed policy's decisions: per receivable channel, by ascending
+    frequency, its arm at the minimum power."""
     channels = sorted({a.channel for a in arms if a.channel.receivable},
                       key=lambda c: c.center_frequency_hz)
     if not channels:
         raise ConfigError("no receivable channel to pin the fixed policy on")
-    target = channels[device_index % len(channels)]
     min_level = min(a.power.level_dbm for a in arms)
-    for a in arms:
-        if a.channel == target and a.power.level_dbm == min_level:
-            return PolicyDecision(a.arm_index)
-    raise ConfigError("arm space does not contain the fixed assignment")
+    lowest = {a.channel: a.arm_index for a in reversed(arms) if a.power.level_dbm == min_level}
+    if not lowest.keys() >= set(channels):
+        raise ConfigError("arm space does not contain the fixed assignment")
+    return [PolicyDecision(lowest[c]) for c in channels]
+
+
+def select_fixed(device_index: int, arms: list[ParamCombo]) -> PolicyDecision:
+    """Static assignment: receivable channels round-robin, minimum power."""
+    choices = fixed_choices(arms)
+    return choices[device_index % len(choices)]
 
 
 def adr_lite_next(prev_index: int, acked: bool, list_len: int) -> int:
@@ -148,6 +154,13 @@ def adr_lite_list(
         worst_first = {hz: i for i, hz in enumerate(quality_order_hz)}
         rank = {c: worst_first[c.center_frequency_hz] for c in channels}
     return sorted(arms, key=lambda a: (a.power.level_dbm, rank[a.channel]))
+
+
+def adr_lite_search(
+    arms: list[ParamCombo], quality_order_hz: list[float] | None = None
+) -> list[PolicyDecision]:
+    """ADR-Lite's search list: the decisions of adr_lite_list's arms, in order."""
+    return [PolicyDecision(a.arm_index) for a in adr_lite_list(arms, quality_order_hz)]
 
 
 class _ArmLearner:
@@ -274,10 +287,11 @@ class EpsilonGreedyPolicy(_ArmLearner):
 
 
 class FixedPolicy:
-    """Constant arm chosen once from the device index."""
+    """Constant arm: the device's select_fixed decision, which a run takes
+    from one fixed_choices list for all its devices."""
 
-    def __init__(self, device_index: int, arms: list[ParamCombo]):
-        self.decision = select_fixed(device_index, arms)
+    def __init__(self, decision: PolicyDecision):
+        self.decision = decision
 
     def select(self) -> PolicyDecision:
         return self.decision
@@ -287,14 +301,11 @@ class FixedPolicy:
 
 
 class AdrLitePolicy:
-    """Stateless-history search: only the previous outcome steers the walk."""
+    """Stateless-history search: only the previous outcome steers the walk
+    through adr_lite_search's list, which the devices of a run share."""
 
-    def __init__(
-        self,
-        arms: list[ParamCombo],
-        quality_order_hz: list[float] | None = None,
-    ):
-        self.search = [PolicyDecision(a.arm_index) for a in adr_lite_list(arms, quality_order_hz)]
+    def __init__(self, search: list[PolicyDecision]):
+        self.search = search
         self.next_list_index = len(self.search) - 1
         self._pending_list_index: int | None = None
 

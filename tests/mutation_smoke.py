@@ -1,9 +1,9 @@
 """Mutation smoke test: do the tests notice small, deliberate bugs?
 
 Each mutant replaces one snippet of a module in src/lorabandit with a wrong
-one, in a copy of src/ and tests/ made in a temporary directory, and runs
-the tests there against the copy, acceptance module left out and the
-mutated module's own test module first. A mutant that no test fails
+one, in a copy of src/, tests/ and perfbench/ made in a temporary
+directory, and runs the tests there against the copy, acceptance module
+left out and the mutated module's own test module first. A mutant that no test fails
 survives. Mutants are listed per module below; a survivor is either killed
 by a new test or kept here with the reason it survives.
 
@@ -13,7 +13,8 @@ Uses the standard library only (pytest runs in a subprocess); its name
 does not start with test_, so the suite does not collect it. Exit status 0
 if every mutant was killed or survived for its stated reason, 1 if any
 other survived, 2 if a snippet is not found exactly once in its module
-(the code moved on and the mutant is stale).
+(the code moved on and the mutant is stale), 3 if the tests already fail
+on an unmutated copy (a control run before the mutants).
 """
 
 from __future__ import annotations
@@ -51,32 +52,45 @@ MUTANTS = [
      "tuple(map(next_index, policies)) if adr else ()", "()", None),
     ("netsim", "no shift of the transmissions still on the air",
      "                    if tx is not None:\n", "                    if False:\n", None),
-    ("netsim", "wake_time from the stored float",
-     "map(truediv, map(add, wakes_us, repeat(shift * interval_us)), repeat(1e6))",
-     "map(add, [r.wake_time for r in records[start:start + len(attempts)]], "
-     "repeat(shift * interval_us / 1e6))", None),
     ("netsim", "one whole cycle too many",
      "skip = (cfg.t_attempts - attempt) // cycle * cycle",
      "skip = (cfg.t_attempts - attempt + 1) // cycle * cycle", None),
     ("netsim", "one copy too few",
      "range(cycle, skip + 1, cycle)", "range(cycle, skip, cycle)", None),
+    ("netsim", "copies keep the cycle's attempts",
+     "attempts += map(add, cycle_attempts, repeat(shift))", "attempts += cycle_attempts", None),
+    ("netsim", "a CarrierBusy attempt on its device's end-of-airtime row",
+     "add_row(row_ids[i][arm][2])", "add_row(row_ids[i][arm][0])", None),
+    ("metrics", "wake_time from seconds, not whole µs",
+     "map(truediv, map(add, map(self.interval_us.__mul__, attempts),\n"
+     "                                map(self.offsets_us.__getitem__, devices)), repeat(1e6))",
+     "map(add, map((self.interval_us / 1e6).__mul__, attempts),\n"
+     "                   map(truediv, map(self.offsets_us.__getitem__, devices), repeat(1e6)))",
+     None),
+    ("metrics", "a group counted once per row, not per record",
+     "groups[device, arm, acked, dbm, e_active] += count",
+     "groups[device, arm, acked, dbm, e_active] += 1", None),
+    ("sweep", "rows of other records keyed by a reward's value, not its id",
+     "id(reward), id(e_toa)", "reward, id(e_toa)", None),
 ]
 
 
-def run_mutant(module: str, snippet: str, replacement: str) -> bool | None:
+def run_mutant(module: str, snippet: str | None, replacement: str | None) -> bool | None:
     """True if the tests kill the mutant, False if it survives, None if the
-    snippet is not found exactly once."""
+    snippet is not found exactly once. A None snippet leaves the copy as it
+    is: the control run, which the tests must pass."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         work = Path(tmp)
-        shutil.copytree(ROOT / "src", work / "src",
-                        ignore=shutil.ignore_patterns("__pycache__"))
-        shutil.copytree(ROOT / "tests", work / "tests",
-                        ignore=shutil.ignore_patterns("__pycache__"))
+        # perfbench/spans.py too: tests/test_seams.py reads its traced names.
+        for tree in ("src", "tests", "perfbench"):
+            shutil.copytree(ROOT / tree, work / tree,
+                            ignore=shutil.ignore_patterns("__pycache__", ".perfbench"))
         path = work / "src" / "lorabandit" / f"{module}.py"
         text = path.read_text(encoding="utf-8")
-        if text.count(snippet) != 1:
-            return None
-        path.write_text(text.replace(snippet, replacement), encoding="utf-8")
+        if snippet is not None:
+            if text.count(snippet) != 1:
+                return None
+            path.write_text(text.replace(snippet, replacement), encoding="utf-8")
         own = work / "tests" / f"test_{module}.py"
         first = [str(own)] if own.exists() else []
         result = subprocess.run(
@@ -93,6 +107,9 @@ def run_mutant(module: str, snippet: str, replacement: str) -> bool | None:
 
 
 def main() -> int:
+    if run_mutant("netsim", None, None):
+        print("the tests fail on the unmutated copy, so every mutant would count as killed")
+        return 3
     survivors, expected, stale = [], [], []
     for module, name, snippet, replacement, why in MUTANTS:
         start = time.perf_counter()

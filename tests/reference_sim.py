@@ -16,7 +16,8 @@ from lorabandit.energy import attempt_energy, reward_basis
 from lorabandit.metrics import Cause, RunRecord
 from lorabandit.netsim import device_rng, payload_symbols
 from lorabandit.params import build_arm_space
-from lorabandit.policies import AdrLitePolicy, EpsilonGreedyPolicy, FixedPolicy, UcbTunedPolicy
+from lorabandit.policies import (AdrLitePolicy, EpsilonGreedyPolicy, FixedPolicy, UcbTunedPolicy,
+                                 adr_lite_search, select_fixed)
 
 
 def _policy(setup, i, arms, seed):
@@ -25,8 +26,8 @@ def _policy(setup, i, arms, seed):
     return {
         "proposed_ucb_tuned": lambda: UcbTunedPolicy(len(arms), rng),
         "epsilon_greedy": lambda: EpsilonGreedyPolicy(len(arms), cfg.epsilon, rng),
-        "fixed": lambda: FixedPolicy(i, arms),
-        "adr_lite": lambda: AdrLitePolicy(arms, cfg.adr_quality_hz),
+        "fixed": lambda: FixedPolicy(select_fixed(i, arms)),
+        "adr_lite": lambda: AdrLitePolicy(adr_lite_search(arms, cfg.adr_quality_hz)),
     }[setup.policy]()
 
 

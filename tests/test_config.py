@@ -285,19 +285,17 @@ def test_validate_checks_only_the_payloads_a_run_uses(monkeypatch):
     assert {args[1] for args in calls} == set(range(36, 68))
 
 
-def _count_records(monkeypatch) -> list:
-    """Every record a run builds from here on (netsim makes each with
-    RunRecord._make), as the list of their fields."""
+def _count_attempts(monkeypatch) -> list:
+    """Every attempt a run makes from here on, as the policies whose select
+    it called."""
     made = []
-    real = netsim.RunRecord
+    for cls in (netsim.UcbTunedPolicy, netsim.EpsilonGreedyPolicy, netsim.FixedPolicy,
+                netsim.AdrLitePolicy):
+        def counting(self, select=cls.select):
+            made.append(self)
+            return select(self)
 
-    class Counting(real):
-        @classmethod
-        def _make(cls, fields):
-            made.append(fields)
-            return real._make(fields)
-
-    monkeypatch.setattr(netsim, "RunRecord", Counting)
+        monkeypatch.setattr(cls, "select", counting)
     return made
 
 
@@ -305,8 +303,9 @@ def test_run_checks_payloads_past_the_device_counts(monkeypatch):
     # One device sends 36 symbols (49.4 ms of airtime plus 5 ms of carrier
     # sense fit in 60 ms); nine devices reach 44 symbols (57.6 ms), which do not.
     cfg = config_from_dict({"device_counts": [1], "interval_s": 0.06})
-    assert len(run_simulation(cfg.run_setup("fixed", 1), 1)) == 200
-    made = _count_records(monkeypatch)
+    made = _count_attempts(monkeypatch)
+    assert len(run_simulation(cfg.run_setup("fixed", 1), 1)) == 200 and made
+    made.clear()
     with pytest.raises(ConfigError, match="interval_s must exceed"):
         run_simulation(cfg.run_setup("fixed", 9), 1)
     assert not made
@@ -316,9 +315,10 @@ def test_run_checks_the_energy_total_past_the_device_counts(monkeypatch):
     # Each attempt costs a little over 1e305 mJ: 8 devices x 200 attempts
     # sum to 1.6e308 mJ, and 9 devices would overflow a float.
     cfg = config_from_dict({"energy": {"e_wu_mj": 1e305}, "device_counts": [2]})
+    made = _count_attempts(monkeypatch)
     summary = summarize_run(run_simulation(cfg.run_setup("fixed", 8), 1))
-    assert summary.attempts == 1600 and summary.energy_efficiency_network > 0
-    made = _count_records(monkeypatch)
+    assert summary.attempts == 1600 and summary.energy_efficiency_network > 0 and made
+    made.clear()
     with pytest.raises(ConfigError, match="must sum to a finite total"):
         run_simulation(cfg.run_setup("fixed", 9), 1)
     assert not made

@@ -1,7 +1,10 @@
 """Event-driven network simulation: carrier sense, collisions, determinism."""
 
 import sys
+import tempfile
 from collections import Counter
+from collections.abc import Sequence
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,9 +13,11 @@ from reference_sim import reference_run
 from lorabandit import netsim
 from lorabandit.config import ExperimentConfig, config_from_dict
 from lorabandit.energy import attempt_energy, time_on_air
-from lorabandit.metrics import Cause
+from lorabandit.metrics import Cause, RunLog, RunRecord, summarize_run
 from lorabandit.netsim import POLICY_NAMES, device_rng, payload_symbols, run_simulation
-from lorabandit.params import Channel, ConfigError
+from lorabandit.params import Channel, ConfigError, build_arm_space
+from lorabandit.policies import adr_lite_search, select_fixed
+from lorabandit.sweep import write_records
 
 
 def make_setup(policy="proposed_ucb_tuned", n_devices=1, **kw):
@@ -411,6 +416,9 @@ CYCLES = {
 @given(doc=small_configs(), policy=st.sampled_from(POLICY_NAMES),
        n_devices=st.integers(1, 6), seed=st.integers(0, 2**64 - 1))
 @example(doc=TIE_DOC, policy="proposed_ucb_tuned", n_devices=6, seed=10370)
+@example(doc=TIE_DOC, policy="epsilon_greedy", n_devices=6, seed=10370)
+@example(doc=TIE_DOC, policy="adr_lite", n_devices=6, seed=10370)
+@example(doc=TIE_DOC, policy="fixed", n_devices=6, seed=10370)
 @example(doc=TIE_DOC, policy="proposed_ucb_tuned", n_devices=6, seed=4955)
 @example(doc=TIGHT_DOC, policy="fixed", n_devices=6, seed=TIGHT_SEED)
 @example(doc=TIGHT_DOC, policy="adr_lite", n_devices=6, seed=TIGHT_SEED)
@@ -423,8 +431,9 @@ CYCLES = {
 @example(doc={"t_attempts": 1}, policy="fixed", n_devices=6, seed=3)
 def test_loop_matches_reference(doc, policy, n_devices, seed):
     setup = config_from_dict(doc).run_setup(policy, n_devices)
-    fast = run_simulation(setup, seed)
-    assert [repr(r) for r in fast] == [repr(r) for r in reference_run(setup, seed)]
+    fast, want = run_simulation(setup, seed), reference_run(setup, seed)
+    assert list(fast) == want and fast == want
+    assert [repr(r) for r in fast] == [repr(r) for r in want]
 
 
 def test_tie_examples_share_a_microsecond():
@@ -466,29 +475,34 @@ def test_micro_example_ends_at_the_boundary_as_a_device_wakes():
     assert {(6, "wake"), (6, "end"), (48, "end")} <= boundary
 
 
-def repeats(monkeypatch, setup, seed):
+def repeats(setup, seed):
     """Run setup and return each repeat run_simulation copied, as (the
     cycle's first period, its length, the periods copied, the
-    transmissions on the air)."""
+    transmissions on the air), read from the loop's locals on the first
+    line it runs after the copy."""
     found = []
 
-    def spy(records, start, cycle, skip, *rest):
-        loop = sys._getframe(1).f_locals
-        found.append((loop["attempt"] - cycle, cycle, skip,
-                      sum(tx is not None for tx in loop["pending"])))
-        real(records, start, cycle, skip, *rest)
+    def in_loop(frame, event, arg):
+        loop = frame.f_locals
+        if event == "line" and "skip" in loop and loop["seen"] is None and not found:
+            found.append((loop["first"], loop["cycle"], loop["skip"],
+                          sum(tx is not None for tx in loop["pending"])))
+        return in_loop
 
-    real = netsim._repeat_cycle
-    monkeypatch.setattr(netsim, "_repeat_cycle", spy)
-    run_simulation(setup, seed)
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg:
+                 in_loop if frame.f_code is run_simulation.__code__ else None)
+    try:
+        run_simulation(setup, seed)
+    finally:
+        sys.settrace(previous)
     return found
 
 
 @pytest.mark.parametrize("name", CYCLES)
-def test_cycle_examples_repeat_as_named(monkeypatch, name):
+def test_cycle_examples_repeat_as_named(name):
     doc, policy, n_devices, seed, expected = CYCLES[name]
-    assert repeats(monkeypatch, config_from_dict(doc).run_setup(policy, n_devices),
-                   seed) == [expected]
+    assert repeats(config_from_dict(doc).run_setup(policy, n_devices), seed) == [expected]
 
 
 @pytest.mark.parametrize("policy", POLICY_NAMES)
@@ -545,3 +559,79 @@ def test_airtime_crosses_into_the_next_period(policy):
             and round(r.wake_time * 1e6) + cs_us + airtime_us[r.device]
             >= first_wake_us[r.attempt + 1]]
     assert late
+
+
+# --- the run log --------------------------------------------------------------
+
+def test_run_log_reads_as_a_sequence_of_records():
+    log = run_simulation(make_setup(policy="epsilon_greedy", n_devices=4, t_attempts=30), seed=2)
+    records = list(log)
+    assert isinstance(log, RunLog) and isinstance(log, Sequence)
+    assert len(log) == len(records) == 120
+    assert all(type(r) is RunRecord for r in records)
+    assert log[0] == records[0] and log[-1] == records[-1] and log[-120] == records[0]
+    with pytest.raises(IndexError):
+        log[120]
+    assert log[5:9] == records[5:9] and log[::-7] == records[::-7] and log[3:3] == []
+    assert list(reversed(log)) == records[::-1]
+    assert records[7] in log and log.index(records[7]) == 7
+    # Equal to a list of its records, on either side, and to an equal log.
+    assert log == records and records == log and not (log != records)
+    assert log == run_simulation(make_setup(policy="epsilon_greedy", n_devices=4,
+                                            t_attempts=30), seed=2)
+    assert log != records[:-1] and records[:-1] != log
+    assert log != records[:-1] + [records[0]]
+    assert log != tuple(records)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(log)
+    with pytest.raises(AttributeError):
+        log.append(records[0])
+
+
+def test_run_log_rows_follow_their_fields():
+    # A row's id is (device·n_arms + arm)·3 + outcome, outcome 0 or 1 for an
+    # end of airtime by its collided flag and 2 for CarrierBusy.
+    setup = config_from_dict(TIE_DOC).run_setup("proposed_ucb_tuned", 6)
+    log = run_simulation(setup, 10370)
+    n_arms = len(setup.config.channels) * len(setup.config.powers)
+    outcomes = set()
+    for row, r in zip(log.rows, log):
+        device, rest = divmod(row, 3 * n_arms)
+        arm, outcome = divmod(rest, 3)
+        assert (device, arm) == (r.device, r.arm_index)
+        assert (outcome == 2) == (r.cause == Cause.CARRIER_BUSY)
+        if r.cause in (Cause.SUCCESS, Cause.COLLISION):
+            assert outcome == (r.cause == Cause.COLLISION)
+        outcomes.add(outcome)
+    assert outcomes == {0, 1, 2}
+
+
+@settings(deadline=None, max_examples=40)
+@given(doc=small_configs(), policy=st.sampled_from(POLICY_NAMES),
+       n_devices=st.integers(1, 6), seed=st.integers(0, 2**64 - 1))
+@example(doc=TIE_DOC, policy="adr_lite", n_devices=6, seed=10370)
+def test_row_path_writes_the_bytes_of_the_record_path(doc, policy, n_devices, seed):
+    # The record writer and summarize_run give the same bytes and counts from
+    # a RunLog's rows as from the list of its records.
+    log = run_simulation(config_from_dict(doc).run_setup(policy, n_devices), seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        rows, records = Path(tmp) / "rows.jsonl", Path(tmp) / "records.jsonl"
+        assert write_records(log, rows) == write_records(list(log), records)
+        assert rows.read_bytes() == records.read_bytes()
+    assert summarize_run(log) == summarize_run(list(log))
+
+
+def test_runs_share_the_decision_lists_of_fixed_and_adr_lite():
+    # Fixed and ADR-Lite devices choose from lists built once per run, each
+    # decision the one a device-by-device build gives.
+    cfg = config_from_dict({"channels": [{"mhz": 921.4, "receivable": True},
+                                         {"mhz": 920.6, "receivable": False},
+                                         {"mhz": 921.0, "receivable": True}],
+                            "adr_quality_mhz": [920.6, 921.4, 921.0]})
+    arms = build_arm_space(cfg.channels, cfg.powers)
+    fixed = netsim._make_policies(cfg.run_setup("fixed", 5), arms, 1)
+    assert [p.decision for p in fixed] == [select_fixed(i, arms) for i in range(5)]
+    assert fixed[0].decision is fixed[2].decision is fixed[4].decision
+    adr = netsim._make_policies(cfg.run_setup("adr_lite", 5), arms, 1)
+    assert adr[0].search == adr_lite_search(arms, cfg.adr_quality_hz)
+    assert all(p.search is adr[0].search for p in adr)

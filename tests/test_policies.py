@@ -28,6 +28,7 @@ from lorabandit.policies import (
     UcbTunedPolicy,
     adr_lite_list,
     adr_lite_next,
+    adr_lite_search,
     select_fixed,
     ucb_score,
     ucb_variance,
@@ -591,7 +592,7 @@ def test_adr_list_rejects_incomplete_quality_order():
 
 def test_adr_policy_starts_at_tail_and_walks():
     arms = default_arms()
-    policy = AdrLitePolicy(arms)
+    policy = AdrLitePolicy(adr_lite_search(arms))
     search = adr_lite_list(arms)
     d = policy.select()
     assert d.arm_index == search[24].arm_index
@@ -600,7 +601,7 @@ def test_adr_policy_starts_at_tail_and_walks():
 
 
 def test_adr_policy_observe_requires_select():
-    policy = AdrLitePolicy(default_arms())
+    policy = AdrLitePolicy(adr_lite_search(default_arms()))
     with pytest.raises(RuntimeError):
         policy.observe(0, acked=True, reward=1.0)
 

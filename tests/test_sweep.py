@@ -17,7 +17,8 @@ from hypothesis import example, given, strategies as st
 import lorabandit
 from lorabandit import sweep
 from lorabandit.config import ExperimentConfig
-from lorabandit.metrics import Cause, RunRecord, aggregate_runs, summarize_groups, summarize_run
+from lorabandit.metrics import (Cause, RunLog, RunRecord, aggregate_runs, summarize_groups,
+                               summarize_run)
 from lorabandit.sweep import (
     RunManifest,
     emit_tables,
@@ -287,6 +288,27 @@ def test_manifest_bytes_do_not_depend_on_the_directory(tmp_path):
     doc = json.loads(a.read_text()) | {"out_dir": "/elsewhere"}
     a.write_text(json.dumps(doc))
     assert RunManifest.load(a).out_dir == str(a.parent)
+
+
+def test_stock_sweep_builds_no_record(tmp_path, monkeypatch):
+    # The simulator hands the writer and the summary row ids: a serial stock
+    # sweep builds no RunRecord, so every record a RunLog reads out counts.
+    built = []
+
+    def counting(self, rows, attempts):
+        built.append(len(rows))
+        return read(self, rows, attempts)
+
+    read = RunLog._records
+    monkeypatch.setattr(RunLog, "_records", counting)
+    cfg = ExperimentConfig(runs_per_point=1)
+    manifest = run_sweep(cfg, tmp_path / "out")
+    assert len(manifest.runs) == 20 and built == []
+    entry = manifest.runs[0]
+    records = read_records(tmp_path / "out" / entry["records"])
+    setup = cfg.run_setup(entry["policy"], entry["n_devices"])
+    assert run_simulation(setup, entry["seed"]) == records
+    assert built == [len(records)]
 
 
 def test_sweep_parallel_matches_serial(tmp_path):
