@@ -8,8 +8,8 @@ transmission success rate and energy efficiency.
 The package exports what a script needs to run the model: the config
 (``ExperimentConfig``, ``ConfigError``), one run (``ExperimentConfig.run_setup``
 then ``run_simulation``, folded by ``summarize_run``) and a full sweep
-(``run_sweep``, whose record writer returns each run's record counts, from
-which ``metrics.summarize_groups``, the one summary body, folds the run).
+(``run_sweep``, which writes each run's records and summarizes the run with
+the same ``summarize_run``).
 Everything else lives in its submodule (``lorabandit.energy`` for the
 airtime/energy model, ``lorabandit.policies``, ``lorabandit.netsim``, ...).
 """

@@ -2,8 +2,8 @@
 
 Success rate is successes over selections; energy efficiency is successes
 per millijoule of active-mode energy.  The headline efficiency figure is the
-per-device cumulative ratio averaged across devices; per-arm figures follow
-the rate-over-mean-energy form.
+per-device cumulative ratio averaged across devices, each device's written
+as its success rate over its mean energy per attempt.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 from itertools import chain, repeat, starmap
 from operator import add, eq, floordiv, itemgetter, truediv
 from typing import NamedTuple
@@ -101,17 +101,6 @@ class RunLog(Sequence):
 
 
 @dataclass
-class ArmStats:
-    selections: int = 0
-    successes: int = 0
-
-    #: mean transmission success rate over this arm's selections
-    success_rate: float | None = None
-    #: success rate over mean per-attempt active energy, 1/mJ
-    energy_efficiency: float | None = None
-
-
-@dataclass
 class MetricsSummary:
     """All evaluation quantities of one run (or an average of runs)."""
 
@@ -123,77 +112,62 @@ class MetricsSummary:
     energy_efficiency: float | None  # device-mean cumulative EE, 1/mJ
     energy_efficiency_network: float | None  # total successes / total energy
     tp_ratio: dict[int, float] = field(default_factory=dict)
-    per_arm: dict[int, ArmStats] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["tp_ratio"] = {str(k): v for k, v in self.tp_ratio.items()}
-        d["per_arm"] = {str(k): v for k, v in d["per_arm"].items()}
-        return d
+        return {**asdict(self), "tp_ratio": {str(k): v for k, v in self.tp_ratio.items()}}
 
     @classmethod
     def from_dict(cls, d: dict) -> "MetricsSummary":
+        """A summary from its to_dict form. Other keys are ignored, such as
+        the per_arm table that summaries of earlier versions hold."""
         return cls(**{
-            **d,
+            **{f.name: d[f.name] for f in fields(cls)},
             "tp_ratio": {int(k): v for k, v in d["tp_ratio"].items()},
-            "per_arm": {int(k): ArmStats(**v) for k, v in d["per_arm"].items()},
         })
 
 
 #: A run summary depends on its records only through their counts by these.
-GROUP_FIELDS = ("device", "arm_index", "acked", "power_dbm", "e_active")
+GROUP_FIELDS = ("device", "acked", "power_dbm", "e_active")
 _group_key = itemgetter(*map(RunRecord._fields.index, GROUP_FIELDS))
 
 
-def group_rows(counts: dict, row_fields) -> Counter:
-    """A run's record counts by GROUP_FIELDS, from its counts per row and
-    each row's fields in RunLog.row_fields's form."""
-    groups = Counter()
-    for row, count in counts.items():
-        _, device, arm, _, dbm, _, acked, _, _, e_active = row_fields(row)
-        groups[device, arm, acked, dbm, e_active] += count
-    return groups
-
-
 def summarize_run(records: Sequence[RunRecord], config_key: str = "") -> MetricsSummary:
-    """summarize_groups of the records counted by GROUP_FIELDS: for a RunLog,
-    from its row counts, as the record writer counts them."""
-    if isinstance(records, RunLog):
-        return summarize_groups(group_rows(Counter(records.rows), records.row_fields), config_key)
-    return summarize_groups(Counter(map(_group_key, records)), config_key)
-
-
-def summarize_groups(groups: dict[tuple, int], config_key: str = "") -> MetricsSummary:
-    """Fold one run's record counts, keyed by GROUP_FIELDS, into its summary.
+    """Fold one run's records, counted by GROUP_FIELDS, into its summary; a
+    RunLog's are counted from its rows, by each row's fields.
 
     math.fsum returns the correctly rounded exact sum, so a group's c equal
     energies, summed as c copies, give the figures of any per-record sum.
-    Every device and every arm must have spent positive active energy, and
-    the devices' efficiencies must sum to a finite total.
+    Every device must have spent positive active energy, and the devices'
+    efficiencies must sum to a finite total.
     """
-    # Per device and per arm: [attempts, successes, [(energy, count), ...]], then ArmStats.
-    by_device, by_arm, acked_by_dbm = {}, {}, {}
-    for (device, arm, acked, dbm, e_active), c in groups.items():
-        for tally, key in ((by_device, device), (by_arm, arm)):
-            t = tally.setdefault(key, [0, 0, []])
-            t[0] += c
-            t[1] += c if acked else 0
-            t[2].append((e_active, c))
+    if isinstance(records, RunLog):
+        groups = Counter()
+        for row, c in Counter(records.rows).items():
+            _, device, _, _, dbm, _, acked, _, _, e_active = records.row_fields(row)
+            groups[device, acked, dbm, e_active] += c
+    else:
+        groups = Counter(map(_group_key, records))
+    # Per device: [attempts, successes, [(energy, count), ...]].
+    by_device, acked_by_dbm = {}, {}
+    for (device, acked, dbm, e_active), c in groups.items():
+        t = by_device.setdefault(device, [0, 0, []])
+        t[0] += c
+        t[2].append((e_active, c))
         if acked:
+            t[1] += c
             acked_by_dbm[dbm] = acked_by_dbm.get(dbm, 0) + c
-    for what, tally in (("device", by_device), ("arm", by_arm)):
-        for key, (n, s, pairs) in tally.items():
-            energy = math.fsum(chain.from_iterable(starmap(repeat, pairs)))
-            if energy <= 0:
-                raise ValueError(f"active energy of {what} {key} must be positive")
-            # Rate over mean energy, so a constant per-attempt energy yields
-            # exactly success_rate / e_active.
-            tally[key] = ArmStats(n, s, s / n, (s / n) / (energy / n))
+    device_ee = []  # cumulative, per device
+    for device, (n, s, pairs) in by_device.items():
+        energy = math.fsum(chain.from_iterable(starmap(repeat, pairs)))
+        if energy <= 0:
+            raise ValueError(f"active energy of device {device} must be positive")
+        # Rate over mean energy, so a constant per-attempt energy yields
+        # exactly success_rate / e_active.
+        device_ee.append((s / n) / (energy / n))
 
     attempts = sum(groups.values())
     successes = sum(acked_by_dbm.values())
-    total_energy = math.fsum(chain.from_iterable(repeat(k[4], c) for k, c in groups.items()))
-    device_ee = [d.energy_efficiency for d in by_device.values()]  # cumulative, per device
+    total_energy = math.fsum(chain.from_iterable(repeat(k[3], c) for k, c in groups.items()))
     try:
         ee_sum = math.fsum(device_ee)
     except OverflowError:
@@ -209,7 +183,6 @@ def summarize_groups(groups: dict[tuple, int], config_key: str = "") -> MetricsS
         energy_efficiency_network=successes / total_energy if attempts else None,
         # The share of each TX power among successful transmissions only.
         tp_ratio={dbm: c / successes for dbm, c in acked_by_dbm.items()},
-        per_arm=by_arm,
     )
 
 
@@ -238,17 +211,6 @@ def aggregate_runs(summaries: list[MetricsSummary]) -> MetricsSummary:
         for dbm in tp_keys
     }
 
-    arm_keys = sorted({a for s in summaries for a in s.per_arm})
-    per_arm = {}
-    for a in arm_keys:
-        stats = [s.per_arm.get(a, ArmStats()) for s in summaries]
-        per_arm[a] = ArmStats(
-            selections=sum(st.selections for st in stats),
-            successes=sum(st.successes for st in stats),
-            success_rate=mean_opt([st.success_rate for st in stats]),
-            energy_efficiency=mean_opt([st.energy_efficiency for st in stats]),
-        )
-
     return MetricsSummary(
         config_key=summaries[0].config_key,
         n_runs=sum(s.n_runs for s in summaries),
@@ -260,5 +222,4 @@ def aggregate_runs(summaries: list[MetricsSummary]) -> MetricsSummary:
             [s.energy_efficiency_network for s in summaries]
         ),
         tp_ratio=tp_ratio,
-        per_arm=per_arm,
     )

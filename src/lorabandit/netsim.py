@@ -29,9 +29,6 @@ if TYPE_CHECKING:
 
 POLICY_NAMES = ("proposed_ucb_tuned", "epsilon_greedy", "adr_lite", "fixed")
 
-# Each has select() -> PolicyDecision and observe(arm_index, acked, reward).
-Policy = UcbTunedPolicy | EpsilonGreedyPolicy | FixedPolicy | AdrLitePolicy
-
 # The simulator counts time in whole microseconds, and each device's start
 # offset is drawn below the interval as a signed 64-bit integer, the domain
 # of the device streams' bounded draws (lorabandit.rng).
@@ -129,9 +126,11 @@ def cost_rows(
     return rows
 
 
-def _make_policies(setup: RunSetup, arms: list[ParamCombo], seed: int) -> list[Policy]:
-    # Only the learners draw, so only they get a random stream. Fixed and
-    # ADR-Lite devices share the decisions they choose from, built once.
+def _make_policies(setup: RunSetup, arms: list[ParamCombo], seed: int) -> list:
+    # One policy per device, each with select() -> PolicyDecision and
+    # observe(arm_index, acked, reward). Only the learners draw, so only they
+    # get a random stream. Fixed and ADR-Lite devices share the decisions
+    # they choose from, built once.
     cfg, devices = setup.config, range(setup.n_devices)
     if setup.policy == "proposed_ucb_tuned":
         return [UcbTunedPolicy(len(arms), device_rng(seed, i, stream=0)) for i in devices]

@@ -7,17 +7,13 @@ from __future__ import annotations
 import json
 import os
 import shutil
-from collections import Counter
-from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from pathlib import Path
 
 from . import __version__
 from .config import ExperimentConfig
-# summarize_run is unused here, but bound: perfbench/spans.py traces sweep.summarize_run.
-from .metrics import (MetricsSummary, RunLog, RunRecord, aggregate_runs, group_rows,
-                      summarize_groups, summarize_run)
+from .metrics import MetricsSummary, RunLog, RunRecord, aggregate_runs, summarize_run
 from .netsim import run_simulation
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -73,44 +69,31 @@ class RunManifest:
         return cls(**d)
 
 
-def write_records(records: Sequence[RunRecord], path: Path) -> Counter:
+def write_records(log: RunLog, path: Path) -> None:
     """Newline-delimited JSON, one record per line, keys sorted: byte for byte
-    json.dumps(r.to_dict(), sort_keys=True, separators=(",", ":")) for the
-    simulator's records: floats finite (written by repr), causes Cause strings.
+    json.dumps(r.to_dict(), sort_keys=True, separators=(",", ":")) for each
+    record r of the simulator's log: floats finite (written by repr), causes
+    Cause strings.
 
     Only attempt and wake_time vary between the records of one row (see
     RunLog), so the fragments around them are built once for each row the
-    run uses. Records of any other sequence are first put in rows by their
-    other fields, floats by id, as 0.0 == -0.0 with unequal reprs; the
-    records keep the ids live. Returns the run's counts by
-    metrics.GROUP_FIELDS, for summarize_groups.
+    run uses.
     """
-    if isinstance(records, RunLog):
-        rows, attempts, row_fields = records.rows, records.attempts, records.row_fields
-        wakes = records.wake_times(rows, attempts)
-    else:
-        table, rows = {}, []
-        for seed, device, _, arm, hz, dbm, cause, acked, reward, e_toa, e_active, _ in records:
-            key = seed, device, arm, id(hz), dbm, cause, acked, id(reward), id(e_toa), id(e_active)
-            table.setdefault(key, (seed, device, arm, hz, dbm, cause, acked, reward, e_toa, e_active))
-            rows.append(key)
-        attempts, wakes = map(itemgetter(2), records), map(itemgetter(11), records)
-        row_fields = table.__getitem__
-    counts = Counter(rows)
-    fields = {row: row_fields(row) for row in counts}
+    rows, attempts = log.rows, log.attempts
+    used = set(rows)
     fragments = {
         row: (f'{{"acked":{"true" if acked else "false"},"arm_index":{arm},"attempt":',
               f',"cause":"{cause}","channel_hz":{hz!r},"device":{device},"e_active":'
               f'{e_active!r},"e_toa":{e_toa!r},"power_dbm":{dbm},"reward":{reward!r},'
               f'"run_seed":{seed},"wake_time":')
         for row, (seed, device, arm, hz, dbm, cause, acked, reward, e_toa, e_active)
-        in fields.items()
+        in zip(used, map(log.row_fields, used))
     }
     with open(path, "w", encoding="utf-8") as fh:
         write = fh.write
-        for (head, tail), attempt, wake in zip(map(fragments.__getitem__, rows), attempts, wakes):
+        for (head, tail), attempt, wake in zip(map(fragments.__getitem__, rows), attempts,
+                                               log.wake_times(rows, attempts)):
             write(f"{head}{attempt}{tail}{wake!r}}}\n")
-    return group_rows(counts, fields.__getitem__)
 
 
 def read_records(path) -> list[RunRecord]:
@@ -123,8 +106,9 @@ def read_records(path) -> list[RunRecord]:
 
 def _execute_point(args) -> MetricsSummary:
     cfg, policy, n, run_index, seed, records_path, config_hash = args
-    records = run_simulation(cfg.run_setup(policy, n), seed)
-    return summarize_groups(write_records(records, Path(records_path)), config_hash)
+    log = run_simulation(cfg.run_setup(policy, n), seed)
+    write_records(log, Path(records_path))
+    return summarize_run(log, config_hash)
 
 
 def run_sweep(cfg: ExperimentConfig, out_dir, parallel: int = 1) -> RunManifest:

@@ -68,10 +68,15 @@ MUTANTS = [
      "                   map(truediv, map(self.offsets_us.__getitem__, devices), repeat(1e6)))",
      None),
     ("metrics", "a group counted once per row, not per record",
-     "groups[device, arm, acked, dbm, e_active] += count",
-     "groups[device, arm, acked, dbm, e_active] += 1", None),
-    ("sweep", "rows of other records keyed by a reward's value, not its id",
-     "id(reward), id(e_toa)", "reward, id(e_toa)", None),
+     "groups[device, acked, dbm, e_active] += c",
+     "groups[device, acked, dbm, e_active] += 1", None),
+    ("metrics", "each group's energy summed once, not as c copies",
+     "math.fsum(chain.from_iterable(starmap(repeat, pairs)))",
+     "math.fsum(e for e, _ in pairs)", None),
+    ("metrics", "power shares over attempts, not successes",
+     "c / successes for dbm", "c / attempts for dbm", None),
+    ("metrics", "a device with zero active energy let through",
+     "if energy <= 0:", "if energy < 0:", None),
 ]
 
 

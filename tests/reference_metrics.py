@@ -1,4 +1,4 @@
-"""A per-record reference for metrics.summarize_run and summarize_groups.
+"""A per-record reference for metrics.summarize_run.
 
 It folds a run's records one at a time, keeping every energy, and sums
 them by math.fsum: the fold the summary had before it was computed from
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from lorabandit.metrics import ArmStats, MetricsSummary, RunRecord
+from lorabandit.metrics import MetricsSummary, RunRecord
 
 
 def summarize_run(records: list[RunRecord], config_key: str = "") -> MetricsSummary:
@@ -19,24 +19,17 @@ def summarize_run(records: list[RunRecord], config_key: str = "") -> MetricsSumm
     Energies are summed by math.fsum, which is exact, so no figure depends
     on the order of the records.
     """
-    # [attempts, successes, active energies] per device and per arm.
+    # [attempts, successes, active energies] per device.
     by_device: dict[int, list] = {}
-    by_arm: dict[int, list] = {}
     acked_by_dbm: dict[int, int] = {}
     for r in records:
         dev = by_device.get(r.device)
         if dev is None:
             dev = by_device[r.device] = [0, 0, []]
-        arm = by_arm.get(r.arm_index)
-        if arm is None:
-            arm = by_arm[r.arm_index] = [0, 0, []]
         dev[0] += 1
-        arm[0] += 1
         dev[2].append(r.e_active)
-        arm[2].append(r.e_active)
         if r.acked:
             dev[1] += 1
-            arm[1] += 1
             acked_by_dbm[r.power_dbm] = acked_by_dbm.get(r.power_dbm, 0) + 1
 
     attempts = len(records)
@@ -47,10 +40,6 @@ def summarize_run(records: list[RunRecord], config_key: str = "") -> MetricsSumm
     # Per-device cumulative EE, written rate-over-mean-energy so a constant
     # per-attempt energy yields exactly success_rate / e_active.
     device_ee = [(s / n) / (math.fsum(es) / n) for n, s, es in by_device.values()]
-    per_arm = {}
-    for arm_index, (n, s, es) in by_arm.items():
-        rate = s / n
-        per_arm[arm_index] = ArmStats(n, s, rate, rate / (math.fsum(es) / n))
 
     return MetricsSummary(
         config_key=config_key,
@@ -62,5 +51,4 @@ def summarize_run(records: list[RunRecord], config_key: str = "") -> MetricsSumm
         energy_efficiency_network=successes / total_energy if attempts else None,
         # The share of each TX power among successful transmissions only.
         tp_ratio={dbm: c / successes for dbm, c in acked_by_dbm.items()},
-        per_arm=per_arm,
     )

@@ -1,6 +1,7 @@
 """Command-line verbs, exit codes, and environment overrides."""
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -154,6 +155,35 @@ def test_tables_rebuilds_the_run_tables(tmp_path, capsys):
         p.unlink()
     assert main(["tables", str(out / "manifest.json")]) == EXIT_OK
     assert {p.name: p.read_bytes() for p in tables.iterdir()} == written
+
+
+def test_tables_reads_summaries_with_a_per_arm_table(tmp_path, capsys):
+    # Earlier versions wrote each run summary with a per_arm table: per arm,
+    # its selections, successes, success rate and rate over mean active
+    # energy. The tables verb still rebuilds the run's tables from them.
+    doc = TINY | {"policies": ["fixed", "adr_lite"], "device_counts": [3], "runs_per_point": 2}
+    out = tmp_path / "results"
+    assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) == EXIT_OK
+    written = {p.name: p.read_bytes() for p in (out / "tables").iterdir()}
+    for entry in json.loads((out / "manifest.json").read_text())["runs"]:
+        path = out / entry["summary"]
+        summary = json.loads(path.read_text())
+        assert "per_arm" not in summary
+        by_arm = {}
+        for line in (out / entry["records"]).read_text().splitlines():
+            r = json.loads(line)
+            by_arm.setdefault(str(r["arm_index"]), []).append((r["acked"], r["e_active"]))
+        summary["per_arm"] = {}
+        for arm, pairs in by_arm.items():
+            n, s = len(pairs), sum(acked for acked, _ in pairs)
+            summary["per_arm"][arm] = {
+                "selections": n, "successes": s, "success_rate": s / n,
+                "energy_efficiency": (s / n) / (math.fsum(e for _, e in pairs) / n)}
+        path.write_text(json.dumps(summary, sort_keys=True, indent=2))
+    for p in (out / "tables").iterdir():
+        p.unlink()
+    assert main(["tables", str(out / "manifest.json")]) == EXIT_OK
+    assert {p.name: p.read_bytes() for p in (out / "tables").iterdir()} == written
 
 
 def test_tables_from_another_directory(tmp_path, monkeypatch):

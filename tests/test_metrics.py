@@ -4,16 +4,7 @@ import math
 
 import pytest
 
-from lorabandit.metrics import (
-    ArmStats,
-    Cause,
-    MetricsSummary,
-    RunRecord,
-    aggregate_runs,
-    summarize_groups,
-    summarize_run,
-)
-from lorabandit.sweep import write_records
+from lorabandit.metrics import Cause, MetricsSummary, RunRecord, aggregate_runs, summarize_run
 
 
 def record(device=0, attempt=0, arm=0, power=-3, acked=True, e_active=200.0,
@@ -122,15 +113,6 @@ def test_summary_counts_and_normalization():
     assert (s.attempts, s.successes) == (200, 120)
     assert s.success_rate == 0.6
     assert sum(s.tp_ratio.values()) == pytest.approx(1.0, abs=1e-9)
-    assert s.per_arm[0].selections == 200
-    assert s.per_arm[0].successes == 120
-
-
-def test_summary_per_arm_totals_match():
-    records = log(30, 20, arm=1) + log(10, 3, arm=2, device=1)
-    s = summarize_run(records)
-    assert sum(a.selections for a in s.per_arm.values()) == s.attempts
-    assert sum(a.successes for a in s.per_arm.values()) == s.successes
 
 
 def test_summary_device_mean_vs_network_ee():
@@ -153,15 +135,10 @@ def test_summary_constant_energy_is_exact_ratio():
     # Device 0 spent nothing; device 1 (on the same arm) did.
     ([record(device=0, e_active=0.0), record(device=1, e_active=5.0)], "device 0"),
     ([record(device=0, e_active=-1.0), record(device=1, e_active=5.0)], "device 0"),
-    # Device 0 spent 5 mJ in all, none of it on arm 0.
-    ([record(arm=0, e_active=0.0), record(arm=1, e_active=5.0)], "arm 0"),
 ])
-def test_summary_refuses_no_active_energy(tmp_path, records, message):
-    # Through both paths: the records, and the counts the writer returns.
+def test_summary_refuses_no_active_energy(records, message):
     with pytest.raises(ValueError, match=f"active energy of {message} must be positive"):
         summarize_run(records)
-    with pytest.raises(ValueError, match=f"active energy of {message} must be positive"):
-        summarize_groups(write_records(records, tmp_path / "r.jsonl"))
 
 
 # --- aggregation -------------------------------------------------------------------
@@ -172,7 +149,6 @@ def summary(rate, key="k", tp=None):
         success_rate=rate, energy_efficiency=rate / 200.0,
         energy_efficiency_network=rate / 200.0,
         tp_ratio=tp if tp is not None else {-3: 1.0},
-        per_arm={0: ArmStats(100, int(rate * 100), rate, rate / 200.0)},
     )
 
 

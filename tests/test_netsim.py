@@ -1,5 +1,6 @@
 """Event-driven network simulation: carrier sense, collisions, determinism."""
 
+import json
 import sys
 import tempfile
 from collections import Counter
@@ -17,7 +18,7 @@ from lorabandit.metrics import Cause, RunLog, RunRecord, summarize_run
 from lorabandit.netsim import POLICY_NAMES, device_rng, payload_symbols, run_simulation
 from lorabandit.params import Channel, ConfigError, build_arm_space
 from lorabandit.policies import adr_lite_search, select_fixed
-from lorabandit.sweep import write_records
+from lorabandit.sweep import read_records, write_records
 
 
 def make_setup(policy="proposed_ucb_tuned", n_devices=1, **kw):
@@ -611,14 +612,19 @@ def test_run_log_rows_follow_their_fields():
        n_devices=st.integers(1, 6), seed=st.integers(0, 2**64 - 1))
 @example(doc=TIE_DOC, policy="adr_lite", n_devices=6, seed=10370)
 def test_row_path_writes_the_bytes_of_the_record_path(doc, policy, n_devices, seed):
-    # The record writer and summarize_run give the same bytes and counts from
-    # a RunLog's rows as from the list of its records.
+    # The record writer, from a RunLog's rows, writes each of its records as
+    # sorted-key compact JSON, and they read back as the log; summarize_run
+    # folds the rows as it folds the list of the log's records.
     log = run_simulation(config_from_dict(doc).run_setup(policy, n_devices), seed)
+    records = list(log)
     with tempfile.TemporaryDirectory() as tmp:
-        rows, records = Path(tmp) / "rows.jsonl", Path(tmp) / "records.jsonl"
-        assert write_records(log, rows) == write_records(list(log), records)
-        assert rows.read_bytes() == records.read_bytes()
-    assert summarize_run(log) == summarize_run(list(log))
+        path = Path(tmp) / "r.jsonl"
+        write_records(log, path)
+        assert path.read_bytes() == "".join(
+            json.dumps(r.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+            for r in records).encode()
+        assert read_records(path) == log
+    assert summarize_run(log) == summarize_run(records)
 
 
 def test_runs_share_the_decision_lists_of_fixed_and_adr_lite():

@@ -30,9 +30,10 @@ def test_every_traced_name_resolves():
 
 
 def test_serial_sweep_calls_through_the_traced_names(tmp_path, monkeypatch):
-    # One run_simulation and one write_records(records, path) per job, both
-    # looked up on the sweep module, where the benchmark wraps them.
-    sims, writes = [], []
+    # One run_simulation, one write_records(log, path) and one
+    # summarize_run(log, config_hash) per job, each looked up on the sweep
+    # module, where the benchmark wraps them.
+    sims, writes, summaries = [], [], []
 
     def simulate(setup, seed):
         sims.append(sweep_run(setup, seed))
@@ -42,15 +43,24 @@ def test_serial_sweep_calls_through_the_traced_names(tmp_path, monkeypatch):
         writes.append((args, kwargs))
         return sweep_write(*args, **kwargs)
 
+    def summarize(*args, **kwargs):
+        summaries.append((args, kwargs))
+        return sweep_summarize(*args, **kwargs)
+
     sweep_run, sweep_write = sweep.run_simulation, sweep.write_records
+    sweep_summarize = sweep.summarize_run
     monkeypatch.setattr(sweep, "run_simulation", simulate)
     monkeypatch.setattr(sweep, "write_records", write)
+    monkeypatch.setattr(sweep, "summarize_run", summarize)
     cfg = ExperimentConfig(policies=["fixed", "epsilon_greedy"], device_counts=[2, 3],
                            runs_per_point=2, t_attempts=10)
     manifest = sweep.run_sweep(cfg, tmp_path / "out")
-    assert len(sims) == len(writes) == len(manifest.runs) == 8
-    for log, (args, kwargs), entry in zip(sims, writes, manifest.runs):
-        assert isinstance(log, RunLog) and not kwargs
+    assert len(sims) == len(writes) == len(summaries) == len(manifest.runs) == 8
+    for log, (args, kwargs), (summary_args, summary_kwargs), entry in zip(
+            sims, writes, summaries, manifest.runs):
+        assert isinstance(log, RunLog) and not kwargs and not summary_kwargs
         records, path = args
         assert records is log
         assert Path(path) == tmp_path / "out" / entry["records"]
+        summarized, config_hash = summary_args
+        assert summarized is log and config_hash == manifest.config_hash

@@ -7,7 +7,6 @@ import json
 import os
 import subprocess
 import sys
-import tempfile
 import textwrap
 from pathlib import Path
 
@@ -17,8 +16,7 @@ from hypothesis import example, given, strategies as st
 import lorabandit
 from lorabandit import sweep
 from lorabandit.config import ExperimentConfig
-from lorabandit.metrics import (Cause, RunLog, RunRecord, aggregate_runs, summarize_groups,
-                               summarize_run)
+from lorabandit.metrics import Cause, RunLog, RunRecord, aggregate_runs, summarize_run
 from lorabandit.sweep import (
     RunManifest,
     emit_tables,
@@ -80,18 +78,12 @@ def test_records_round_trip(tmp_path):
     assert read_records(path) == records
 
 
-FLOATS = st.one_of(
-    st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.0, 200.0, -3.0, 1e300]),
-    st.floats(allow_nan=False, allow_infinity=False),
-)
-INTS = st.integers(min_value=-(2**63), max_value=2**64 - 1)
 CAUSES = [Cause.SUCCESS, Cause.CHANNEL_NOT_RECEIVABLE, Cause.CARRIER_BUSY, Cause.COLLISION]
 
 
 # Records that differ from another only in the sign of a zero reward or
 # e_toa, in which of two equal but distinct float objects they hold, or in
-# their cause or ACK: a writer that reuses a line's fragments must not take
-# one for the other.
+# their cause or ACK: the summary must count each as a record of its own.
 _A, _B = float("0.25"), float("0.25")
 _BASE = RunRecord(7, 1, 0, 3, 868100000.0, -3, Cause.SUCCESS, True, 0.0, 0.0, _A, 1.5)
 TWINS = [
@@ -104,40 +96,6 @@ TWINS = [
     _BASE._replace(attempt=6, acked=False),
     _BASE._replace(attempt=7),
 ]
-
-
-def test_record_lines_tell_twins_apart(tmp_path):
-    assert _A == _B and _A is not _B
-    assert [repr(r.reward) + repr(r.e_toa) for r in TWINS[:4]] == [
-        "0.00.0", "-0.00.0", "0.0-0.0", "-0.0-0.0"]
-    path = tmp_path / "r.jsonl"
-    write_records(TWINS, path)
-    assert path.read_bytes() == "".join(
-        json.dumps(r.to_dict(), sort_keys=True, separators=(",", ":")) + "\n" for r in TWINS
-    ).encode()
-
-
-@given(st.lists(st.builds(
-    RunRecord, run_seed=INTS, device=INTS, attempt=INTS, arm_index=INTS,
-    channel_hz=FLOATS, power_dbm=INTS, cause=st.sampled_from(CAUSES),
-    acked=st.booleans(), reward=FLOATS, e_toa=FLOATS, e_active=FLOATS, wake_time=FLOATS,
-), max_size=5))
-@example(TWINS)
-def test_record_lines_match_sorted_json(records):
-    """The record writer gives the bytes of the sorted-key JSON form, and
-    they read back as the same records.
-
-    Floats here are finite: the simulator writes no inf or nan, because a
-    config whose energies or rewards are not finite fails validation.
-    """
-    want = "".join(
-        json.dumps(r.to_dict(), sort_keys=True, separators=(",", ":")) + "\n" for r in records
-    )
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "r.jsonl"
-        write_records(records, path)
-        assert path.read_bytes() == want.encode()
-        assert read_records(path) == records
 
 
 # Energies a log can add up: positive, down to the least subnormal, and small
@@ -189,24 +147,16 @@ OVERFLOWING = [_TINY._replace(attempt=i, wake_time=float(i)) for i in range(3)] 
 @example(TWINS)
 @example(OVERFLOWING)
 def test_grouped_summaries_match_the_per_record_fold(records):
-    """summarize_run, and summarize_groups of the writer's counts, give the
-    per-record reference's summary, to the byte of its JSON; where the
-    reference overflows, both refuse the log."""
-    def as_json(summary):
-        return json.dumps(summary.to_dict(), sort_keys=True)
-
-    with tempfile.TemporaryDirectory() as tmp:
-        groups = write_records(records, Path(tmp) / "r.jsonl")
-    paths = (lambda: summarize_run(records, "k"), lambda: summarize_groups(groups, "k"))
+    """summarize_run gives the per-record reference's summary, to the byte of
+    its JSON; where the reference overflows, it refuses the log."""
     try:
-        want = as_json(reference_summary(records, "k"))
+        want = reference_summary(records, "k")
     except OverflowError:
-        for summarize in paths:
-            with pytest.raises(ValueError, match="must sum to a finite total"):
-                summarize()
+        with pytest.raises(ValueError, match="must sum to a finite total"):
+            summarize_run(records, "k")
     else:
-        for summarize in paths:
-            assert as_json(summarize()) == want
+        assert (json.dumps(summarize_run(records, "k").to_dict(), sort_keys=True)
+                == json.dumps(want.to_dict(), sort_keys=True))
 
 
 # --- sweeps ------------------------------------------------------------------
