@@ -12,6 +12,7 @@ import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from enum import Enum
+from math import sqrt
 from typing import TYPE_CHECKING, NamedTuple
 
 from .params import DEFAULT_CHANNEL_MHZ, DEFAULT_RECEIVABLE_MHZ, ConfigError, ParamCombo
@@ -27,7 +28,7 @@ class Phase(Enum):
     LEARNED = "learned"
 
 
-@dataclass
+@dataclass(slots=True)
 class ArmState:
     """Running statistics for one arm.
 
@@ -52,44 +53,6 @@ class ArmState:
 class PolicyDecision(NamedTuple):
     arm_index: int
     phase: Phase = Phase.LEARNED
-
-
-def ucb_variance(arm: ArmState, m: int) -> float:
-    """Variance estimator: sigma^2 + sqrt(2 ln m / pulls)."""
-    if arm.pulls < 1:
-        raise ValueError("arm has never been pulled; run initialization first")
-    if m < arm.pulls:
-        raise ValueError(f"total plays {m} < arm pulls {arm.pulls}")
-    return arm.variance + math.sqrt(2.0 * math.log(m) / arm.pulls)
-
-
-def ucb_score(arm: ArmState, m: int) -> float:
-    """Mean reward plus the variance-capped exploration bonus.
-
-    score = C/S + sqrt((ln m / S) * min(1/4, V)) with V from ucb_variance.
-    """
-    if arm.pulls < 1:
-        raise ValueError("arm has never been pulled; run initialization first")
-    v = ucb_variance(arm, m)
-    bonus = math.sqrt(
-        (math.log(m) / arm.pulls) * min(MAX_BERNOULLI_VARIANCE, v)
-    )
-    return arm.mean + bonus
-
-
-def _score(arm: ArmState, log_m: float) -> float:
-    """ucb_score(arm, m) from log_m = math.log(m), bit for bit: the same
-    operations in the same order."""
-    v = arm.variance + math.sqrt(2.0 * log_m / arm.pulls)
-    return arm.mean + math.sqrt(
-        log_m / arm.pulls * (v if v < MAX_BERNOULLI_VARIANCE else MAX_BERNOULLI_VARIANCE)
-    )
-
-
-def _bound(arm: ArmState, log_h: float) -> float:
-    """_score's chain with log_h for log_m and 1/4 for min(1/4, V). Every
-    step rounds monotonically, so log_m <= log_h gives _score <= _bound."""
-    return arm.mean + math.sqrt(log_h / arm.pulls * MAX_BERNOULLI_VARIANCE)
 
 
 def fixed_choices(arms: list[ParamCombo]) -> list[PolicyDecision]:
@@ -193,9 +156,15 @@ class _ArmLearner:
 
 
 class UcbTunedPolicy(_ArmLearner):
-    """Each arm keeps a bound _bound(arm, ln H) on its score for every m with
-    ln m <= ln H, H a horizon ahead of the total plays; the (bound, arm)
-    pairs stay sorted, so a decision scores only the arms that can still win.
+    """UCB1-Tuned (Auer, Cesa-Bianchi & Fischer, 2002): after the
+    initialization pass, the arm of highest score
+
+        mean + sqrt(ln m / pulls * min(1/4, variance + sqrt(2 ln m / pulls)))
+
+    at m total plays. Each arm keeps a bound mean + sqrt(ln H / pulls * 1/4)
+    on its score for every m with ln m <= ln H, H a horizon ahead of the
+    total plays; the (bound, arm) pairs stay sorted, so a decision scores
+    only the arms that can still win.
     """
 
     def __init__(self, n_arms: int, rng: DeviceRng):
@@ -207,10 +176,14 @@ class UcbTunedPolicy(_ArmLearner):
 
     def observe(self, arm_index: int, acked: bool, reward: float) -> None:
         _ArmLearner.observe(self, arm_index, acked, reward)
-        if self._ranked:
-            del self._ranked[bisect_left(self._ranked, (self._bounds[arm_index], arm_index))]
-            self._bounds[arm_index] = b = _bound(self.arms[arm_index], self._log_h)
-            insort(self._ranked, (b, arm_index))
+        ranked = self._ranked
+        if ranked:
+            bounds = self._bounds
+            del ranked[bisect_left(ranked, (bounds[arm_index], arm_index))]
+            arm = self.arms[arm_index]
+            bounds[arm_index] = b = arm.mean + sqrt(
+                self._log_h / arm.pulls * MAX_BERNOULLI_VARIANCE)
+            insort(ranked, (b, arm_index))
 
     def select(self) -> PolicyDecision:
         """Uncovered arms first, then max score.
@@ -218,8 +191,10 @@ class UcbTunedPolicy(_ArmLearner):
         While any arm is unpulled the lowest-indexed such arm is forced
         (initialization pass); afterwards the max-score arm wins, with exact
         ties broken uniformly at random. Arms are scored in descending bound
-        order until a bound falls below the best score: none after it can
-        reach that score, let alone tie it.
+        order until a bound falls below the best score: the bound and the
+        score take the same steps with ln H >= ln m and 1/4 >= min(1/4, V),
+        and every step rounds monotonically, so no arm after it can reach
+        that score, let alone tie it.
         """
         arms = self.arms
         if self.unpulled:
@@ -230,17 +205,26 @@ class UcbTunedPolicy(_ArmLearner):
         log_m = math.log(m)
         if log_m > self._log_h:  # rebuild, valid for ~1/8 more plays: few rebuilds, tight bounds
             self._log_h = log_h = math.log(m + m // 8 + 1)
-            self._bounds = [_bound(arm, log_h) for arm in arms]
-            self._ranked = sorted(zip(self._bounds, range(len(arms))))
+            self._bounds = bounds = [
+                arm.mean + sqrt(log_h / arm.pulls * MAX_BERNOULLI_VARIANCE) for arm in arms]
+            self._ranked = sorted(zip(bounds, range(len(arms))))
+        two_log_m = 2.0 * log_m
         best, tied = -math.inf, None  # tied lists the arms only once two scores tie
         for bound, k in reversed(self._ranked):
             if bound < best:
                 break
-            score = _score(arms[k], log_m)
+            arm = arms[k]
+            pulls = arm.pulls
+            v = arm.variance + sqrt(two_log_m / pulls)
+            score = arm.mean + sqrt(log_m / pulls * (
+                v if v < MAX_BERNOULLI_VARIANCE else MAX_BERNOULLI_VARIANCE))
             if score > best:
                 best, first, tied = score, k, None
             elif score == best:
-                tied = (tied or [first]) + [k]
+                if tied is None:
+                    tied = [first, k]
+                else:
+                    tied.append(k)
         if tied:
             tied.sort()
             return self._decisions[tied[self.rng.integers(len(tied))]]

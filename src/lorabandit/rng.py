@@ -91,14 +91,6 @@ class DeviceRng:
         rot = s >> 122
         return (x >> rot | x << (64 - rot)) & MASK64
 
-    def _next32(self) -> int:
-        if (word := self.buffered) is not None:
-            self.buffered = None
-            return word
-        x = self._next64()
-        self.buffered = x >> 32
-        return x & MASK32
-
     def random(self) -> float:
         """Uniform float in [0, 1) from the top 53 bits of one 64-bit output."""
         return (self._next64() >> 11) * 2.0 ** -53
@@ -112,15 +104,22 @@ class DeviceRng:
         span = high - low  # numpy's rng is span - 1
         if span == 1:
             return low
-        if span <= MASK32:
-            m = self._next32() * span
-            if m & MASK32 < span:
-                threshold = (1 << 32) % span
-                while m & MASK32 < threshold:
-                    m = self._next32() * span
-            return low + (m >> 32)
-        if span == 1 << 32:
-            return low + self._next32()
+        if span <= 1 << 32:
+            # One 32-bit word per try: the buffered high half of the last
+            # output, else the low half of a new one (PCG64 stepped inline).
+            while True:
+                if (word := self.buffered) is None:
+                    self.state = s = (self.state * PCG_MULT + self.inc) & MASK128
+                    x = (s >> 64 ^ s) & MASK64
+                    rot = s >> 122
+                    x = (x >> rot | x << (64 - rot)) & MASK64
+                    self.buffered = x >> 32
+                    word = x & MASK32
+                else:
+                    self.buffered = None
+                m = word * span
+                if m & MASK32 >= span or m & MASK32 >= (1 << 32) % span:
+                    return low + (m >> 32)
         m = self._next64() * span
         if m & MASK64 < span:
             threshold = (1 << 64) % span

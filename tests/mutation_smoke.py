@@ -2,9 +2,10 @@
 
 Each mutant replaces one snippet of a module in src/lorabandit with a wrong
 one, in a copy of src/, tests/ and perfbench/ made in a temporary
-directory, and runs the tests there against the copy, acceptance module
-left out and the mutated module's own test module first. A mutant that no test fails
-survives. Mutants are listed per module below; a survivor is either killed
+directory, and runs the tests there against the copy, with the acceptance
+module and the snippet check (test_mutants.py, which any mutant fails) left
+out and the mutated module's own test module first. A mutant that no test
+fails survives. Mutants are listed per module below; a survivor is either killed
 by a new test or kept here with the reason it survives.
 
     python tests/mutation_smoke.py
@@ -77,6 +78,22 @@ MUTANTS = [
      "c / successes for dbm", "c / attempts for dbm", None),
     ("metrics", "a device with zero active energy let through",
      "if energy <= 0:", "if energy < 0:", None),
+    ("policies", "UCB scores every arm (no pruning break)",
+     "            if bound < best:\n                break\n",
+     "            if bound < best:\n                pass\n", None),
+    ("policies", "UCB's tied arms drawn in bound order, not index order",
+     "            tied.sort()\n", "", None),
+    ("policies", "an arm joins epsilon-greedy's tie set at its end",
+     "insort(tied, arm_index)", "tied.append(arm_index)", None),
+    ("rng", "Lemire's 32-bit threshold test never rejects",
+     "m & MASK32 >= (1 << 32) % span:", "m & MASK32 >= 0:", None),
+    ("rng", "Lemire's 64-bit threshold test never rejects",
+     "while m & MASK64 < threshold:", "while m & MASK64 < 0:", None),
+    ("rng", "the buffered 32-bit half not cleared when used",
+     "                else:\n                    self.buffered = None\n",
+     "                else:\n                    pass\n", None),
+    ("rng", "random() from 52 bits, not 53",
+     ">> 11) * 2.0 ** -53", ">> 12) * 2.0 ** -52", None),
 ]
 
 
@@ -101,6 +118,7 @@ def run_mutant(module: str, snippet: str | None, replacement: str | None) -> boo
         result = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
              "--hypothesis-seed=0", "--ignore", str(work / "tests" / "test_acceptance.py"),
+             "--ignore", str(work / "tests" / "test_mutants.py"),
              *first, str(work / "tests")],
             cwd=work, capture_output=True, text=True,
             env=os.environ | {"PYTHONPATH": str(work / "src"), "PYTHONDONTWRITEBYTECODE": "1"},

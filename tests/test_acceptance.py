@@ -21,8 +21,9 @@ from lorabandit.config import ExperimentConfig
 from lorabandit.energy import RadioConfig, attempt_energy
 from lorabandit.metrics import aggregate_runs, summarize_run
 from lorabandit.netsim import device_rng, run_simulation
-from lorabandit.policies import ArmState, Phase, UcbTunedPolicy, ucb_score, ucb_variance
+from lorabandit.policies import ArmState, Phase, UcbTunedPolicy
 from lorabandit.sweep import read_records, run_seed, run_sweep
+from reference_ucb import ucb_score, ucb_variance
 
 POLICIES = ("proposed_ucb_tuned", "epsilon_greedy", "adr_lite", "fixed")
 COUNTS = (10, 15, 20, 25, 30)
