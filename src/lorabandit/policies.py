@@ -69,12 +69,6 @@ def fixed_choices(arms: list[ParamCombo]) -> list[PolicyDecision]:
     return [PolicyDecision(lowest[c]) for c in channels]
 
 
-def select_fixed(device_index: int, arms: list[ParamCombo]) -> PolicyDecision:
-    """Static assignment: receivable channels round-robin, minimum power."""
-    choices = fixed_choices(arms)
-    return choices[device_index % len(choices)]
-
-
 def adr_lite_next(prev_index: int, acked: bool, list_len: int) -> int:
     """Binary-search step through the quality-sorted parameter list.
 
@@ -271,8 +265,9 @@ class EpsilonGreedyPolicy(_ArmLearner):
 
 
 class FixedPolicy:
-    """Constant arm: the device's select_fixed decision, which a run takes
-    from one fixed_choices list for all its devices."""
+    """Constant arm: device i's is fixed_choices(arms)[i % len(choices)], the
+    receivable channels round-robin at the minimum power, from one list
+    that a run builds for all its devices."""
 
     def __init__(self, decision: PolicyDecision):
         self.decision = decision

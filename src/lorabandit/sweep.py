@@ -5,9 +5,11 @@ CSV tables under one manifest."""
 from __future__ import annotations
 
 import json
+import math
 import os
 import shutil
 from dataclasses import asdict, dataclass, field
+from itertools import cycle
 from operator import attrgetter
 from pathlib import Path
 
@@ -69,6 +71,27 @@ class RunManifest:
         return cls(**d)
 
 
+def wake_texts(interval_us: int, offset_us: int, n: int) -> list[str]:
+    """repr((k·interval_us + offset_us) / 1e6) for k < n, made from the integers.
+
+    A wake a = k·interval_us + offset_us of 0 or in [100, 10**15) µs is below
+    2**53, so a / 1e6 is the double nearest the decimal a/10**6; that decimal
+    has at most 15 significant digits, and no two such decimals round to one
+    double (DBL_DIG is 15). So repr prints its digits, in fixed notation: the
+    whole seconds, a point and the µs fraction without trailing zeros (or 0).
+    A device with a wake of 1-99 µs (repr writes 5e-05) or of 10**15 µs and
+    more keeps repr. The fraction repeats in k with period
+    10**6 // gcd(interval_us, 10**6), so each is formatted once.
+    """
+    wakes = range(offset_us, offset_us + n * interval_us, interval_us)
+    nonzero = wakes[1:] if offset_us == 0 else wakes
+    if nonzero and (nonzero[0] < 100 or nonzero[-1] >= 10 ** 15):
+        return [repr(a / 1e6) for a in wakes]
+    period = 10 ** 6 // math.gcd(interval_us, 10 ** 6)
+    fractions = ["." + (f"{a % 10 ** 6:06d}".rstrip("0") or "0") for a in wakes[:period]]
+    return [f"{a // 10 ** 6}{fraction}" for a, fraction in zip(wakes, cycle(fractions))]
+
+
 def write_records(log: RunLog, path: Path) -> None:
     """Newline-delimited JSON, one record per line, keys sorted: byte for byte
     json.dumps(r.to_dict(), sort_keys=True, separators=(",", ":")) for each
@@ -77,23 +100,28 @@ def write_records(log: RunLog, path: Path) -> None:
 
     Only attempt and wake_time vary between the records of one row (see
     RunLog), so the fragments around them are built once for each row the
-    run uses.
+    run uses, the attempt texts once per run and each device's wake texts
+    once, by wake_texts from its integer µs; each line is one f-string of
+    these texts, written on its own.
     """
     rows, attempts = log.rows, log.attempts
+    n = max(attempts, default=-1) + 1
+    attempt_texts = list(map(str, range(n)))
+    wakes = [wake_texts(log.interval_us, offset, n) for offset in log.offsets_us]
     used = set(rows)
     fragments = {
         row: (f'{{"acked":{"true" if acked else "false"},"arm_index":{arm},"attempt":',
               f',"cause":"{cause}","channel_hz":{hz!r},"device":{device},"e_active":'
               f'{e_active!r},"e_toa":{e_toa!r},"power_dbm":{dbm},"reward":{reward!r},'
-              f'"run_seed":{seed},"wake_time":')
+              f'"run_seed":{seed},"wake_time":', wakes[device])
         for row, (seed, device, arm, hz, dbm, cause, acked, reward, e_toa, e_active)
         in zip(used, map(log.row_fields, used))
     }
     with open(path, "w", encoding="utf-8") as fh:
         write = fh.write
-        for (head, tail), attempt, wake in zip(map(fragments.__getitem__, rows), attempts,
-                                               log.wake_times(rows, attempts)):
-            write(f"{head}{attempt}{tail}{wake!r}}}\n")
+        for (head, tail, device_wakes), attempt in zip(map(fragments.__getitem__, rows),
+                                                       attempts):
+            write(f"{head}{attempt_texts[attempt]}{tail}{device_wakes[attempt]}}}\n")
 
 
 def read_records(path) -> list[RunRecord]:

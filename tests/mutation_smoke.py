@@ -78,6 +78,11 @@ MUTANTS = [
      "c / successes for dbm", "c / attempts for dbm", None),
     ("metrics", "a device with zero active energy let through",
      "if energy <= 0:", "if energy < 0:", None),
+    ("policies", "ADR-Lite's step on success rounds up, not down",
+     "return prev_index // 2", "return math.ceil(prev_index / 2)", None),
+    ("policies", "ADR-Lite's step on failure rounds down, not up",
+     "return math.ceil((list_len - 1 + prev_index) / 2)",
+     "return (list_len - 1 + prev_index) // 2", None),
     ("policies", "UCB scores every arm (no pruning break)",
      "            if bound < best:\n                break\n",
      "            if bound < best:\n                pass\n", None),
@@ -85,6 +90,19 @@ MUTANTS = [
      "            tied.sort()\n", "", None),
     ("policies", "an arm joins epsilon-greedy's tie set at its end",
      "insort(tied, arm_index)", "tied.append(arm_index)", None),
+    ("sweep", "run_seed's chain takes the run index before N",
+     "(_fnv1a64(policy.encode()), n_devices, run_index)",
+     "(_fnv1a64(policy.encode()), run_index, n_devices)", None),
+    ("sweep", "run_seed's chain mixes before the xor, not after",
+     "h = _splitmix64(h ^ (v & _MASK64))", "h = _splitmix64(h) ^ (v & _MASK64)", None),
+    ("sweep", "wake texts for wakes of 1-99 µs", "nonzero[0] < 100 or ", "", None),
+    ("sweep", "wake texts for wakes of 10**15 µs and more",
+     " or nonzero[-1] >= 10 ** 15", "", None),
+    ("sweep", "wake fractions keep their trailing zeros",
+     '"{a % 10 ** 6:06d}".rstrip("0")', '"{a % 10 ** 6:06d}"', None),
+    ("sweep", "whole seconds without their .0", '.rstrip("0") or "0")', '.rstrip("0"))', None),
+    ("sweep", "one wake fraction for every wake (period 1)",
+     "period = 10 ** 6 // math.gcd(interval_us, 10 ** 6)", "period = 1", None),
     ("rng", "Lemire's 32-bit threshold test never rejects",
      "m & MASK32 >= (1 << 32) % span:", "m & MASK32 >= 0:", None),
     ("rng", "Lemire's 64-bit threshold test never rejects",

@@ -17,7 +17,14 @@ from lorabandit.metrics import Cause, RunRecord
 from lorabandit.netsim import device_rng, payload_symbols
 from lorabandit.params import build_arm_space
 from lorabandit.policies import (AdrLitePolicy, EpsilonGreedyPolicy, FixedPolicy, UcbTunedPolicy,
-                                 adr_lite_search, select_fixed)
+                                 adr_lite_search, fixed_choices)
+
+
+def select_fixed(device_index, arms):
+    """One device's fixed decision, built on its own: the receivable channels
+    round-robin by frequency, at the minimum power."""
+    choices = fixed_choices(arms)
+    return choices[device_index % len(choices)]
 
 
 def _policy(setup, i, arms, seed):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from reference_sim import reference_run
+from reference_sim import reference_run, select_fixed
 
 from lorabandit import netsim
 from lorabandit.config import ExperimentConfig, config_from_dict
@@ -17,7 +17,7 @@ from lorabandit.energy import attempt_energy, time_on_air
 from lorabandit.metrics import Cause, RunLog, RunRecord, summarize_run
 from lorabandit.netsim import POLICY_NAMES, device_rng, payload_symbols, run_simulation
 from lorabandit.params import Channel, ConfigError, build_arm_space
-from lorabandit.policies import adr_lite_search, select_fixed
+from lorabandit.policies import adr_lite_search
 from lorabandit.sweep import read_records, write_records
 
 

@@ -28,10 +28,10 @@ from lorabandit.policies import (
     adr_lite_list,
     adr_lite_next,
     adr_lite_search,
-    select_fixed,
 )
 from lorabandit.netsim import POLICY_NAMES
 from lorabandit.sweep import run_seed
+from reference_sim import select_fixed
 from reference_ucb import ucb_score, ucb_variance
 
 REL = 1e-12
@@ -515,6 +515,8 @@ def test_adr_next_examples():
     assert adr_lite_next(24, acked=True, list_len=25) == 12
     assert adr_lite_next(24, acked=False, list_len=25) == 24
     assert adr_lite_next(12, acked=False, list_len=25) == 18
+    assert adr_lite_next(5, acked=True, list_len=25) == 2  # floor
+    assert adr_lite_next(13, acked=False, list_len=25) == 19  # ceil
 
 
 def test_adr_next_rejects_out_of_range():

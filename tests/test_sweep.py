@@ -11,7 +11,7 @@ import textwrap
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import lorabandit
 from lorabandit import sweep
@@ -23,6 +23,7 @@ from lorabandit.sweep import (
     read_records,
     run_seed,
     run_sweep,
+    wake_texts,
     write_records,
 )
 from lorabandit.netsim import run_simulation
@@ -68,6 +69,13 @@ def test_run_seed_fits_64_bits():
     assert 0 <= s < 2**64
 
 
+def test_run_seed_values_pinned():
+    # Every record, summary and golden follows from these seeds, so the
+    # chain's order and steps may not change.
+    assert run_seed(20240901, "proposed_ucb_tuned", 30, 0) == 13492727300409056553
+    assert run_seed(11, "fixed", 3, 1) == 1248343463956222373
+
+
 # --- record persistence ----------------------------------------------------
 
 def test_records_round_trip(tmp_path):
@@ -76,6 +84,64 @@ def test_records_round_trip(tmp_path):
     path = tmp_path / "r.jsonl"
     write_records(records, path)
     assert read_records(path) == records
+
+
+@settings(max_examples=300)
+@given(interval_us=st.one_of(st.sampled_from([10**6, 10**7, 2_500_000, 999_983, 1]),
+                             st.integers(1, 10**17)),
+       offset_us=st.one_of(st.integers(0, 200), st.integers(0, 10**17)),
+       n=st.integers(0, 30))
+@example(interval_us=10**7, offset_us=0, n=20)  # whole seconds, period 1
+@example(interval_us=10**6, offset_us=1, n=3)  # 1e-06: repr's exponent notation
+@example(interval_us=10**6, offset_us=99, n=3)
+@example(interval_us=10**6, offset_us=100, n=3)  # 0.0001: fixed notation
+@example(interval_us=2_500_000, offset_us=7, n=5)  # period 2
+@example(interval_us=2_500_000, offset_us=123_456, n=6)
+@example(interval_us=999_983, offset_us=100, n=30)  # coprime with 10**6
+@example(interval_us=1, offset_us=0, n=300)  # 1 µs: wakes 1-99 µs
+@example(interval_us=1, offset_us=100, n=300)
+@example(interval_us=10**15 - 101, offset_us=100, n=2)  # last wake 10**15 - 1 µs
+@example(interval_us=10**15 - 100, offset_us=100, n=2)  # last wake 10**15 µs
+@example(interval_us=3 * 10**15, offset_us=100_001, n=4)  # 9000000000.1 by repr
+def test_wake_texts_are_the_reprs_of_the_wake_times(interval_us, offset_us, n):
+    assert wake_texts(interval_us, offset_us, n) == [
+        repr((k * interval_us + offset_us) / 1e6) for k in range(n)]
+
+
+def _dumps(log) -> bytes:
+    return "".join(json.dumps(r.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+                   for r in log).encode()
+
+
+def test_writer_bytes_on_a_hand_built_log(tmp_path):
+    # Offsets of 0, 7, 99 and 100 µs at a 2.5 s interval: the writer writes
+    # each record as json.dumps does, wakes of 7 and 99 µs in exponent
+    # notation. Row (device·2 + arm)·3 + outcome, as RunLog documents.
+    outcomes = [(868100000.0, -3, Cause.SUCCESS, True, 0.25, 0.5, 214.308),
+                (868100000.0, -3, Cause.COLLISION, False, 0.0, 0.5, 214.308),
+                (868300000.0, 13, Cause.CARRIER_BUSY, False, -0.0, 0.0, 207.9)]
+    ends = [[outcomes, outcomes[::-1]] for _ in range(4)]
+    rows, attempts = [], []
+    for attempt in range(3):
+        for device in range(4):
+            rows.append((device * 2 + (attempt + device) % 2) * 3 + (attempt + device) % 3)
+            attempts.append(attempt)
+    log = RunLog(42, ends, 2_500_000, [0, 7, 99, 100], rows, attempts)
+    path = tmp_path / "r.jsonl"
+    write_records(log, path)
+    text = path.read_bytes()
+    assert text == _dumps(log)
+    assert b'"wake_time":7e-06}' in text and b'"wake_time":9.9e-05}' in text
+    assert b'"wake_time":0.0001}' in text and b'"wake_time":2.500007}' in text
+    assert read_records(path) == log
+
+
+def test_writer_bytes_of_a_one_attempt_run(tmp_path):
+    log = run_simulation(tiny_config(t_attempts=1).run_setup("adr_lite", 6), seed=5)
+    assert len(log) == 6
+    path = tmp_path / "r.jsonl"
+    write_records(log, path)
+    assert path.read_bytes() == _dumps(log)
 
 
 CAUSES = [Cause.SUCCESS, Cause.CHANNEL_NOT_RECEIVABLE, Cause.CARRIER_BUSY, Cause.COLLISION]
