@@ -139,6 +139,98 @@ def _execute_point(args) -> MetricsSummary:
     return summarize_run(log, config_hash)
 
 
+def _take(jobs: list, tickets: int, block: int) -> list:
+    """(index, _execute_point(job)) for the jobs of every ticket read from
+    the pipe tickets until EOF. On an error it reads the remaining tickets,
+    so that no process starts another job, and raises it."""
+    done = []
+    try:
+        while ticket := os.read(tickets, 4):
+            start = int.from_bytes(ticket, "little")
+            for i in range(start, min(start + block, len(jobs))):
+                done.append((i, _execute_point(jobs[i])))
+    except BaseException:
+        while os.read(tickets, 4096):
+            pass
+        raise
+    return done
+
+
+def _serve(jobs: list, tickets: int, block: int, out: int, inherited: list) -> None:
+    """A forked worker's whole life: it closes the read ends it inherited
+    (so that, if the parent dies, a child left writing gets EPIPE), takes
+    its share of the tickets, sends back through the pipe out one pickle of
+    its (index, result) pairs or of its error, and ends with os._exit. It
+    never returns into the sweep, whose cleanup, atexit handlers and caller
+    belong to the parent."""
+    import pickle
+
+    status = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        try:
+            message = _take(jobs, tickets, block)
+        except BaseException as exc:
+            try:  # the parent gets back the same error, or a RuntimeError naming it
+                copy = pickle.loads(pickle.dumps(exc))
+            except Exception:
+                copy = None
+            message = (exc if type(copy) is type(exc) and str(copy) == str(exc)
+                       else RuntimeError(f"{type(exc).__name__}: {exc}"))
+        with open(out, "wb") as fh:
+            fh.write(pickle.dumps(message))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _run_forked(jobs: list, workers: int) -> list:
+    """_execute_point of every job, in job order, computed by this process
+    and workers - 1 forked children.
+
+    Before the first fork the job indices go into one pipe as 4-byte
+    tickets, in one write of at most PIPE_BUF bytes (atomic, and it fits
+    the empty pipe); with more jobs than that holds, a ticket names a block
+    of consecutive jobs. Every process takes tickets until EOF, so each job
+    goes to whichever process is free. Every child is reaped before this
+    returns or raises. Of several errors, this process's own is raised, else
+    that of the first child forked.
+    """
+    import pickle  # here, as validate and serial runs need neither
+    import select
+
+    block = -(-len(jobs) * 4 // select.PIPE_BUF)
+    tickets, w = os.pipe()
+    os.write(w, b"".join(i.to_bytes(4, "little") for i in range(0, len(jobs), block)))
+    os.close(w)
+    children, ended = [], []  # (pid, read end of its result pipe); (pid, status, bytes)
+    try:
+        for _ in range(workers - 1):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _serve(jobs, tickets, block, w, [r, *(fd for _, fd in children)])
+            os.close(w)  # now: a later child holding it would keep r from EOF
+            children.append((pid, r))
+        own = _take(jobs, tickets, block)
+    finally:
+        os.close(tickets)
+        for pid, r in children:
+            with open(r, "rb") as fh:
+                data = fh.read()
+            ended.append((pid, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), data))
+    shares = [own, *(pickle.loads(data) if status == 0 else RuntimeError(
+        f"sweep worker {pid} ended with exit status {status}") for pid, status, data in ended)]
+    results = [None] * len(jobs)
+    for share in shares:
+        if isinstance(share, BaseException):
+            raise share
+        for i, result in share:
+            results[i] = result
+    return results
+
+
 def run_sweep(cfg: ExperimentConfig, out_dir, parallel: int = 1) -> RunManifest:
     """Execute the full sweep and write all artifacts under out_dir.
 
@@ -176,12 +268,8 @@ def run_sweep(cfg: ExperimentConfig, out_dir, parallel: int = 1) -> RunManifest:
         cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count() or 1)
         workers = min(parallel, len(jobs), cpus)
-        if workers > 1:
-            # Imported here: validate and serial runs need no process pool.
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_execute_point, jobs))
+        if workers > 1 and hasattr(os, "fork"):  # elsewhere the sweep runs serially
+            results = _run_forked(jobs, workers)
         else:
             results = [_execute_point(j) for j in jobs]
 

@@ -6,7 +6,9 @@ directory, and runs the tests there against the copy, with the acceptance
 module and the snippet check (test_mutants.py, which any mutant fails) left
 out and the mutated module's own test module first. A mutant that no test
 fails survives. Mutants are listed per module below; a survivor is either killed
-by a new test or kept here with the reason it survives.
+by a new test or kept here with the reason it survives. A mutant whose tests
+run for more than MUTANT_TIMEOUT_S seconds is taken to hang and counts as
+killed: its whole process group, forked sweep workers included, is killed.
 
     python tests/mutation_smoke.py
 
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -29,6 +32,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+# About ten times the unmutated suite's 30 s on a 2-core host.
+MUTANT_TIMEOUT_S = 300
 
 # Why the collided flag may go from the netsim cycle key unnoticed. Only
 # devices that wake in the same µs can collide (carrier sense hears every
@@ -103,6 +108,21 @@ MUTANTS = [
     ("sweep", "whole seconds without their .0", '.rstrip("0") or "0")', '.rstrip("0"))', None),
     ("sweep", "one wake fraction for every wake (period 1)",
      "period = 10 ** 6 // math.gcd(interval_us, 10 ** 6)", "period = 1", None),
+    ("sweep", "a forked worker's result stored at its ticket's index",
+     "done.append((i, _execute_point(jobs[i])))",
+     "done.append((start, _execute_point(jobs[i])))", None),
+    ("sweep", "ticket blocks one job too large",
+     "block = -(-len(jobs) * 4 // select.PIPE_BUF)",
+     "block = -(-len(jobs) * 4 // select.PIPE_BUF) + 1", None),
+    ("sweep", "later children keep earlier children's result pipes open",
+     "            os.close(w)  # now: a later child holding it would keep r from EOF\n"
+     "            children.append((pid, r))\n"
+     "        own = _take(jobs, tickets, block)\n",
+     "            children.append((pid, r))\n"
+     "            kept = [*locals().get(\"kept\", ()), w]\n"
+     "        for w in kept:\n"
+     "            os.close(w)\n"
+     "        own = _take(jobs, tickets, block)\n", None),
     ("rng", "Lemire's 32-bit threshold test never rejects",
      "m & MASK32 >= (1 << 32) % span:", "m & MASK32 >= 0:", None),
     ("rng", "Lemire's 64-bit threshold test never rejects",
@@ -116,9 +136,9 @@ MUTANTS = [
 
 
 def run_mutant(module: str, snippet: str | None, replacement: str | None) -> bool | None:
-    """True if the tests kill the mutant, False if it survives, None if the
-    snippet is not found exactly once. A None snippet leaves the copy as it
-    is: the control run, which the tests must pass."""
+    """True if the tests kill the mutant (fail or hang), False if it survives,
+    None if the snippet is not found exactly once. A None snippet leaves the
+    copy as it is: the control run, which the tests must pass."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         work = Path(tmp)
         # perfbench/spans.py too: tests/test_seams.py reads its traced names.
@@ -133,18 +153,25 @@ def run_mutant(module: str, snippet: str | None, replacement: str | None) -> boo
             path.write_text(text.replace(snippet, replacement), encoding="utf-8")
         own = work / "tests" / f"test_{module}.py"
         first = [str(own)] if own.exists() else []
-        result = subprocess.run(
+        with subprocess.Popen(
             [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
              "--hypothesis-seed=0", "--ignore", str(work / "tests" / "test_acceptance.py"),
              "--ignore", str(work / "tests" / "test_mutants.py"),
              *first, str(work / "tests")],
-            cwd=work, capture_output=True, text=True,
+            cwd=work, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
             env=os.environ | {"PYTHONPATH": str(work / "src"), "PYTHONDONTWRITEBYTECODE": "1"},
-        )
-        if result.returncode not in (0, 1):  # not a test failure: the run itself broke
-            raise RuntimeError(f"pytest exited {result.returncode}:\n{result.stdout[-2000:]}"
-                               f"{result.stderr[-2000:]}")
-        return result.returncode == 1
+            start_new_session=True,
+        ) as proc:
+            try:
+                stdout, stderr = proc.communicate(timeout=MUTANT_TIMEOUT_S)
+            except subprocess.TimeoutExpired:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.communicate()
+                return True
+        if proc.returncode not in (0, 1):  # not a test failure: the run itself broke
+            raise RuntimeError(f"pytest exited {proc.returncode}:\n{stdout[-2000:]}"
+                               f"{stderr[-2000:]}")
+        return proc.returncode == 1
 
 
 def main() -> int:

@@ -1,10 +1,10 @@
 """Sweep execution, seed derivation, artifact layout, and CSV emission."""
 
-import concurrent.futures
 import csv
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 import textwrap
@@ -337,6 +337,154 @@ def test_sweep_parallel_matches_serial(tmp_path):
         assert bytes_a == bytes_b
 
 
+# --- forked workers ----------------------------------------------------------
+# Each case runs sweep._run_forked in a fresh interpreter with a time limit,
+# so that a runner that hangs fails the test instead of stalling the suite.
+# The prelude gives the case sweep, PARENT (the caller's pid) and done(),
+# which checks that every child was reaped and reports success.
+
+RUNNER_PRELUDE = """
+import os, select, signal, sys, time
+from lorabandit import sweep
+PARENT = os.getpid()
+
+def done():
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        print("ok")
+    else:
+        print("a child was left behind")
+"""
+
+
+def _child_env():
+    src = str(Path(lorabandit.__file__).resolve().parents[1])
+    return os.environ | {"PYTHONPATH": os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")]))}
+
+
+def run_runner_case(body: str, timeout: float = 30) -> None:
+    """Run RUNNER_PRELUDE and body in a new session; on a timeout the whole
+    process group, forked workers included, is killed."""
+    with subprocess.Popen([sys.executable, "-c", RUNNER_PRELUDE + textwrap.dedent(body)],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                          env=_child_env(), start_new_session=True) as proc:
+        try:
+            out, err = proc.communicate(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail(f"the runner did not finish within {timeout} s")
+    assert proc.returncode == 0, err
+    assert out.splitlines() == ["ok"], out
+
+
+@pytest.mark.parametrize("n_jobs", [3, 2000])
+@pytest.mark.parametrize("workers", [2, 3, 4])
+def test_runner_results_in_job_order(n_jobs, workers):
+    # 2,000 jobs do not fit one ticket each in PIPE_BUF, so tickets name
+    # blocks; the tickets still go in one write, the only one the caller makes.
+    run_runner_case(f"""
+        writes, write = [], os.write
+        os.write = lambda fd, data: writes.append(len(data)) or write(fd, data)
+        sweep._execute_point = lambda job: (job, job * job)
+        n = {n_jobs}
+        assert sweep._run_forked(list(range(n)), {workers}) == [(j, j * j) for j in range(n)]
+        block = -(-4 * n // select.PIPE_BUF)
+        assert writes == [4 * len(range(0, n, block))] and writes[0] <= select.PIPE_BUF
+        assert (block == 1) == (n == 3)
+        done()
+    """)
+
+
+@pytest.mark.parametrize("workers", [3, 4])
+def test_runner_results_larger_than_a_pipe_holds(workers):
+    # Every child sends back more than a pipe buffers, so each must be read
+    # while later children wait to write: no child may hold another's pipe.
+    run_runner_case(f"""
+        def job(j):
+            time.sleep(0.002)
+            return bytes([j % 256]) * 8192
+        sweep._execute_point = job
+        results = sweep._run_forked(list(range(100)), {workers})
+        assert results == [job(j) for j in range(100)]
+        done()
+    """)
+
+
+@pytest.mark.parametrize("where", ["child", "caller"])
+def test_runner_error_keeps_its_type_and_message(where):
+    # Jobs that do not fail are slow, so the failing side surely gets one.
+    # A failure drains the tickets, so the caller's own failure leaves each
+    # child at most the one job it had started.
+    run_runner_case(f"""
+        fail_in_child = {where == "child"}
+        started, start = os.pipe()
+        def job(j):
+            if (os.getpid() != PARENT) == fail_in_child:
+                raise LookupError(f"job {{j}} failed")
+            os.write(start, b"j")
+            time.sleep(0.2 if fail_in_child else 1.0)
+            return j
+        sweep._execute_point = job
+        try:
+            sweep._run_forked(list(range(12)), 3)
+        except LookupError as exc:
+            assert str(exc).startswith("job ") and str(exc).endswith(" failed"), exc
+        else:
+            raise AssertionError("no error")
+        os.close(start)
+        assert fail_in_child or len(os.read(started, 64)) <= 2
+        done()
+    """)
+
+
+@pytest.mark.parametrize("name,error", [
+    pytest.param("Local", 'Local("cannot be pickled")', id="local-class"),
+    pytest.param("TwoArgs", 'TwoArgs("cannot be", "pickled")', id="two-arguments"),
+])
+def test_runner_unpicklable_error_becomes_runtime_error(name, error):
+    # pickle cannot find a local class, and cannot rebuild TwoArgs from the
+    # one argument its Exception keeps.
+    run_runner_case(f"""
+        class TwoArgs(Exception):
+            def __init__(self, what, why):
+                super().__init__(f"{{what}} {{why}}")
+        def job(j):
+            class Local(Exception):
+                pass
+            if os.getpid() != PARENT:
+                raise {error}
+            time.sleep(0.2)
+        sweep._execute_point = job
+        try:
+            sweep._run_forked(list(range(4)), 2)
+        except RuntimeError as exc:
+            assert str(exc) == "{name}: cannot be pickled", exc
+        else:
+            raise AssertionError("no error")
+        done()
+    """)
+
+
+def test_runner_killed_child_is_an_error():
+    run_runner_case("""
+        def job(j):
+            if os.getpid() != PARENT:
+                os.kill(os.getpid(), signal.SIGKILL)
+            time.sleep(0.2)
+        sweep._execute_point = job
+        try:
+            sweep._run_forked(list(range(3)), 2)
+        except RuntimeError as exc:
+            assert str(exc).endswith(f"ended with exit status {-signal.SIGKILL}"), exc
+        else:
+            raise AssertionError("no error")
+        done()
+    """)
+
+
 @pytest.mark.parametrize("parallel,cpus,allowed,expected", [
     pytest.param(8, 3, 3, 3, id="8-3-3"),
     pytest.param(8, 16, 16, 4, id="8-16-4"),
@@ -347,23 +495,14 @@ def test_sweep_parallel_matches_serial(tmp_path):
 def test_pool_workers_capped(tmp_path, monkeypatch, parallel, cpus, allowed, expected):
     # Workers are capped at min(parallel, jobs, CPUs the process may run
     # on), by cpu_count where the platform has no affinity set (allowed is
-    # None); the fake pool maps serially, so no process starts.
+    # None); the fake runner maps serially, so no process starts.
     seen = []
 
-    class SerialPool:
-        def __init__(self, max_workers):
-            seen.append(max_workers)
+    def serial_runner(jobs, workers):
+        seen.append(workers)
+        return [sweep._execute_point(job) for job in jobs]
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(sweep, "_run_forked", serial_runner)
     monkeypatch.setattr(sweep.os, "cpu_count", lambda: cpus)
     if allowed is None:
         monkeypatch.delattr(sweep.os, "sched_getaffinity", raising=False)
@@ -374,24 +513,38 @@ def test_pool_workers_capped(tmp_path, monkeypatch, parallel, cpus, allowed, exp
     assert len(manifest.runs) == 4
 
 
+def test_sweep_without_fork_runs_serially(tmp_path, monkeypatch):
+    def no_runner(jobs, workers):
+        raise AssertionError("no worker can be forked here")
+
+    monkeypatch.setattr(sweep, "_run_forked", no_runner)
+    monkeypatch.delattr(sweep.os, "fork")
+    monkeypatch.setattr(sweep.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    manifest = run_sweep(tiny_config(runs_per_point=1), tmp_path / "out", parallel=4)
+    assert len(manifest.runs) == 4
+
+
 def test_validate_and_serial_runs_load_no_process_pool(tmp_path):
     # concurrent.futures brings multiprocessing, logging, socket and pickle;
-    # only a sweep with more than one worker imports it.
+    # no sweep imports it or multiprocessing, not even one that forks workers.
     config = tmp_path / "tiny.json"
     config.write_text(json.dumps({"device_counts": [2], "t_attempts": 3}))
     script = textwrap.dedent(f"""
-        import sys
+        import os, sys
         import lorabandit.cli
+        pools = {{"concurrent.futures", "multiprocessing"}}
         assert lorabandit.cli.main(["validate", {str(config)!r}]) == 0
-        assert "concurrent.futures" not in sys.modules
+        assert not pools & set(sys.modules)
         out = {str(tmp_path / "out")!r}
         assert lorabandit.cli.main(["run", {str(config)!r}, "--out", out, "--parallel", "1"]) == 0
-        assert "concurrent.futures" not in sys.modules
+        assert not pools & set(sys.modules)
+        os.sched_getaffinity = lambda pid: {{0, 1}}  # two workers on any host
+        out = {str(tmp_path / "out2")!r}
+        assert lorabandit.cli.main(["run", {str(config)!r}, "--out", out, "--parallel", "2"]) == 0
+        assert not pools & set(sys.modules)
     """)
-    src = str(Path(lorabandit.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                            env=os.environ | {"PYTHONPATH": path})
+                            env=_child_env())
     assert result.returncode == 0, result.stderr
 
 
@@ -407,8 +560,16 @@ def test_aggregate_runs_once_per_point(tmp_path, monkeypatch):
     assert calls == [2, 2, 2, 2]  # 2 policies x 2 device counts, 2 runs each
 
 
-@pytest.mark.parametrize("existing", [False, True])
-def test_failed_sweep_cleans_up(tmp_path, monkeypatch, existing):
+@pytest.mark.parametrize("existing,parallel", [
+    pytest.param(False, 1, id="False"),
+    pytest.param(True, 1, id="True"),
+    pytest.param(False, 2, id="False-parallel"),
+    pytest.param(True, 2, id="True-parallel"),
+])
+def test_failed_sweep_cleans_up(tmp_path, monkeypatch, existing, parallel):
+    # With two workers each process fails at its own second job; the parent
+    # reaps both before the cleanup.
+    monkeypatch.setattr(sweep.os, "sched_getaffinity", lambda pid: {0, 1})
     out = tmp_path / "out"
     if existing:
         (out / "records").mkdir(parents=True)
@@ -423,7 +584,9 @@ def test_failed_sweep_cleans_up(tmp_path, monkeypatch, existing):
 
     monkeypatch.setattr(sweep, "run_simulation", failing)
     with pytest.raises(RuntimeError, match="boom"):
-        run_sweep(tiny_config(), out)
+        run_sweep(tiny_config(), out, parallel=parallel)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
     if existing:
         # Directories that were there before stay; those the sweep made go.
         assert sorted(p.name for p in out.iterdir()) == ["keep.txt", "records"]
