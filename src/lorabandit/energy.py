@@ -91,12 +91,10 @@ def attempt_energy(cfg: RadioConfig, n_payload: int, model: EnergyModel,
     return AttemptEnergy(t_toa=t_toa, e_toa_mj=e_toa, e_active_mj=e_active)
 
 
-def reward_basis(
-    e: AttemptEnergy, mode: str = "normalized", e_toa_min_mj: float | None = None
-) -> float:
+def reward_basis(e: AttemptEnergy, mode: str, e_toa_min_mj: float | None = None) -> float:
     """Reward granted for an ACKed attempt.
 
-    normalized (default): e_toa_min / e_toa, in (0, 1], where e_toa_min is
+    normalized: e_toa_min / e_toa, in (0, 1], where e_toa_min is
     the transmission energy at the cheapest configured power for the same
     payload.  raw: 1 / e_toa in 1/mJ.  Both decrease with TX power, so the
     learner is pushed toward the cheapest power that still gets ACKed.

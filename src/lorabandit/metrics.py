@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass, field, fields
 from itertools import chain, repeat, starmap
-from operator import add, eq, floordiv, itemgetter, truediv
+from operator import add, floordiv, itemgetter, truediv
 from typing import NamedTuple
 
 
@@ -45,21 +45,16 @@ class RunRecord(NamedTuple):
     e_active: float
     wake_time: float
 
-    def to_dict(self) -> dict:
-        return self._asdict()
 
-
-class RunLog(Sequence):
+class RunLog:
     """One run's records as a row table, each built when it is read. A row
     is a (device, arm, outcome), outcome 0 or 1 for an end of airtime by its
     collided flag and 2 for CarrierBusy: row = (device·n_arms + arm)·3 +
     outcome, and its records' (channel_hz, power_dbm, cause, acked, reward,
     e_toa, e_active) are ends[device][arm][outcome]. Per attempt the log
     keeps its row and attempt; wake_time is (attempt·interval_us +
-    offsets_us[device]) / 1e6. Equal to a list of the same records and, as a
-    list is, unhashable."""
-
-    __hash__ = None
+    offsets_us[device]) / 1e6. A log has a length and is read by iterating
+    it, as list(log) does."""
 
     def __init__(self, seed, ends, interval_us, offsets_us, rows, attempts):
         self.seed, self.ends, self.interval_us, self.offsets_us = seed, ends, interval_us, offsets_us
@@ -71,33 +66,18 @@ class RunLog(Sequence):
         arm, outcome = divmod(rest, 3)
         return (self.seed, device, arm, *self.ends[device][arm][outcome])
 
-    def wake_times(self, rows: list[int], attempts: list[int]) -> Iterator[float]:
-        devices = map(floordiv, rows, repeat(3 * len(self.ends[0])))
-        return map(truediv, map(add, map(self.interval_us.__mul__, attempts),
-                                map(self.offsets_us.__getitem__, devices)), repeat(1e6))
-
-    def _records(self, rows: list[int], attempts: list[int]) -> Iterator[RunRecord]:
-        used = list(set(rows))
-        columns = [map(dict(zip(used, column)).__getitem__, rows)
-                   for column in zip(*map(self.row_fields, used))]
-        return map(tuple.__new__, repeat(RunRecord), zip(
-            *columns[:2], attempts, *columns[2:], self.wake_times(rows, attempts)))
-
     def __len__(self) -> int:
         return len(self.rows)
 
     def __iter__(self) -> Iterator[RunRecord]:
-        return self._records(self.rows, self.attempts)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):  # a list, as a slice of the run's list was
-            return list(self._records(self.rows[index], self.attempts[index]))
-        return next(self._records([self.rows[index]], [self.attempts[index]]))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (RunLog, list)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(eq, self, other))
+        rows, used = self.rows, list(set(self.rows))
+        columns = [map(dict(zip(used, column)).__getitem__, rows)
+                   for column in zip(*map(self.row_fields, used))]
+        devices = map(floordiv, rows, repeat(3 * len(self.ends[0])))
+        wakes = map(truediv, map(add, map(self.interval_us.__mul__, self.attempts),
+                                 map(self.offsets_us.__getitem__, devices)), repeat(1e6))
+        return map(tuple.__new__, repeat(RunRecord),
+                   zip(*columns[:2], self.attempts, *columns[2:], wakes))
 
 
 @dataclass
@@ -131,7 +111,7 @@ GROUP_FIELDS = ("device", "acked", "power_dbm", "e_active")
 _group_key = itemgetter(*map(RunRecord._fields.index, GROUP_FIELDS))
 
 
-def summarize_run(records: Sequence[RunRecord], config_key: str = "") -> MetricsSummary:
+def summarize_run(records: Iterable[RunRecord], config_key: str = "") -> MetricsSummary:
     """Fold one run's records, counted by GROUP_FIELDS, into its summary; a
     RunLog's are counted from its rows, by each row's fields.
 

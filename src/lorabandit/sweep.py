@@ -94,7 +94,7 @@ def wake_texts(interval_us: int, offset_us: int, n: int) -> list[str]:
 
 def write_records(log: RunLog, path: Path) -> None:
     """Newline-delimited JSON, one record per line, keys sorted: byte for byte
-    json.dumps(r.to_dict(), sort_keys=True, separators=(",", ":")) for each
+    json.dumps(r._asdict(), sort_keys=True, separators=(",", ":")) for each
     record r of the simulator's log: floats finite (written by repr), causes
     Cause strings.
 

@@ -68,10 +68,13 @@ MUTANTS = [
     ("netsim", "a CarrierBusy attempt on its device's end-of-airtime row",
      "add_row(row_ids[i][arm][2])", "add_row(row_ids[i][arm][0])", None),
     ("metrics", "wake_time from seconds, not whole µs",
-     "map(truediv, map(add, map(self.interval_us.__mul__, attempts),\n"
-     "                                map(self.offsets_us.__getitem__, devices)), repeat(1e6))",
-     "map(add, map((self.interval_us / 1e6).__mul__, attempts),\n"
-     "                   map(truediv, map(self.offsets_us.__getitem__, devices), repeat(1e6)))",
+     "map(truediv, map(add, map(self.interval_us.__mul__, self.attempts),\n"
+     "                                 map(self.offsets_us.__getitem__, devices)), repeat(1e6))",
+     "map(add, map((self.interval_us / 1e6).__mul__, self.attempts),\n"
+     "                    map(truediv, map(self.offsets_us.__getitem__, devices), repeat(1e6)))",
+     None),
+    ("metrics", "the attempt column spliced one field late",
+     "*columns[:2], self.attempts, *columns[2:]", "*columns[:3], self.attempts, *columns[3:]",
      None),
     ("metrics", "a group counted once per row, not per record",
      "groups[device, acked, dbm, e_active] += c",

@@ -3,11 +3,14 @@
 Each test prints a single [PASS]/[FAIL] line (visible with `pytest -s`, and
 mirrored by the test verdicts under `pytest -v`).  Criteria 5-8 share one
 full default sweep (4 policies x N in {10..30} x 5 runs) executed once per
-session; criterion 8 runs the sweep a second time and compares bytes.
+session; criterion 8 runs the sweep a second time and compares bytes, and
+the content pin holds that sweep's tables and records to fixed hashes.
 """
 
 import filecmp
 import functools
+import hashlib
+import json
 import math
 import os
 import random
@@ -50,16 +53,28 @@ def default_sweep(tmp_path_factory):
 
 
 @pytest.fixture(scope="session")
-def point_means(default_sweep):
-    """(policy, n) -> the mean of that point's run summaries; shared by
-    criteria 5, 6 and 7, so each run's records are summarized once."""
+def sweep_pass(default_sweep):
+    """One pass over the sweep's record logs, in manifest run order: (policy,
+    n) -> the mean of that point's run summaries, and the sha256 of the parsed
+    records, one sorted-key compact JSON line per record. Shared by criteria
+    5, 6 and 7 and the content pin, so each run's records are parsed once."""
     _, manifest = default_sweep
     out = Path(manifest.out_dir)
-    runs = {}
+    runs, digest = {}, hashlib.sha256()
+    line = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
     for e in manifest.runs:
-        summary = summarize_run(read_records(out / e["records"]), config_key="pt")
+        records = read_records(out / e["records"])
+        digest.update("".join(line(r._asdict()) + "\n" for r in records).encode())
+        summary = summarize_run(records, config_key="pt")
         runs.setdefault((e["policy"], e["n_devices"]), []).append(summary)
-    return {point: aggregate_runs(summaries) for point, summaries in runs.items()}
+    means = {point: aggregate_runs(summaries) for point, summaries in runs.items()}
+    return means, digest.hexdigest()
+
+
+@pytest.fixture(scope="session")
+def point_means(sweep_pass):
+    """(policy, n) -> the mean of that point's run summaries."""
+    return sweep_pass[0]
 
 
 @pytest.fixture(scope="session")
@@ -273,6 +288,29 @@ def test_criterion_8_sweep_determinism(default_sweep, tmp_path_factory):
         mismatched.extend(f"{sub}/{name}" for name in diff + errors)
     verdict(8, "repeated sweep is byte-identical (record logs and tables)",
             not mismatched, f"{len(mismatched)} files differ")
+
+
+# --- the stock sweep's content ----------------------------------------------
+
+#: sha256 of each table and of the records of the stock sweep (see sweep_pass).
+STOCK_TABLES_SHA256 = {
+    "energy_efficiency.csv": "9dddc745b7cc7fc94a4337fd8903bf06cfe01ad53409b330c091e4e8c68ddf6b",
+    "energy_efficiency_wide.csv": "4c1b960ce7a6c25d98c5df3bba8354d894214640d084188a12aa99d0dac26eaa",
+    "success_rate.csv": "c6851c9c84cbd02b9c352dd9b27a42486729cdafa97c9fc864528159b48887ea",
+    "success_rate_wide.csv": "f1405fb440ee51dd478bc76e7508d60a24bc039c75d15ecc70f6b0434a583fd9",
+    "tp_ratio.csv": "40583ef3ad3b169a7a9a59afb297c7a5916077b3280e70d7bd4b5a8b62053654",
+    "tp_ratio_wide.csv": "e00973d928d48e8310e3ee29ab4b8e6991b165609ac05f4916a9ae135f37a2f8",
+}
+STOCK_RECORDS_SHA256 = "8c8f02cda525d98e859a381929dca4182e446a4606d92ef07bde1ef1a5f173ec"
+
+
+def test_stock_sweep_content_pinned(default_sweep, sweep_pass):
+    # The records are pinned as parsed, not as written, so the pin holds
+    # across a change of the record files' format.
+    tables = Path(default_sweep[1].out_dir) / "tables"
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in tables.iterdir()} == STOCK_TABLES_SHA256
+    assert sweep_pass[1] == STOCK_RECORDS_SHA256
 
 
 # --- criterion 9 -------------------------------------------------------------

@@ -73,8 +73,8 @@ def test_energy_block_never_resets_the_power_draws(energy):
     assert [p.draw_mw for p in restated.powers] == [20.0, 90.0, 250.0]
     assert restated.config_hash() == plain.config_hash()
     for policy in POLICY_NAMES:
-        assert (run_simulation(restated.run_setup(policy, 3), 5)
-                == run_simulation(plain.run_setup(policy, 3), 5))
+        assert (list(run_simulation(restated.run_setup(policy, 3), 5))
+                == list(run_simulation(plain.run_setup(policy, 3), 5)))
 
 
 def test_conflicting_draws_name_the_level():
@@ -464,7 +464,7 @@ def test_accepted_config_dicts_run(doc, seed):
             records = run_simulation(cfg.run_setup(policy, 6), seed)
             json.dumps(summarize_run(records).to_dict(), allow_nan=False)
             write_records(records, path)
-            assert read_records(path) == records
+            assert read_records(path) == list(records)
 
 
 def test_config_docs_are_mostly_accepted():

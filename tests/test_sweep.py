@@ -83,7 +83,7 @@ def test_records_round_trip(tmp_path):
     records = run_simulation(cfg.run_setup("fixed", 3), seed=5)
     path = tmp_path / "r.jsonl"
     write_records(records, path)
-    assert read_records(path) == records
+    assert read_records(path) == list(records)
 
 
 @settings(max_examples=300)
@@ -109,7 +109,7 @@ def test_wake_texts_are_the_reprs_of_the_wake_times(interval_us, offset_us, n):
 
 
 def _dumps(log) -> bytes:
-    return "".join(json.dumps(r.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+    return "".join(json.dumps(r._asdict(), sort_keys=True, separators=(",", ":")) + "\n"
                    for r in log).encode()
 
 
@@ -133,7 +133,7 @@ def test_writer_bytes_on_a_hand_built_log(tmp_path):
     assert text == _dumps(log)
     assert b'"wake_time":7e-06}' in text and b'"wake_time":9.9e-05}' in text
     assert b'"wake_time":0.0001}' in text and b'"wake_time":2.500007}' in text
-    assert read_records(path) == log
+    assert read_records(path) == list(log)
 
 
 def test_writer_bytes_of_a_one_attempt_run(tmp_path):
@@ -311,19 +311,19 @@ def test_stock_sweep_builds_no_record(tmp_path, monkeypatch):
     # sweep builds no RunRecord, so every record a RunLog reads out counts.
     built = []
 
-    def counting(self, rows, attempts):
-        built.append(len(rows))
-        return read(self, rows, attempts)
+    def counting(self):
+        built.append(len(self))
+        return read(self)
 
-    read = RunLog._records
-    monkeypatch.setattr(RunLog, "_records", counting)
+    read = RunLog.__iter__
+    monkeypatch.setattr(RunLog, "__iter__", counting)
     cfg = ExperimentConfig(runs_per_point=1)
     manifest = run_sweep(cfg, tmp_path / "out")
     assert len(manifest.runs) == 20 and built == []
     entry = manifest.runs[0]
     records = read_records(tmp_path / "out" / entry["records"])
     setup = cfg.run_setup(entry["policy"], entry["n_devices"])
-    assert run_simulation(setup, entry["seed"]) == records
+    assert list(run_simulation(setup, entry["seed"])) == records
     assert built == [len(records)]
 
 
