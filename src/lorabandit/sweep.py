@@ -132,62 +132,61 @@ def read_records(path) -> list[RunRecord]:
     return records
 
 
-def _execute_point(args) -> MetricsSummary:
-    cfg, policy, n, run_index, seed, records_path, config_hash = args
+def _execute_point(args) -> None:
+    """Simulate one run and write its two files: the records, then the summary."""
+    cfg, policy, n, seed, records_path, summary_path, config_hash = args
     log = run_simulation(cfg.run_setup(policy, n), seed)
-    write_records(log, Path(records_path))
-    return summarize_run(log, config_hash)
+    write_records(log, records_path)
+    with open(summary_path, "w", encoding="utf-8") as fh:
+        json.dump(summarize_run(log, config_hash).to_dict(), fh, sort_keys=True, indent=2)
 
 
-def _take(jobs: list, tickets: int, block: int) -> list:
-    """(index, _execute_point(job)) for the jobs of every ticket read from
-    the pipe tickets until EOF. On an error it reads the remaining tickets,
-    so that no process starts another job, and raises it."""
-    done = []
+def _take(jobs: list, tickets: int, block: int) -> None:
+    """_execute_point of the jobs of every ticket read from the pipe tickets
+    until EOF. On an error it reads the remaining tickets, so that no process
+    starts another job, and raises it."""
     try:
         while ticket := os.read(tickets, 4):
             start = int.from_bytes(ticket, "little")
-            for i in range(start, min(start + block, len(jobs))):
-                done.append((i, _execute_point(jobs[i])))
+            for job in jobs[start:start + block]:
+                _execute_point(job)
     except BaseException:
         while os.read(tickets, 4096):
             pass
         raise
-    return done
 
 
 def _serve(jobs: list, tickets: int, block: int, out: int, inherited: list) -> None:
     """A forked worker's whole life: it closes the read ends it inherited
     (so that, if the parent dies, a child left writing gets EPIPE), takes
-    its share of the tickets, sends back through the pipe out one pickle of
-    its (index, result) pairs or of its error, and ends with os._exit. It
-    never returns into the sweep, whose cleanup, atexit handlers and caller
-    belong to the parent."""
+    its share of the tickets, sends back through the pipe out nothing, or
+    one pickle of its error, and ends with os._exit. It never returns into
+    the sweep, whose cleanup, atexit handlers and caller belong to the
+    parent."""
     import pickle
 
     status = 1
     try:
         for fd in inherited:
             os.close(fd)
-        try:
-            message = _take(jobs, tickets, block)
-        except BaseException as exc:
-            try:  # the parent gets back the same error, or a RuntimeError naming it
-                copy = pickle.loads(pickle.dumps(exc))
-            except Exception:
-                copy = None
-            message = (exc if type(copy) is type(exc) and str(copy) == str(exc)
-                       else RuntimeError(f"{type(exc).__name__}: {exc}"))
         with open(out, "wb") as fh:
-            fh.write(pickle.dumps(message))
+            try:
+                _take(jobs, tickets, block)
+            except BaseException as exc:
+                try:  # the parent gets back the same error, or a RuntimeError naming it
+                    copy = pickle.loads(pickle.dumps(exc))
+                except Exception:
+                    copy = None
+                fh.write(pickle.dumps(exc if type(copy) is type(exc) and str(copy) == str(exc)
+                                      else RuntimeError(f"{type(exc).__name__}: {exc}")))
         status = 0
     finally:
         os._exit(status)
 
 
-def _run_forked(jobs: list, workers: int) -> list:
-    """_execute_point of every job, in job order, computed by this process
-    and workers - 1 forked children.
+def _run_forked(jobs: list, workers: int) -> None:
+    """_execute_point of every job, run by this process and workers - 1
+    forked children; a child sends back only its error, if it has one.
 
     Before the first fork the job indices go into one pipe as 4-byte
     tickets, in one write of at most PIPE_BUF bytes (atomic, and it fits
@@ -204,7 +203,7 @@ def _run_forked(jobs: list, workers: int) -> list:
     tickets, w = os.pipe()
     os.write(w, b"".join(i.to_bytes(4, "little") for i in range(0, len(jobs), block)))
     os.close(w)
-    children, ended = [], []  # (pid, read end of its result pipe); (pid, status, bytes)
+    children, ended = [], []  # (pid, read end of its error pipe); (pid, status, bytes)
     try:
         for _ in range(workers - 1):
             r, w = os.pipe()
@@ -213,22 +212,18 @@ def _run_forked(jobs: list, workers: int) -> list:
                 _serve(jobs, tickets, block, w, [r, *(fd for _, fd in children)])
             os.close(w)  # now: a later child holding it would keep r from EOF
             children.append((pid, r))
-        own = _take(jobs, tickets, block)
+        _take(jobs, tickets, block)
     finally:
         os.close(tickets)
         for pid, r in children:
             with open(r, "rb") as fh:
                 data = fh.read()
             ended.append((pid, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), data))
-    shares = [own, *(pickle.loads(data) if status == 0 else RuntimeError(
-        f"sweep worker {pid} ended with exit status {status}") for pid, status, data in ended)]
-    results = [None] * len(jobs)
-    for share in shares:
-        if isinstance(share, BaseException):
-            raise share
-        for i, result in share:
-            results[i] = result
-    return results
+    for pid, status, data in ended:
+        if status != 0:
+            raise RuntimeError(f"sweep worker {pid} ended with exit status {status}")
+        if data:
+            raise pickle.loads(data)
 
 
 def run_sweep(cfg: ExperimentConfig, out_dir, parallel: int = 1) -> RunManifest:
@@ -260,37 +255,30 @@ def run_sweep(cfg: ExperimentConfig, out_dir, parallel: int = 1) -> RunManifest:
                 for r in range(cfg.runs_per_point):
                     seed = run_seed(cfg.base_seed, policy, n, r)
                     rec_path = out / "records" / f"{policy}_n{n}_run{r}.jsonl"
-                    jobs.append((cfg, policy, n, r, seed, str(rec_path), config_hash))
-                    # Any job may have written its records when another fails.
-                    created.append(rec_path)
+                    sum_path = out / "summaries" / f"{policy}_n{n}_run{r}.json"
+                    jobs.append((cfg, policy, n, seed, rec_path, sum_path, config_hash))
+                    # Any job may have written its files when another fails.
+                    created += [rec_path, sum_path]
+                    manifest.runs.append(
+                        {
+                            "policy": policy,
+                            "n_devices": n,
+                            "run": r,
+                            "seed": seed,
+                            "records": os.path.relpath(rec_path, out),
+                            "summary": os.path.relpath(sum_path, out),
+                        }
+                    )
 
         # A cpuset or taskset can forbid some of the machine's CPUs.
         cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count() or 1)
         workers = min(parallel, len(jobs), cpus)
         if workers > 1 and hasattr(os, "fork"):  # elsewhere the sweep runs serially
-            results = _run_forked(jobs, workers)
+            _run_forked(jobs, workers)
         else:
-            results = [_execute_point(j) for j in jobs]
-
-        points: dict[tuple[str, int], list[MetricsSummary]] = {}
-        for job, summary in zip(jobs, results):
-            _, policy, n, r, seed, rec_path, _ = job
-            sum_path = out / "summaries" / f"{policy}_n{n}_run{r}.json"
-            created.append(sum_path)
-            with open(sum_path, "w", encoding="utf-8") as fh:
-                json.dump(summary.to_dict(), fh, sort_keys=True, indent=2)
-            points.setdefault((policy, n), []).append(summary)
-            manifest.runs.append(
-                {
-                    "policy": policy,
-                    "n_devices": n,
-                    "run": r,
-                    "seed": seed,
-                    "records": os.path.relpath(rec_path, out),
-                    "summary": os.path.relpath(sum_path, out),
-                }
-            )
+            for job in jobs:
+                _execute_point(job)
 
         # Written whole or not at all: a reader never sees a partial manifest.
         manifest_path = out / "manifest.json"
@@ -301,7 +289,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir, parallel: int = 1) -> RunManifest:
         os.replace(tmp_path, manifest_path)
         created.append(manifest_path)
 
-        emit_tables(manifest, points)
+        emit_tables(manifest)
         return manifest
     except Exception:
         for p in created:
@@ -309,23 +297,6 @@ def run_sweep(cfg: ExperimentConfig, out_dir, parallel: int = 1) -> RunManifest:
         for d in new_dirs:
             shutil.rmtree(d, ignore_errors=True)
         raise
-
-
-def _load_point_summaries(manifest: RunManifest):
-    """(policy, n) -> list of per-run MetricsSummary, in run order."""
-    out = Path(manifest.out_dir)
-    points: dict[tuple[str, int], list[MetricsSummary]] = {}
-    for entry in manifest.runs:
-        path = out / entry["summary"]
-        if not path.exists():
-            raise FileNotFoundError(
-                f"missing summary for {entry['policy']} n={entry['n_devices']} "
-                f"run={entry['run']}: {path}"
-            )
-        with open(path, encoding="utf-8") as fh:
-            summary = MetricsSummary.from_dict(json.load(fh))
-        points.setdefault((entry["policy"], entry["n_devices"]), []).append(summary)
-    return points
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> Path:
@@ -339,17 +310,23 @@ def _fmt(x) -> str:
     return "" if x is None else repr(float(x))
 
 
-def emit_tables(manifest: RunManifest, points=None) -> list[Path]:
+def emit_tables(manifest: RunManifest) -> list[Path]:
     """Write the long-form CSVs of success rate, energy efficiency and the
-    per-power success share, plus one plot-ready wide table each.
-
-    points maps (policy, n) to that point's per-run summaries in run order;
-    when it is not given, the summaries are read back from the manifest's
-    summaries/ files.
-    """
-    if points is None:
-        points = _load_point_summaries(manifest)
-    tables = Path(manifest.out_dir) / "tables"
+    per-power success share, plus one plot-ready wide table each, from the
+    per-run summaries the manifest lists, in run order."""
+    out = Path(manifest.out_dir)
+    points: dict[tuple[str, int], list[MetricsSummary]] = {}
+    for entry in manifest.runs:
+        path = out / entry["summary"]
+        if not path.exists():
+            raise FileNotFoundError(
+                f"missing summary for {entry['policy']} n={entry['n_devices']} "
+                f"run={entry['run']}: {path}"
+            )
+        with open(path, encoding="utf-8") as fh:
+            summary = MetricsSummary.from_dict(json.load(fh))
+        points.setdefault((entry["policy"], entry["n_devices"]), []).append(summary)
+    tables = out / "tables"
     tables.mkdir(parents=True, exist_ok=True)
 
     policies = list(dict.fromkeys(p for p, _ in points))

@@ -4,11 +4,14 @@ Each mutant replaces one snippet of a module in src/lorabandit with a wrong
 one, in a copy of src/, tests/ and perfbench/ made in a temporary
 directory, and runs the tests there against the copy, with the acceptance
 module and the snippet check (test_mutants.py, which any mutant fails) left
-out and the mutated module's own test module first. A mutant that no test
-fails survives. Mutants are listed per module below; a survivor is either killed
-by a new test or kept here with the reason it survives. A mutant whose tests
-run for more than MUTANT_TIMEOUT_S seconds is taken to hang and counts as
-killed: its whole process group, forked sweep workers included, is killed.
+out. It first runs only the tests near the mutated module: its own test
+module, then every other test module that imports it. A mutant that these
+pass gets a full run, and survives if no test fails there, so a survivor's
+verdict always comes from the whole suite. Mutants are listed per module
+below; a survivor is either killed by a new test or kept here with the
+reason it survives. A mutant whose tests run for more than
+MUTANT_TIMEOUT_S seconds is taken to hang and counts as killed: its whole
+process group, forked sweep workers included, is killed.
 
     python tests/mutation_smoke.py
 
@@ -23,6 +26,7 @@ on an unmutated copy (a control run before the mutants).
 from __future__ import annotations
 
 import os
+import re
 import shutil
 import signal
 import subprocess
@@ -34,6 +38,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 # About ten times the unmutated suite's 30 s on a 2-core host.
 MUTANT_TIMEOUT_S = 300
+# Neither runs for a mutant: the acceptance module takes minutes, and the
+# snippet check fails on every mutant.
+LEFT_OUT = ("test_acceptance.py", "test_mutants.py")
 
 # Why the collided flag may go from the netsim cycle key unnoticed. Only
 # devices that wake in the same µs can collide (carrier sense hears every
@@ -111,21 +118,22 @@ MUTANTS = [
     ("sweep", "whole seconds without their .0", '.rstrip("0") or "0")', '.rstrip("0"))', None),
     ("sweep", "one wake fraction for every wake (period 1)",
      "period = 10 ** 6 // math.gcd(interval_us, 10 ** 6)", "period = 1", None),
-    ("sweep", "a forked worker's result stored at its ticket's index",
-     "done.append((i, _execute_point(jobs[i])))",
-     "done.append((start, _execute_point(jobs[i])))", None),
+    ("sweep", "a ticket block that runs one job short",
+     "jobs[start:start + block]", "jobs[start:start + block - 1]", None),
     ("sweep", "ticket blocks one job too large",
      "block = -(-len(jobs) * 4 // select.PIPE_BUF)",
      "block = -(-len(jobs) * 4 // select.PIPE_BUF) + 1", None),
-    ("sweep", "later children keep earlier children's result pipes open",
+    ("sweep", "later children keep earlier children's error pipes open",
      "            os.close(w)  # now: a later child holding it would keep r from EOF\n"
      "            children.append((pid, r))\n"
-     "        own = _take(jobs, tickets, block)\n",
+     "        _take(jobs, tickets, block)\n",
      "            children.append((pid, r))\n"
      "            kept = [*locals().get(\"kept\", ()), w]\n"
      "        for w in kept:\n"
      "            os.close(w)\n"
-     "        own = _take(jobs, tickets, block)\n", None),
+     "        _take(jobs, tickets, block)\n", None),
+    ("sweep", "a child's pickled error dropped",
+     "            raise pickle.loads(data)", "            pickle.loads(data)", None),
     ("rng", "Lemire's 32-bit threshold test never rejects",
      "m & MASK32 >= (1 << 32) % span:", "m & MASK32 >= 0:", None),
     ("rng", "Lemire's 64-bit threshold test never rejects",
@@ -138,10 +146,45 @@ MUTANTS = [
 ]
 
 
-def run_mutant(module: str, snippet: str | None, replacement: str | None) -> bool | None:
-    """True if the tests kill the mutant (fail or hang), False if it survives,
-    None if the snippet is not found exactly once. A None snippet leaves the
-    copy as it is: the control run, which the tests must pass."""
+def near_tests(tests: Path, module: str) -> list[Path]:
+    """tests/test_<module>.py, if there is one, then every other test module
+    that imports lorabandit.<module>."""
+    imports = re.compile(rf"^\s*(?:from lorabandit import .*\b{module}\b"
+                         rf"|(?:from|import) .*\blorabandit\.{module}\b)", re.M)
+    own = tests / f"test_{module}.py"
+    return [path for path in sorted(tests.glob("test_*.py"), key=lambda p: (p != own, p.name))
+            if path.name not in LEFT_OUT
+            and (path == own or imports.search(path.read_text(encoding="utf-8")))]
+
+
+def fails(work: Path, paths: list) -> bool:
+    """True if a test under paths fails, or the run hangs."""
+    with subprocess.Popen(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         "--hypothesis-seed=0", *(f"--ignore={work / 'tests' / name}" for name in LEFT_OUT),
+         *map(str, paths)],
+        cwd=work, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=os.environ | {"PYTHONPATH": str(work / "src"), "PYTHONDONTWRITEBYTECODE": "1"},
+        start_new_session=True,
+    ) as proc:
+        try:
+            stdout, stderr = proc.communicate(timeout=MUTANT_TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            return True
+    if proc.returncode not in (0, 1):  # not a test failure: the run itself broke
+        raise RuntimeError(f"pytest exited {proc.returncode}:\n{stdout[-2000:]}"
+                           f"{stderr[-2000:]}")
+    return proc.returncode == 1
+
+
+def run_mutant(module: str, snippet: str | None,
+               replacement: str | None) -> tuple[bool | None, str]:
+    """(killed, by which run): killed is True if the tests kill the mutant
+    (fail or hang), False if it survives the full run, None if the snippet is
+    not found exactly once. A None snippet leaves the copy as it is: the
+    control run, which the full suite must pass."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         work = Path(tmp)
         # perfbench/spans.py too: tests/test_seams.py reads its traced names.
@@ -152,49 +195,34 @@ def run_mutant(module: str, snippet: str | None, replacement: str | None) -> boo
         text = path.read_text(encoding="utf-8")
         if snippet is not None:
             if text.count(snippet) != 1:
-                return None
+                return None, "no"
             path.write_text(text.replace(snippet, replacement), encoding="utf-8")
-        own = work / "tests" / f"test_{module}.py"
-        first = [str(own)] if own.exists() else []
-        with subprocess.Popen(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-             "--hypothesis-seed=0", "--ignore", str(work / "tests" / "test_acceptance.py"),
-             "--ignore", str(work / "tests" / "test_mutants.py"),
-             *first, str(work / "tests")],
-            cwd=work, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-            env=os.environ | {"PYTHONPATH": str(work / "src"), "PYTHONDONTWRITEBYTECODE": "1"},
-            start_new_session=True,
-        ) as proc:
-            try:
-                stdout, stderr = proc.communicate(timeout=MUTANT_TIMEOUT_S)
-            except subprocess.TimeoutExpired:
-                os.killpg(proc.pid, signal.SIGKILL)
-                proc.communicate()
-                return True
-        if proc.returncode not in (0, 1):  # not a test failure: the run itself broke
-            raise RuntimeError(f"pytest exited {proc.returncode}:\n{stdout[-2000:]}"
-                               f"{stderr[-2000:]}")
-        return proc.returncode == 1
+            near = near_tests(work / "tests", module)
+            if near and fails(work, near):
+                return True, "near"
+        return fails(work, [work / "tests"]), "full"
 
 
 def main() -> int:
-    if run_mutant("netsim", None, None):
+    begin = time.perf_counter()
+    if run_mutant("netsim", None, None)[0]:
         print("the tests fail on the unmutated copy, so every mutant would count as killed")
         return 3
     survivors, expected, stale = [], [], []
     for module, name, snippet, replacement, why in MUTANTS:
         start = time.perf_counter()
-        killed = run_mutant(module, snippet, replacement)
+        killed, by = run_mutant(module, snippet, replacement)
         verdict = {True: "killed", False: "SURVIVED", None: "STALE"}[killed]
         note = f"; expected: {why}" if why and killed is False else ""
-        print(f"{verdict:8} {module}: {name} ({time.perf_counter() - start:.1f} s{note})",
-              flush=True)
+        print(f"{verdict:8} {module}: {name} ({by} run, {time.perf_counter() - start:.1f} s"
+              f"{note})", flush=True)
         if killed is None:
             stale.append(name)
         elif not killed:
             (expected if why else survivors).append(name)
     print(f"{len(MUTANTS)} mutants: {len(survivors)} survived unexplained, "
-          f"{len(expected)} survived as expected, {len(stale)} stale")
+          f"{len(expected)} survived as expected, {len(stale)} stale "
+          f"({time.perf_counter() - begin:.0f} s)")
     return 2 if stale else 1 if survivors else 0
 
 

@@ -327,14 +327,21 @@ def test_stock_sweep_builds_no_record(tmp_path, monkeypatch):
     assert built == [len(records)]
 
 
-def test_sweep_parallel_matches_serial(tmp_path):
+def test_sweep_parallel_matches_serial(tmp_path, monkeypatch):
+    # Forked children write records and summaries; every file, the tables
+    # and the manifest included, is the same as a serial sweep's.
+    monkeypatch.setattr(sweep.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
     cfg = tiny_config()
-    a = run_sweep(cfg, tmp_path / "serial", parallel=1)
-    b = run_sweep(cfg, tmp_path / "par", parallel=4)
-    for ea, eb in zip(a.runs, b.runs):
-        bytes_a = (Path(a.out_dir) / ea["records"]).read_bytes()
-        bytes_b = (Path(b.out_dir) / eb["records"]).read_bytes()
-        assert bytes_a == bytes_b
+    run_sweep(cfg, tmp_path / "serial", parallel=1)
+    run_sweep(cfg, tmp_path / "par", parallel=4)
+
+    def files(out):
+        return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*"))
+                if p.is_file()}
+
+    serial = files(tmp_path / "serial")
+    assert {p.parts[0] for p in serial} == {"records", "summaries", "tables", "manifest.json"}
+    assert files(tmp_path / "par") == serial
 
 
 # --- forked workers ----------------------------------------------------------
@@ -382,15 +389,22 @@ def run_runner_case(body: str, timeout: float = 30) -> None:
 
 @pytest.mark.parametrize("n_jobs", [3, 2000])
 @pytest.mark.parametrize("workers", [2, 3, 4])
-def test_runner_results_in_job_order(n_jobs, workers):
-    # 2,000 jobs do not fit one ticket each in PIPE_BUF, so tickets name
-    # blocks; the tickets still go in one write, the only one the caller makes.
+def test_runner_results_in_job_order(tmp_path, n_jobs, workers):
+    # A sweep job writes its results to its own files, so they are in job
+    # order however the processes share the jobs if every job runs exactly
+    # once: here each job appends its index to one file. 2,000 jobs do not
+    # fit one ticket each in PIPE_BUF, so tickets name blocks; the tickets
+    # still go in one write, the only one the caller makes.
     run_runner_case(f"""
+        path = {str(tmp_path / "jobs")!r}
+        log = open(path, "ab", buffering=0)  # O_APPEND: each line lands whole
+        sweep._execute_point = lambda job: log.write(b"%d\\n" % job)
         writes, write = [], os.write
         os.write = lambda fd, data: writes.append(len(data)) or write(fd, data)
-        sweep._execute_point = lambda job: (job, job * job)
         n = {n_jobs}
-        assert sweep._run_forked(list(range(n)), {workers}) == [(j, j * j) for j in range(n)]
+        assert sweep._run_forked(list(range(n)), {workers}) is None
+        with open(path, "rb") as fh:
+            assert sorted(map(int, fh.read().split())) == list(range(n))
         block = -(-4 * n // select.PIPE_BUF)
         assert writes == [4 * len(range(0, n, block))] and writes[0] <= select.PIPE_BUF
         assert (block == 1) == (n == 3)
@@ -399,16 +413,27 @@ def test_runner_results_in_job_order(n_jobs, workers):
 
 
 @pytest.mark.parametrize("workers", [3, 4])
-def test_runner_results_larger_than_a_pipe_holds(workers):
-    # Every child sends back more than a pipe buffers, so each must be read
-    # while later children wait to write: no child may hold another's pipe.
+def test_runner_errors_larger_than_a_pipe_holds(workers):
+    # Every child sends back an error larger than a pipe buffers, so each
+    # must be read while later children wait to write: no child may hold
+    # another's pipe. Each child fails only after every child has a job, and
+    # the first child's error is raised.
     run_runner_case(f"""
+        pids, fork = [], os.fork
+        os.fork = lambda: pids.append(fork()) or pids[-1]
         def job(j):
-            time.sleep(0.002)
-            return bytes([j % 256]) * 8192
+            if os.getpid() == PARENT:
+                time.sleep(0.01)
+                return
+            time.sleep(0.3)
+            raise ValueError(f"{{os.getpid()}} " + "x" * 70000)
         sweep._execute_point = job
-        results = sweep._run_forked(list(range(100)), {workers})
-        assert results == [job(j) for j in range(100)]
+        try:
+            sweep._run_forked(list(range(100)), {workers})
+        except ValueError as exc:
+            assert str(exc).split()[0] == str(pids[0]), str(exc)[:20]
+        else:
+            raise AssertionError("no error")
         done()
     """)
 
@@ -500,7 +525,8 @@ def test_pool_workers_capped(tmp_path, monkeypatch, parallel, cpus, allowed, exp
 
     def serial_runner(jobs, workers):
         seen.append(workers)
-        return [sweep._execute_point(job) for job in jobs]
+        for job in jobs:
+            sweep._execute_point(job)
 
     monkeypatch.setattr(sweep, "_run_forked", serial_runner)
     monkeypatch.setattr(sweep.os, "cpu_count", lambda: cpus)
