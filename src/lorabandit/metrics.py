@@ -117,8 +117,8 @@ def summarize_run(records: Iterable[RunRecord], config_key: str = "") -> Metrics
 
     math.fsum returns the correctly rounded exact sum, so a group's c equal
     energies, summed as c copies, give the figures of any per-record sum.
-    Every device must have spent positive active energy, and the devices'
-    efficiencies must sum to a finite total.
+    Every device must have spent positive active energy, and the active
+    energies and the devices' efficiencies must each sum to a finite total.
     """
     if isinstance(records, RunLog):
         groups = Counter()
@@ -137,22 +137,21 @@ def summarize_run(records: Iterable[RunRecord], config_key: str = "") -> Metrics
             t[1] += c
             acked_by_dbm[dbm] = acked_by_dbm.get(dbm, 0) + c
     device_ee = []  # cumulative, per device
-    for device, (n, s, pairs) in by_device.items():
-        energy = math.fsum(chain.from_iterable(starmap(repeat, pairs)))
-        if energy <= 0:
-            raise ValueError(f"active energy of device {device} must be positive")
-        # Rate over mean energy, so a constant per-attempt energy yields
-        # exactly success_rate / e_active.
-        device_ee.append((s / n) / (energy / n))
-
-    attempts = sum(groups.values())
-    successes = sum(acked_by_dbm.values())
-    total_energy = math.fsum(chain.from_iterable(repeat(k[3], c) for k, c in groups.items()))
     try:
+        for device, (n, s, pairs) in by_device.items():
+            energy = math.fsum(chain.from_iterable(starmap(repeat, pairs)))
+            if energy <= 0:
+                raise ValueError(f"active energy of device {device} must be positive")
+            # Rate over mean energy, so a constant per-attempt energy yields
+            # exactly success_rate / e_active.
+            device_ee.append((s / n) / (energy / n))
+        total_energy = math.fsum(chain.from_iterable(repeat(k[3], c) for k, c in groups.items()))
         ee_sum = math.fsum(device_ee)
     except OverflowError:
-        raise ValueError(f"the energy efficiencies of the run's {len(device_ee)} devices "
-                         f"must sum to a finite total") from None
+        raise ValueError(f"the active energies or the energy efficiencies of the run's "
+                         f"{len(by_device)} devices must sum to a finite total") from None
+    attempts = sum(groups.values())
+    successes = sum(acked_by_dbm.values())
     return MetricsSummary(
         config_key=config_key,
         n_runs=1,

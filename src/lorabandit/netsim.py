@@ -192,6 +192,7 @@ def run_simulation(setup: RunSetup, seed: int) -> RunLog:
     # whether or not it collided. Arms run channel-major with powers in
     # ascending dBm (build_arm_space), so each channel repeats the power rows.
     costs = cost_rows(cfg, n_devices)
+    overhead_mj = cfg.energy.overhead_mj
     ends = {n_payload: [] for n_payload in costs}
     for n_payload, rows in costs.items():
         for a, (_, e_toa, e_active, reward) in zip(arms, rows * len(cfg.channels)):
@@ -201,13 +202,14 @@ def run_simulation(setup: RunSetup, seed: int) -> RunLog:
                 (hz, dbm, Cause.SUCCESS, True, 1.0 if ack_only else reward, e_toa, e_active)
                 if heard else deaf,
                 (hz, dbm, Cause.COLLISION, False, 0.0, e_toa, e_active) if heard else deaf,
-                (hz, dbm, Cause.CARRIER_BUSY, False, 0.0, 0.0, cfg.energy.overhead_mj)))
+                (hz, dbm, Cause.CARRIER_BUSY, False, 0.0, 0.0, overhead_mj)))
     payloads = [payload_symbols(i, cfg.payload_base, cfg.payload_spread) for i in range(n_devices)]
     device_ends = [ends[n] for n in payloads]
     device_air = [costs[n][0][0] for n in payloads]  # one airtime per payload
     # RunLog's row ids, int objects made once: per device, per arm, by outcome.
     ids = iter(range(3 * len(arms) * n_devices))
-    row_ids = [[(next(ids), next(ids), next(ids)) for _ in arms] for _ in range(n_devices)]
+    triples = list(zip(ids, ids, ids))
+    row_ids = [triples[k:k + len(arms)] for k in range(0, len(triples), len(arms))]
 
     policies = _make_policies(setup, arms, seed)
     select = [p.select for p in policies]

@@ -12,6 +12,7 @@ import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache
 from math import sqrt
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -53,6 +54,13 @@ class ArmState:
 class PolicyDecision(NamedTuple):
     arm_index: int
     phase: Phase = Phase.LEARNED
+
+
+@cache
+def _phase_decisions(n_arms: int, phase: Phase) -> tuple[PolicyDecision, ...]:
+    """Each arm's decision in one phase, built once per arm count and shared
+    by every learner."""
+    return tuple(PolicyDecision(i, phase) for i in range(n_arms))
 
 
 def fixed_choices(arms: list[ParamCombo]) -> list[PolicyDecision]:
@@ -122,15 +130,15 @@ def adr_lite_search(
 
 class _ArmLearner:
     """The per-arm statistics both learners keep: one ArmState per arm, the
-    total number of plays, how many arms are unpulled and, built once, each
-    arm's learned-phase decision."""
+    total number of plays, how many arms are unpulled and each arm's
+    learned-phase decision, shared with every learner of its arm count."""
 
     def __init__(self, n_arms: int, rng: DeviceRng):
         self.rng = rng
         self.arms = [ArmState() for _ in range(n_arms)]
         self.total_plays = 0
         self.unpulled = n_arms
-        self._decisions = [PolicyDecision(i, Phase.LEARNED) for i in range(n_arms)]
+        self._decisions = _phase_decisions(n_arms, Phase.LEARNED)
 
     def observe(self, arm_index: int, acked: bool, reward: float) -> None:
         """Fold one attempt's reward into its arm's statistics in this one
@@ -163,7 +171,7 @@ class UcbTunedPolicy(_ArmLearner):
 
     def __init__(self, n_arms: int, rng: DeviceRng):
         super().__init__(n_arms, rng)
-        self._initial = [PolicyDecision(i, Phase.INITIALIZATION) for i in range(n_arms)]
+        self._initial = _phase_decisions(n_arms, Phase.INITIALIZATION)
         self._log_h = -math.inf  # no bounds before the first learned decision
         self._bounds: list[float] = []
         self._ranked: list[tuple[float, int]] = []

@@ -12,6 +12,8 @@ method (Lemire, "Fast Random Integer Generation in an Interval", ACM TOMACS
 
 from __future__ import annotations
 
+from itertools import permutations
+
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx).
 INIT_A = 0x43B0D7E5
 MULT_A = 0x931E8875
@@ -38,40 +40,56 @@ def _words(n: int) -> list[int]:
     return words
 
 
-def _mix(x: int, y: int) -> int:
-    r = (MIX_MULT_L * x - MIX_MULT_R * y) & MASK32
-    return r ^ r >> 16
+def _hash_consts(init: int, mult: int, n: int) -> list[int]:
+    """SeedSequence's first n + 1 hash constants: init, then each times mult."""
+    consts = [init]
+    for _ in range(n):
+        consts.append(consts[-1] * mult & MASK32)
+    return consts
+
+
+# The constants do not depend on the entropy, so they are tables. The k-th
+# hashmix xors its value with HASH_A[k] and multiplies it by HASH_A[k + 1]:
+# the first POOL_SIZE fill the pool, the next POOL_SIZE·(POOL_SIZE - 1) mix
+# its words into each other (_MIXES: source, destination and both
+# constants). Output word k is pool word k % POOL_SIZE hashed with HASH_B[k]
+# and HASH_B[k + 1], and words 2j and 2j + 1 make state word j (_OUTPUT).
+HASH_A = _hash_consts(INIT_A, MULT_A, POOL_SIZE * POOL_SIZE)
+HASH_B = _hash_consts(INIT_B, MULT_B, 8)
+_MIXES = [(src, dst, HASH_A[k], HASH_A[k + 1])
+          for k, (src, dst) in enumerate(permutations(range(POOL_SIZE), 2), start=POOL_SIZE)]
+_OUTPUT = [(k % POOL_SIZE, HASH_B[k], HASH_B[k + 1], (k + 1) % POOL_SIZE, HASH_B[k + 1],
+            HASH_B[k + 2]) for k in range(0, 8, 2)]
 
 
 def seed_state(entropy: list[int]) -> list[int]:
     """SeedSequence(entropy).generate_state(4, uint64) as Python ints."""
+    mask, mult_l, mult_r = MASK32, MIX_MULT_L, MIX_MULT_R
     words = [w for n in entropy for w in _words(n)]
-    hash_const = INIT_A
-
-    def hashmix(value: int) -> int:
-        nonlocal hash_const
-        value ^= hash_const
-        hash_const = hash_const * MULT_A & MASK32
-        value = value * hash_const & MASK32
-        return value ^ value >> 16
-
-    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(POOL_SIZE)]
-    for src in range(POOL_SIZE):
-        for dst in range(POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    pool = []
+    for k in range(POOL_SIZE):
+        value = ((words[k] if k < len(words) else 0) ^ HASH_A[k]) * HASH_A[k + 1] & mask
+        pool.append(value ^ value >> 16)
+    for src, dst, xor, mult in _MIXES:
+        value = (pool[src] ^ xor) * mult & mask
+        r = (mult_l * pool[dst] - mult_r * (value ^ value >> 16)) & mask
+        pool[dst] = r ^ r >> 16
+    # Entropy longer than the pool mixes each further word into every pool
+    # word, with the constants that follow the table's.
+    hash_const = HASH_A[-1]
     for word in words[POOL_SIZE:]:
         for dst in range(POOL_SIZE):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-
-    hash_const = INIT_B
-    out = []
-    for i in range(8):
-        value = pool[i % POOL_SIZE] ^ hash_const
-        hash_const = hash_const * MULT_B & MASK32
-        value = value * hash_const & MASK32
-        out.append(value ^ value >> 16)
-    return [out[k] | out[k + 1] << 32 for k in range(0, 8, 2)]
+            value = word ^ hash_const
+            hash_const = hash_const * MULT_A & mask
+            value = value * hash_const & mask
+            r = (mult_l * pool[dst] - mult_r * (value ^ value >> 16)) & mask
+            pool[dst] = r ^ r >> 16
+    state = []
+    for lo, xor_lo, mult_lo, hi, xor_hi, mult_hi in _OUTPUT:
+        a = (pool[lo] ^ xor_lo) * mult_lo & mask
+        b = (pool[hi] ^ xor_hi) * mult_hi & mask
+        state.append(a ^ a >> 16 | (b ^ b >> 16) << 32)
+    return state
 
 
 class DeviceRng:

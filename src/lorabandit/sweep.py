@@ -9,7 +9,7 @@ import math
 import os
 import shutil
 from dataclasses import asdict, dataclass, field
-from itertools import cycle
+from itertools import cycle, islice
 from operator import attrgetter
 from pathlib import Path
 
@@ -92,6 +92,12 @@ def wake_texts(interval_us: int, offset_us: int, n: int) -> list[str]:
     return [f"{a // 10 ** 6}{fraction}" for a, fraction in zip(wakes, cycle(fractions))]
 
 
+# Lines per write. At about 230 B a line, a joined block of about 60 KB
+# stays under glibc's 128 KiB mmap threshold, so its buffer is reused from
+# the heap; blocks of 1,024 lines measured no faster.
+_BLOCK_LINES = 256
+
+
 def write_records(log: RunLog, path: Path) -> None:
     """Newline-delimited JSON, one record per line, keys sorted: byte for byte
     json.dumps(r._asdict(), sort_keys=True, separators=(",", ":")) for each
@@ -102,7 +108,8 @@ def write_records(log: RunLog, path: Path) -> None:
     RunLog), so the fragments around them are built once for each row the
     run uses, the attempt texts once per run and each device's wake texts
     once, by wake_texts from its integer µs; each line is one f-string of
-    these texts, written on its own.
+    these texts, and the lines go out in blocks of _BLOCK_LINES, one write
+    per block.
     """
     rows, attempts = log.rows, log.attempts
     n = max(attempts, default=-1) + 1
@@ -117,11 +124,12 @@ def write_records(log: RunLog, path: Path) -> None:
         for row, (seed, device, arm, hz, dbm, cause, acked, reward, e_toa, e_active)
         in zip(used, map(log.row_fields, used))
     }
+    records = zip(map(fragments.__getitem__, rows), attempts)
     with open(path, "w", encoding="utf-8") as fh:
-        write = fh.write
-        for (head, tail, device_wakes), attempt in zip(map(fragments.__getitem__, rows),
-                                                       attempts):
-            write(f"{head}{attempt_texts[attempt]}{tail}{device_wakes[attempt]}}}\n")
+        for _ in range(0, len(rows), _BLOCK_LINES):
+            fh.write("".join([f"{head}{attempt_texts[attempt]}{tail}{device_wakes[attempt]}}}\n"
+                              for (head, tail, device_wakes), attempt
+                              in islice(records, _BLOCK_LINES)]))
 
 
 def read_records(path) -> list[RunRecord]:

@@ -74,6 +74,9 @@ MUTANTS = [
      "attempts += map(add, cycle_attempts, repeat(shift))", "attempts += cycle_attempts", None),
     ("netsim", "a CarrierBusy attempt on its device's end-of-airtime row",
      "add_row(row_ids[i][arm][2])", "add_row(row_ids[i][arm][0])", None),
+    ("netsim", "ends before wakes at equal µs",
+     "template.sort(key=lambda event: event[:2])",
+     "template.sort(key=lambda event: (event[0], -event[1]))", None),
     ("metrics", "wake_time from seconds, not whole µs",
      "map(truediv, map(add, map(self.interval_us.__mul__, self.attempts),\n"
      "                                 map(self.offsets_us.__getitem__, devices)), repeat(1e6))",
@@ -105,6 +108,10 @@ MUTANTS = [
      "            tied.sort()\n", "", None),
     ("policies", "an arm joins epsilon-greedy's tie set at its end",
      "insort(tied, arm_index)", "tied.append(arm_index)", None),
+    ("policies", "the decision cache keyed without the phase",
+     "@cache\ndef _phase_decisions(",
+     "@lambda f: lambda n, p, built={}: built.setdefault(n, f(n, p))\ndef _phase_decisions(",
+     None),
     ("sweep", "run_seed's chain takes the run index before N",
      "(_fnv1a64(policy.encode()), n_devices, run_index)",
      "(_fnv1a64(policy.encode()), run_index, n_devices)", None),
@@ -118,6 +125,9 @@ MUTANTS = [
     ("sweep", "whole seconds without their .0", '.rstrip("0") or "0")', '.rstrip("0"))', None),
     ("sweep", "one wake fraction for every wake (period 1)",
      "period = 10 ** 6 // math.gcd(interval_us, 10 ** 6)", "period = 1", None),
+    ("sweep", "the last partial block of lines dropped",
+     "for _ in range(0, len(rows), _BLOCK_LINES):",
+     "for _ in range(len(rows) // _BLOCK_LINES):", None),
     ("sweep", "a ticket block that runs one job short",
      "jobs[start:start + block]", "jobs[start:start + block - 1]", None),
     ("sweep", "ticket blocks one job too large",
@@ -143,6 +153,16 @@ MUTANTS = [
      "                else:\n                    pass\n", None),
     ("rng", "random() from 52 bits, not 53",
      ">> 11) * 2.0 ** -53", ">> 12) * 2.0 ** -52", None),
+    ("rng", "the pool-mixing hash constants read one index off",
+     "(src, dst, HASH_A[k], HASH_A[k + 1])", "(src, dst, HASH_A[k - 1], HASH_A[k])", None),
+    ("config", "t_attempts may be 0",
+     '_check_int("t_attempts", self.t_attempts, 1)',
+     '_check_int("t_attempts", self.t_attempts, 0)', None),
+    ("params", "an integer one above its maximum let through",
+     "if maximum is not None and value > maximum:",
+     "if maximum is not None and value > maximum + 1:", None),
+    ("cli", "a config error exits with the runtime error's code",
+     "EXIT_CONFIG = 2", "EXIT_CONFIG = 3", None),
 ]
 
 

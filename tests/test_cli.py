@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import lorabandit
 from lorabandit.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 
 TINY = {
@@ -31,6 +35,19 @@ def test_validate_bad_config(tmp_path, capsys):
     code = main(["validate", write_config(tmp_path, {"epsilon": 2.0})])
     assert code == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+def test_exit_codes_of_the_process(tmp_path):
+    # The documented codes, as the process exits with them: 2 for a config
+    # error, 3 for a runtime one.
+    src = str(Path(lorabandit.__file__).resolve().parents[1])
+    env = os.environ | {"PYTHONPATH": os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")]))}
+    for argv, code in ((["validate", write_config(tmp_path, {"epsilon": 2.0})], 2),
+                       (["tables", str(tmp_path / "absent.json")], 3)):
+        done = subprocess.run([sys.executable, "-m", "lorabandit.cli", *argv],
+                              capture_output=True, text=True, env=env)
+        assert done.returncode == code, done.stderr
 
 
 TWO_CHANNELS = [{"mhz": 921.0, "receivable": True}, {"mhz": 921.4, "receivable": True}]

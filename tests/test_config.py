@@ -163,6 +163,20 @@ def test_epsilon_bounds():
         config_from_dict({"epsilon": 1.5})
 
 
+@pytest.mark.parametrize("doc, accepted", [
+    ({"t_attempts": 1}, True),
+    ({"t_attempts": 0}, False),
+    ({"runs_per_point": 2 ** 64}, True),  # run_seed takes run indices below 2**64
+    ({"runs_per_point": 2 ** 64 + 1}, False),
+])
+def test_integer_bounds_are_exact(doc, accepted):
+    if accepted:
+        config_from_dict(doc)
+    else:
+        with pytest.raises(ConfigError, match=next(iter(doc))):
+            config_from_dict(doc)
+
+
 def test_negative_cs_duration_rejected():
     # Carrier sense trusts the config for the sign of its window.
     with pytest.raises(ConfigError, match="cs_duration_s must be non-negative"):

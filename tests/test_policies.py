@@ -635,6 +635,26 @@ def test_every_select_returns_a_policy_decision_of_its_phase(monkeypatch):
                 [Phase.INITIALIZATION] * n_init + [Phase.LEARNED] * (selected - n_init))
 
 
+def test_learners_of_one_arm_count_share_their_decisions():
+    # Each arm count's decisions are built once per phase and shared by every
+    # learner; UCB's initialization and learned decisions stay two sets.
+    first, second = (UcbTunedPolicy(4, np.random.default_rng(s)) for s in (1, 2))
+    greedy = EpsilonGreedyPolicy(4, 0.0, np.random.default_rng(3))
+    started = [first.select(), second.select()]
+    assert started[0] is started[1] and started[0] == PolicyDecision(0, Phase.INITIALIZATION)
+    for policy in (first, second, greedy):
+        for k in range(4):
+            policy.observe(k, True, 0.5 + k / 10)
+    learned = [policy.select() for policy in (first, second, greedy)]
+    assert learned[0] is learned[1] is learned[2] == PolicyDecision(3, Phase.LEARNED)
+    assert first._initial is second._initial
+    assert first._decisions is second._decisions is greedy._decisions
+    assert [d.phase for d in first._initial] == [Phase.INITIALIZATION] * 4
+    assert [d.phase for d in first._decisions] == [Phase.LEARNED] * 4
+    assert [d.arm_index for d in first._initial] == [d.arm_index for d in first._decisions]
+    assert len(UcbTunedPolicy(5, np.random.default_rng(4))._initial) == 5
+
+
 # --- determinism across policies -------------------------------------------------
 
 @settings(deadline=None, max_examples=20)

@@ -27,6 +27,8 @@ CALLS = st.lists(
 @settings(max_examples=300, deadline=None)
 @given(seed=SEEDS, device=st.integers(0, 2**40), stream=st.integers(0, 3), calls=CALLS)
 @example(seed=2**64 - 1, device=0, stream=0, calls=[("integers", 0, 2**32)] * 3 + [("random",)])
+# Five entropy words, one more than the pool: the words past the table's.
+@example(seed=2**64 - 1, device=2**32, stream=3, calls=[("random",), ("integers", 0, 2**32 + 1)])
 # Across the inline steps: integers(3) buffers the high half of its output,
 # random() steps once and keeps that half, the next integers(3) uses and
 # clears it, so integers(7) after the 64-bit path steps again.

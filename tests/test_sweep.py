@@ -113,20 +113,26 @@ def _dumps(log) -> bytes:
                    for r in log).encode()
 
 
-def test_writer_bytes_on_a_hand_built_log(tmp_path):
-    # Offsets of 0, 7, 99 and 100 µs at a 2.5 s interval: the writer writes
-    # each record as json.dumps does, wakes of 7 and 99 µs in exponent
-    # notation. Row (device·2 + arm)·3 + outcome, as RunLog documents.
+def hand_built_log(n_records: int) -> RunLog:
+    """n_records records of 4 devices, attempt by attempt, with offsets of 0,
+    7, 99 and 100 µs at a 2.5 s interval. Row (device·2 + arm)·3 + outcome,
+    as RunLog documents."""
     outcomes = [(868100000.0, -3, Cause.SUCCESS, True, 0.25, 0.5, 214.308),
                 (868100000.0, -3, Cause.COLLISION, False, 0.0, 0.5, 214.308),
                 (868300000.0, 13, Cause.CARRIER_BUSY, False, -0.0, 0.0, 207.9)]
     ends = [[outcomes, outcomes[::-1]] for _ in range(4)]
     rows, attempts = [], []
-    for attempt in range(3):
-        for device in range(4):
-            rows.append((device * 2 + (attempt + device) % 2) * 3 + (attempt + device) % 3)
-            attempts.append(attempt)
-    log = RunLog(42, ends, 2_500_000, [0, 7, 99, 100], rows, attempts)
+    for k in range(n_records):
+        attempt, device = divmod(k, 4)
+        rows.append((device * 2 + (attempt + device) % 2) * 3 + (attempt + device) % 3)
+        attempts.append(attempt)
+    return RunLog(42, ends, 2_500_000, [0, 7, 99, 100], rows, attempts)
+
+
+def test_writer_bytes_on_a_hand_built_log(tmp_path):
+    # The writer writes each record as json.dumps does, wakes of 7 and 99 µs
+    # in exponent notation.
+    log = hand_built_log(12)
     path = tmp_path / "r.jsonl"
     write_records(log, path)
     text = path.read_bytes()
@@ -134,6 +140,18 @@ def test_writer_bytes_on_a_hand_built_log(tmp_path):
     assert b'"wake_time":7e-06}' in text and b'"wake_time":9.9e-05}' in text
     assert b'"wake_time":0.0001}' in text and b'"wake_time":2.500007}' in text
     assert read_records(path) == list(log)
+
+
+BLOCK = sweep._BLOCK_LINES
+
+
+@pytest.mark.parametrize("n_records", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+def test_writer_bytes_at_the_block_edges(tmp_path, n_records):
+    # The lines go out in blocks: none may be lost or repeated at an edge.
+    log = hand_built_log(n_records)
+    path = tmp_path / "r.jsonl"
+    write_records(log, path)
+    assert path.read_bytes() == _dumps(log)
 
 
 def test_writer_bytes_of_a_one_attempt_run(tmp_path):
@@ -165,7 +183,9 @@ TWINS = [
 
 
 # Energies a log can add up: positive, down to the least subnormal, and small
-# enough that the largest log's total stays finite. Past the largest float,
+# enough that the largest log's total stays finite, but for the largest
+# log at the bound: max / 12 rounds up, so twelve of it overflow, and the
+# summary refuses that log (TOO_MUCH_ENERGY). Past the largest float,
 # math.fsum's intermediate overflow depends on the order it adds in, and a
 # simulated run never gets there: config validation (netsim.cost_rows)
 # refuses a config whose run's total active energy would not be finite. The
@@ -208,10 +228,14 @@ OVERFLOWING = [_TINY._replace(attempt=i, wake_time=float(i)) for i in range(3)] 
     _TINY._replace(device=1, attempt=4, e_active=2.2250738585072014e-308, wake_time=4.0),
 ]
 
+TOO_MUCH_ENERGY = [_TINY._replace(attempt=i, e_active=sys.float_info.max / _MAX_LOG,
+                                  wake_time=float(i)) for i in range(_MAX_LOG)]
+
 
 @given(record_logs())
 @example(TWINS)
 @example(OVERFLOWING)
+@example(TOO_MUCH_ENERGY)
 def test_grouped_summaries_match_the_per_record_fold(records):
     """summarize_run gives the per-record reference's summary, to the byte of
     its JSON; where the reference overflows, it refuses the log."""
