@@ -7,10 +7,8 @@ device counts {10, 15, 20, 25, 30} x 5 runs of 200 attempts each, on the
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
-from dataclasses import dataclass, field
 
 from .energy import EnergyModel, RadioConfig
 from .netsim import POLICY_NAMES, RunSetup, cost_rows
@@ -37,31 +35,31 @@ _SCALAR_FIELDS = (
     "epsilon", "cs_duration_s", "reward_mode", "epsilon_reward",
     "payload_base", "payload_spread", "base_seed",
 )
-_ENERGY_FIELDS = {f.name for f in dataclasses.fields(EnergyModel)}
-_RADIO_FIELDS = {f.name for f in dataclasses.fields(RadioConfig)}
+_ENERGY_FIELDS = set(EnergyModel.__slots__)
+_RADIO_FIELDS = set(RadioConfig.__slots__)
+
+# Each field's default, in field order; a config gets its own copy of each
+# list.
+_DEFAULTS = {
+    "policies": list(POLICY_NAMES), "device_counts": list(DEFAULT_DEVICE_COUNTS),
+    "runs_per_point": 5, "t_attempts": 200, "interval_s": 10.0,
+    "channels": default_channels(), "powers": default_powers(),
+    "energy": EnergyModel(), "radio": RadioConfig(),
+    "epsilon": 0.1, "cs_duration_s": 0.005, "reward_mode": "normalized",
+    "epsilon_reward": "energy", "payload_base": 36, "payload_spread": 9,
+    "adr_quality_hz": None, "base_seed": 20240901,
+}
 
 
-@dataclass
 class ExperimentConfig:
-    policies: list[str] = field(default_factory=lambda: list(POLICY_NAMES))
-    device_counts: list[int] = field(default_factory=lambda: list(DEFAULT_DEVICE_COUNTS))
-    runs_per_point: int = 5
-    t_attempts: int = 200
-    interval_s: float = 10.0
-    channels: list[Channel] = field(default_factory=default_channels)
-    powers: list[TxPower] = field(default_factory=default_powers)
-    energy: EnergyModel = field(default_factory=EnergyModel)
-    radio: RadioConfig = field(default_factory=RadioConfig)
-    epsilon: float = 0.1
-    cs_duration_s: float = 0.005
-    reward_mode: str = "normalized"
-    epsilon_reward: str = "energy"
-    payload_base: int = 36
-    payload_spread: int = 9
-    adr_quality_hz: list[float] | None = None
-    base_seed: int = 20240901
+    """One experiment: every field by keyword, each omitted one at its
+    default (_DEFAULTS), checked by validate() when built."""
 
-    def __post_init__(self):
+    def __init__(self, **fields):
+        for name in fields.keys() - _DEFAULTS.keys():
+            raise TypeError(f"ExperimentConfig got an unexpected keyword argument {name!r}")
+        vars(self).update({k: v.copy() if type(v) is list else v for k, v in _DEFAULTS.items()},
+                          **fields)
         self.validate()
 
     def validate(self) -> None:
@@ -124,10 +122,10 @@ class ExperimentConfig:
             "powers": [
                 {"level_dbm": p.level_dbm, "draw_mw": p.draw_mw} for p in self.powers
             ],
-            "energy": dataclasses.asdict(self.energy) | {
+            "energy": {k: getattr(self.energy, k) for k in EnergyModel.__slots__} | {
                 "p_toa_mw": {str(p.level_dbm): p.draw_mw for p in self.powers},
             },
-            "radio": dataclasses.asdict(self.radio),
+            "radio": {k: getattr(self.radio, k) for k in RadioConfig.__slots__},
             "adr_quality_mhz": (
                 None
                 if self.adr_quality_hz is None

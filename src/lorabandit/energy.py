@@ -6,27 +6,24 @@ so power * time lands directly in mJ.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
-from .params import ConfigError, TxPower, _check_int, _check_number
+from .params import ConfigError, TxPower, _check_int, _check_number, _Value
 
 
-@dataclass(frozen=True)
-class RadioConfig:
+class RadioConfig(_Value):
     """PHY parameters shared by every device: a config's "radio" block."""
 
-    sf: int = 7
-    bw_hz: float = 125_000.0
-    n_preamble: int = 8
+    __slots__ = ("sf", "bw_hz", "n_preamble")
 
-    def __post_init__(self):
-        _check_int("radio.sf", self.sf, 6, 12)
-        object.__setattr__(self, "bw_hz", _check_number("radio.bw_hz", self.bw_hz, positive=True))
-        _check_int("radio.n_preamble", self.n_preamble, 0, 2 ** 53)  # exact as a float
+    def __init__(self, sf: int = 7, bw_hz: float = 125_000.0, n_preamble: int = 8):
+        _check_int("radio.sf", sf, 6, 12)
+        bw_hz = _check_number("radio.bw_hz", bw_hz, positive=True)
+        _check_int("radio.n_preamble", n_preamble, 0, 2 ** 53)  # exact as a float
+        self._set(sf, bw_hz, n_preamble)
 
 
-@dataclass(frozen=True)
-class EnergyModel:
+class EnergyModel(_Value):
     """Fixed per-attempt energy overheads and the MCU draw.
 
     e_wu / e_proc / e_r are treated as fixed per-attempt contributions in mJ
@@ -34,15 +31,12 @@ class EnergyModel:
     draw at each power level lives on its TxPower.
     """
 
-    e_wu_mj: float = 56.1
-    e_proc_mj: float = 85.8
-    e_r_mj: float = 66.0
-    p_mcu_mw: float = 29.7
+    __slots__ = ("e_wu_mj", "e_proc_mj", "e_r_mj", "p_mcu_mw")
 
-    def __post_init__(self):
-        for f in fields(self):
-            object.__setattr__(self, f.name, _check_number(
-                f"energy.{f.name}", getattr(self, f.name), positive=True))
+    def __init__(self, e_wu_mj: float = 56.1, e_proc_mj: float = 85.8, e_r_mj: float = 66.0,
+                 p_mcu_mw: float = 29.7):
+        self._set(*(_check_number(f"energy.{name}", value, positive=True) for name, value
+                    in zip(self.__slots__, (e_wu_mj, e_proc_mj, e_r_mj, p_mcu_mw))))
 
     @property
     def overhead_mj(self) -> float:
@@ -50,8 +44,7 @@ class EnergyModel:
         return self.e_wu_mj + self.e_proc_mj + self.e_r_mj
 
 
-@dataclass(frozen=True)
-class AttemptEnergy:
+class AttemptEnergy(NamedTuple):
     """On-air time and energy of one transmission attempt."""
 
     t_toa: float

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Iterable, Iterator
-from dataclasses import asdict, dataclass, field, fields
 from itertools import chain, repeat, starmap
 from operator import add, floordiv, itemgetter, truediv
 from typing import NamedTuple
@@ -80,8 +79,7 @@ class RunLog:
                    zip(*columns[:2], self.attempts, *columns[2:], wakes))
 
 
-@dataclass
-class MetricsSummary:
+class MetricsSummary(NamedTuple):
     """All evaluation quantities of one run (or an average of runs)."""
 
     config_key: str
@@ -91,17 +89,17 @@ class MetricsSummary:
     success_rate: float | None
     energy_efficiency: float | None  # device-mean cumulative EE, 1/mJ
     energy_efficiency_network: float | None  # total successes / total energy
-    tp_ratio: dict[int, float] = field(default_factory=dict)
+    tp_ratio: dict[int, float]
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "tp_ratio": {str(k): v for k, v in self.tp_ratio.items()}}
+        return {**self._asdict(), "tp_ratio": {str(k): v for k, v in self.tp_ratio.items()}}
 
     @classmethod
     def from_dict(cls, d: dict) -> "MetricsSummary":
         """A summary from its to_dict form. Other keys are ignored, such as
         the per_arm table that summaries of earlier versions hold."""
         return cls(**{
-            **{f.name: d[f.name] for f in fields(cls)},
+            **{name: d[name] for name in cls._fields},
             "tp_ratio": {int(k): v for k, v in d["tp_ratio"].items()},
         })
 

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from itertools import repeat
 from operator import add, attrgetter
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .energy import attempt_energy, reward_basis
 from .metrics import Cause, RunLog
@@ -37,8 +36,7 @@ _US_LIMIT = 2 ** 63
 _REWARD_LIMIT = math.sqrt(sys.float_info.max)
 
 
-@dataclass(frozen=True)
-class RunSetup:
+class RunSetup(NamedTuple):
     """One simulation run: a validated config, the policy and the device count."""
 
     config: ExperimentConfig

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class ConfigError(ValueError):
@@ -32,42 +32,72 @@ def _check_number(name: str, value, positive: bool = False) -> float:
     return float(value)
 
 
-@dataclass(frozen=True)
-class Channel:
+class _Value:
+    """Base of the checked value types: its __slots__ are its fields, set
+    once by its __init__. An instance refuses to assign or delete a field,
+    equals and hashes as another of its type with equal fields (never a
+    tuple), prints as Type(field=value, ...), and is pickled and copied by
+    calling its type with its fields."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Channel(_Value):
     """One selectable uplink frequency.
 
     ``receivable`` is True only for the frequencies the gateway actually
     listens on; transmitting on any other channel can never be ACKed.
     """
 
-    center_frequency_hz: float
-    receivable: bool
+    __slots__ = ("center_frequency_hz", "receivable")
 
-    def __post_init__(self):
-        object.__setattr__(self, "center_frequency_hz", _check_number(
-            "channel frequency in Hz", self.center_frequency_hz))
-        if not isinstance(self.receivable, bool):
-            raise ConfigError(f"receivable must be true or false, got {self.receivable!r}")
+    def __init__(self, center_frequency_hz: float, receivable: bool):
+        hz = _check_number("channel frequency in Hz", center_frequency_hz)
+        if not isinstance(receivable, bool):
+            raise ConfigError(f"receivable must be true or false, got {receivable!r}")
+        self._set(hz, receivable)
 
     @property
     def mhz(self) -> float:
         return self.center_frequency_hz / 1e6
 
 
-@dataclass(frozen=True)
-class TxPower:
+class TxPower(_Value):
     """One transmission power level and the radio draw it induces."""
 
-    level_dbm: int
-    draw_mw: float
+    __slots__ = ("level_dbm", "draw_mw")
 
-    def __post_init__(self):
-        _check_int("level_dbm", self.level_dbm, None)
-        object.__setattr__(self, "draw_mw", _check_number("draw_mw", self.draw_mw, positive=True))
+    def __init__(self, level_dbm: int, draw_mw: float):
+        _check_int("level_dbm", level_dbm, None)
+        self._set(level_dbm, _check_number("draw_mw", draw_mw, positive=True))
 
 
-@dataclass(frozen=True)
-class ParamCombo:
+class ParamCombo(NamedTuple):
     """A single bandit arm: a (channel, power) pair with its ordinal index."""
 
     channel: Channel

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache
 from math import sqrt
@@ -29,26 +28,29 @@ class Phase(Enum):
     LEARNED = "learned"
 
 
-@dataclass(slots=True)
 class ArmState:
     """Running statistics for one arm.
 
     mean and variance (the empirical variance of the rewards, clamped at 0)
     are derived from the sums when the state is built and kept current by
     _ArmLearner.observe() with the same operations, so a decision reads them
-    instead of recomputing them.
+    instead of recomputing them. Two states are equal if every field is.
     """
 
-    pulls: int = 0
-    reward_sum: float = 0.0
-    reward_sq_sum: float = 0.0
-    mean: float = field(default=0.0, init=False)
-    variance: float = field(default=0.0, init=False)
+    __slots__ = ("pulls", "reward_sum", "reward_sq_sum", "mean", "variance")
 
-    def __post_init__(self):
-        if self.pulls:
-            self.mean = mean = self.reward_sum / self.pulls
-            self.variance = max(self.reward_sq_sum / self.pulls - mean ** 2, 0.0)
+    def __init__(self, pulls: int = 0, reward_sum: float = 0.0, reward_sq_sum: float = 0.0):
+        self.pulls, self.reward_sum, self.reward_sq_sum = pulls, reward_sum, reward_sq_sum
+        self.mean = self.variance = 0.0
+        if pulls:
+            self.mean = mean = reward_sum / pulls
+            self.variance = max(reward_sq_sum / pulls - mean ** 2, 0.0)
+
+    def __eq__(self, other):
+        if type(other) is not ArmState:
+            return NotImplemented
+        return ([getattr(self, f) for f in self.__slots__]
+                == [getattr(other, f) for f in self.__slots__])
 
 
 class PolicyDecision(NamedTuple):
@@ -142,7 +144,7 @@ class _ArmLearner:
 
     def observe(self, arm_index: int, acked: bool, reward: float) -> None:
         """Fold one attempt's reward into its arm's statistics in this one
-        frame, with ArmState.__post_init__'s operations in the same order; a
+        frame, with ArmState.__init__'s operations in the same order; a
         reward outside [0, inf), NaN included, is refused before any change."""
         if not 0.0 <= reward < math.inf:
             raise ValueError(f"reward {reward} is not in [0, inf)")

@@ -8,10 +8,10 @@ import json
 import math
 import os
 import shutil
-from dataclasses import asdict, dataclass, field
 from itertools import cycle, islice
 from operator import attrgetter
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
 from .config import ExperimentConfig
@@ -47,18 +47,17 @@ def run_seed(base_seed: int, policy: str, n_devices: int, run_index: int) -> int
     return h
 
 
-@dataclass
-class RunManifest:
+class RunManifest(NamedTuple):
     config_hash: str
     base_seed: int
     version: str
     out_dir: str
     config: dict
-    runs: list[dict] = field(default_factory=list)  # policy, n, run, seed, paths
+    runs: list[dict]  # policy, n, run, seed, paths
 
     def to_dict(self) -> dict:
         """Every field but out_dir, which load takes from the file's place."""
-        return {k: v for k, v in asdict(self).items() if k != "out_dir"}
+        return {k: v for k, v in self._asdict().items() if k != "out_dir"}
 
     @classmethod
     def load(cls, path) -> "RunManifest":
@@ -255,6 +254,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir, parallel: int = 1) -> RunManifest:
             version=__version__,
             out_dir=str(out),
             config=cfg.to_dict(),
+            runs=[],
         )
 
         jobs = []

@@ -11,7 +11,9 @@ verdict always comes from the whole suite. Mutants are listed per module
 below; a survivor is either killed by a new test or kept here with the
 reason it survives. A mutant whose tests run for more than
 MUTANT_TIMEOUT_S seconds is taken to hang and counts as killed: its whole
-process group, forked sweep workers included, is killed.
+process group, forked sweep workers included, is killed. A mutant that
+makes the package fail at import stops pytest at collection (exit status
+2) and counts as killed at import.
 
     python tests/mutation_smoke.py
 
@@ -155,12 +157,24 @@ MUTANTS = [
      ">> 11) * 2.0 ** -53", ">> 12) * 2.0 ** -52", None),
     ("rng", "the pool-mixing hash constants read one index off",
      "(src, dst, HASH_A[k], HASH_A[k + 1])", "(src, dst, HASH_A[k - 1], HASH_A[k])", None),
+    ("rng", "the pool-mixing hash constants read one index late, past the table at import",
+     "(src, dst, HASH_A[k], HASH_A[k + 1])", "(src, dst, HASH_A[k + 1], HASH_A[k + 2])", None),
     ("config", "t_attempts may be 0",
      '_check_int("t_attempts", self.t_attempts, 1)',
      '_check_int("t_attempts", self.t_attempts, 0)', None),
     ("params", "an integer one above its maximum let through",
      "if maximum is not None and value > maximum:",
      "if maximum is not None and value > maximum + 1:", None),
+    ("params", "a channel's receivable flag not checked as a bool",
+     "if not isinstance(receivable, bool):", "if False:", None),
+    ("params", "a power drawing 0 mW let through",
+     '_check_number("draw_mw", draw_mw, positive=True)',
+     '_check_number("draw_mw", draw_mw, positive=draw_mw != 0)', None),
+    ("energy", "a spreading factor of 13 let through",
+     '_check_int("radio.sf", sf, 6, 12)', '_check_int("radio.sf", sf, 6, 13)', None),
+    ("energy", "energy constants of 0 and below let through",
+     '_check_number(f"energy.{name}", value, positive=True)',
+     '_check_number(f"energy.{name}", value, positive=False)', None),
     ("cli", "a config error exits with the runtime error's code",
      "EXIT_CONFIG = 2", "EXIT_CONFIG = 3", None),
 ]
@@ -177,8 +191,13 @@ def near_tests(tests: Path, module: str) -> list[Path]:
             and (path == own or imports.search(path.read_text(encoding="utf-8")))]
 
 
-def fails(work: Path, paths: list) -> bool:
-    """True if a test under paths fails, or the run hangs."""
+def fails(work: Path, paths: list, control: bool = False) -> str | None:
+    """How the tests under paths kill the copy's mutant: "killed" if a test
+    fails or the run hangs, "killed at import" if pytest stops at
+    collection (exit status 2: the mutated package fails at import), None if
+    every test passes. On the control run, which has no mutant, an exit
+    status 2 means the run itself broke, as any status but 0, 1 and 2 always
+    does: both raise RuntimeError."""
     with subprocess.Popen(
         [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
          "--hypothesis-seed=0", *(f"--ignore={work / 'tests' / name}" for name in LEFT_OUT),
@@ -192,19 +211,20 @@ def fails(work: Path, paths: list) -> bool:
         except subprocess.TimeoutExpired:
             os.killpg(proc.pid, signal.SIGKILL)
             proc.communicate()
-            return True
+            return "killed"
+    if proc.returncode == 2 and not control:
+        return "killed at import"
     if proc.returncode not in (0, 1):  # not a test failure: the run itself broke
         raise RuntimeError(f"pytest exited {proc.returncode}:\n{stdout[-2000:]}"
                            f"{stderr[-2000:]}")
-    return proc.returncode == 1
+    return "killed" if proc.returncode == 1 else None
 
 
-def run_mutant(module: str, snippet: str | None,
-               replacement: str | None) -> tuple[bool | None, str]:
-    """(killed, by which run): killed is True if the tests kill the mutant
-    (fail or hang), False if it survives the full run, None if the snippet is
-    not found exactly once. A None snippet leaves the copy as it is: the
-    control run, which the full suite must pass."""
+def run_mutant(module: str, snippet: str | None, replacement: str | None) -> tuple[str, str]:
+    """(verdict, by which run): the verdict is fails()'s if the tests kill
+    the mutant, "SURVIVED" if it survives the full run and "STALE" if the
+    snippet is not found exactly once. A None snippet leaves the copy as it
+    is: the control run, which the full suite must pass."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         work = Path(tmp)
         # perfbench/spans.py too: tests/test_seams.py reads its traced names.
@@ -215,30 +235,29 @@ def run_mutant(module: str, snippet: str | None,
         text = path.read_text(encoding="utf-8")
         if snippet is not None:
             if text.count(snippet) != 1:
-                return None, "no"
+                return "STALE", "no"
             path.write_text(text.replace(snippet, replacement), encoding="utf-8")
             near = near_tests(work / "tests", module)
-            if near and fails(work, near):
-                return True, "near"
-        return fails(work, [work / "tests"]), "full"
+            if near and (verdict := fails(work, near)):
+                return verdict, "near"
+        return fails(work, [work / "tests"], control=snippet is None) or "SURVIVED", "full"
 
 
 def main() -> int:
     begin = time.perf_counter()
-    if run_mutant("netsim", None, None)[0]:
+    if run_mutant("netsim", None, None)[0] != "SURVIVED":
         print("the tests fail on the unmutated copy, so every mutant would count as killed")
         return 3
     survivors, expected, stale = [], [], []
     for module, name, snippet, replacement, why in MUTANTS:
         start = time.perf_counter()
-        killed, by = run_mutant(module, snippet, replacement)
-        verdict = {True: "killed", False: "SURVIVED", None: "STALE"}[killed]
-        note = f"; expected: {why}" if why and killed is False else ""
+        verdict, by = run_mutant(module, snippet, replacement)
+        note = f"; expected: {why}" if why and verdict == "SURVIVED" else ""
         print(f"{verdict:8} {module}: {name} ({by} run, {time.perf_counter() - start:.1f} s"
               f"{note})", flush=True)
-        if killed is None:
+        if verdict == "STALE":
             stale.append(name)
-        elif not killed:
+        elif verdict == "SURVIVED":
             (expected if why else survivors).append(name)
     print(f"{len(MUTANTS)} mutants: {len(survivors)} survived unexplained, "
           f"{len(expected)} survived as expected, {len(stale)} stale "

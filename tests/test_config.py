@@ -1,6 +1,5 @@
 """Config ingestion: defaults, overrides, validation, hashing."""
 
-import dataclasses
 import itertools
 import json
 import tempfile
@@ -168,6 +167,10 @@ def test_epsilon_bounds():
     ({"t_attempts": 0}, False),
     ({"runs_per_point": 2 ** 64}, True),  # run_seed takes run indices below 2**64
     ({"runs_per_point": 2 ** 64 + 1}, False),
+    ({"radio": {"sf": 6}}, True),
+    ({"radio": {"sf": 5}}, False),
+    ({"radio": {"sf": 12}}, True),
+    ({"radio": {"sf": 13}}, False),
 ])
 def test_integer_bounds_are_exact(doc, accepted):
     if accepted:
@@ -175,6 +178,17 @@ def test_integer_bounds_are_exact(doc, accepted):
     else:
         with pytest.raises(ConfigError, match=next(iter(doc))):
             config_from_dict(doc)
+
+
+def test_library_config_takes_known_keywords_and_copies_its_defaults():
+    with pytest.raises(TypeError, match="bogus"):
+        ExperimentConfig(bogus=1)
+    a, b = ExperimentConfig(), ExperimentConfig(device_counts=[4])
+    for name in ("policies", "device_counts", "channels", "powers"):
+        assert getattr(a, name) is not getattr(b, name)
+    a.policies.remove("fixed")
+    assert ExperimentConfig().policies == list(POLICY_NAMES)
+    assert b.device_counts == [4] and a.device_counts == list(DEFAULT_DEVICE_COUNTS)
 
 
 def test_negative_cs_duration_rejected():
@@ -275,7 +289,7 @@ def test_nested_field_of_the_wrong_type(field, value):
 def test_run_setup_carries_fields():
     cfg = ExperimentConfig(epsilon=0.25, cs_duration_s=0.001)
     setup = cfg.run_setup("epsilon_greedy", 12)
-    assert [f.name for f in dataclasses.fields(RunSetup)] == ["config", "policy", "n_devices"]
+    assert list(RunSetup._fields) == ["config", "policy", "n_devices"]
     assert setup == RunSetup(cfg, "epsilon_greedy", 12)
     assert setup.config is cfg
 
@@ -410,6 +424,9 @@ def _powers(draw, doc):
             doc["powers"] = [{"level_dbm": dbm} for dbm in draw(st.permutations(DEFAULT_LEVELS))]
 
 
+STOCK = ExperimentConfig()
+
+
 @st.composite
 def config_docs(draw):
     """A valid config of at most a few attempts, every field perturbed
@@ -444,13 +461,13 @@ def config_docs(draw):
     # The interval must outlast carrier sense plus the longest airtime of the
     # payloads the default device counts use.
     radio = RadioConfig(**doc.get("radio", {}))
-    base = doc.get("payload_base", ExperimentConfig.payload_base)
-    spread = doc.get("payload_spread", ExperimentConfig.payload_spread)
+    base = doc.get("payload_base", STOCK.payload_base)
+    spread = doc.get("payload_spread", STOCK.payload_spread)
     longest = base + min(spread, max(DEFAULT_DEVICE_COUNTS)) - 1
-    busy = (doc.get("cs_duration_s", ExperimentConfig.cs_duration_s)
+    busy = (doc.get("cs_duration_s", STOCK.cs_duration_s)
             + time_on_air(radio, longest)[2])
     low = busy * 1.01 + 1e-3
-    if low > ExperimentConfig.interval_s or draw(st.booleans()):
+    if low > STOCK.interval_s or draw(st.booleans()):
         doc["interval_s"] = draw(st.floats(low, low + 20.0))
 
     if draw(st.integers(0, 4)) == 0:

@@ -111,8 +111,12 @@ def test_invalid_radio_config():
 
 
 def test_energy_model_validation():
-    with pytest.raises(ConfigError):
-        EnergyModel(e_wu_mj=0)
+    # Every field must be above 0, down to the smallest float.
+    for name in ("e_wu_mj", "e_proc_mj", "e_r_mj", "p_mcu_mw"):
+        for value in (0, -0.0, -1e-300):
+            with pytest.raises(ConfigError, match=name):
+                EnergyModel(**{name: value})
+        assert getattr(EnergyModel(**{name: 5e-324}), name) == 5e-324
 
 
 @given(

@@ -1,13 +1,18 @@
 """Arm-space construction and channel/power domain types."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
+from lorabandit.energy import EnergyModel, RadioConfig
 from lorabandit.params import (
     DEFAULT_CHANNEL_MHZ,
     DEFAULT_RECEIVABLE_MHZ,
     Channel,
     ConfigError,
+    ParamCombo,
     TxPower,
     build_arm_space,
     default_channels,
@@ -106,3 +111,48 @@ def test_arm_index_round_trip(n_ch, n_pw):
         assert (back.channel.center_frequency_hz, back.power.level_dbm) == (
             a.channel.center_frequency_hz, a.power.level_dbm
         )
+
+
+VALUES = {
+    "channel": lambda: Channel(921e6, True),
+    "power": lambda: TxPower(5, 70.0),
+    "radio": lambda: RadioConfig(sf=9),
+    "energy": lambda: EnergyModel(e_r_mj=60.0),
+    "arm": lambda: ParamCombo(Channel(921e6, True), TxPower(5, 70.0), 3),
+}
+
+
+@pytest.mark.parametrize("build", VALUES.values(), ids=VALUES.keys())
+def test_values_are_frozen_and_equal_by_their_fields(build):
+    a, b = build(), build()
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert pickle.loads(pickle.dumps(a)) == copy.deepcopy(a) == a
+    fields = a._fields if isinstance(a, tuple) else type(a).__slots__
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(a, name, getattr(b, name))
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert a == b and not hasattr(a, "__dict__")
+
+
+def test_values_differ_by_any_field():
+    assert Channel(921e6, True) != Channel(921e6, False)
+    assert Channel(921e6, True) != Channel(921.2e6, True)
+    assert TxPower(5, 70.0) != TxPower(5, 70.5)
+    assert RadioConfig() != RadioConfig(n_preamble=9)
+    assert EnergyModel() != EnergyModel(p_mcu_mw=30.0)
+
+
+def test_a_channel_equals_only_a_channel():
+    channel = Channel(921e6, True)
+    for other in (TxPower(5, 70.0), (921e6, True), [921e6, True], RadioConfig()):
+        assert channel != other and other != channel
+    assert EnergyModel() != tuple(EnergyModel.__slots__)
+
+
+def test_values_print_their_fields():
+    assert repr(Channel(921e6, True)) == "Channel(center_frequency_hz=921000000.0, receivable=True)"
+    assert repr(TxPower(5, 70)) == "TxPower(level_dbm=5, draw_mw=70.0)"
+    assert repr(RadioConfig()) == "RadioConfig(sf=7, bw_hz=125000.0, n_preamble=8)"

@@ -1,4 +1,5 @@
-"""Per-device random streams: bit-exact against numpy, and numpy-free at run time."""
+"""Per-device random streams: bit-exact against numpy, and numpy-free at run time;
+what else a fresh lorabandit process leaves unloaded."""
 
 import os
 import subprocess
@@ -58,6 +59,36 @@ def test_run_loads_no_numpy(tmp_path):
             assert len(run_simulation(cfg.run_setup(policy, 2), seed=1)) == 6
         assert "numpy" not in sys.modules, sorted(m for m in sys.modules if "numpy" in m)
     """)
+    run_fresh(script)
+
+
+def test_cli_loads_no_dataclasses(tmp_path):
+    # A fresh lorabandit process loads neither dataclasses nor what it
+    # imports (inspect, ast, dis, tokenize): validate, a serial run and one
+    # run of each policy. What the interpreter loaded before lorabandit (a
+    # .pth file, say) is not counted.
+    config = tmp_path / "small.json"
+    config.write_text('{"device_counts": [2], "runs_per_point": 1, "t_attempts": 3}')
+    script = textwrap.dedent(f"""
+        import sys
+        before = set(sys.modules)
+        import lorabandit.cli
+        from lorabandit.config import config_from_dict
+        from lorabandit.netsim import POLICY_NAMES, run_simulation
+        assert lorabandit.cli.main(["validate", {str(config)!r}]) == 0
+        out = {str(tmp_path / "out")!r}
+        assert lorabandit.cli.main(["run", {str(config)!r}, "--out", out, "--parallel", "1"]) == 0
+        cfg = config_from_dict({{"t_attempts": 3}})
+        for policy in POLICY_NAMES:
+            assert len(run_simulation(cfg.run_setup(policy, 2), seed=1)) == 6
+        loaded = {{"dataclasses", "inspect", "ast", "dis", "tokenize"}} & (set(sys.modules) - before)
+        assert not loaded, sorted(loaded)
+    """)
+    run_fresh(script)
+
+
+def run_fresh(script: str) -> None:
+    """Run script in a fresh interpreter that imports this lorabandit."""
     src = str(Path(lorabandit.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
