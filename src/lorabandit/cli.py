@@ -6,14 +6,11 @@ Verbs:
   validate <config.json>
 
 Exit codes: 0 success, 2 configuration error, 3 runtime error.
-Environment overrides: LORABANDIT_OUT (output directory),
-LORABANDIT_PARALLEL (worker count).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .config import load_config
@@ -34,9 +31,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="execute a full experiment sweep")
     run_p.add_argument("config", help="JSON config file ({} uses all defaults)")
-    run_p.add_argument("--out", default=None, help="output directory (default: ./results)")
+    run_p.add_argument("--out", default="results", help="output directory (default: ./results)")
     run_p.add_argument("--seed", type=int, default=None, help="override base seed")
-    run_p.add_argument("--parallel", type=int, default=None, help="worker processes")
+    run_p.add_argument("--parallel", type=int, default=1, help="worker processes (default: 1)")
 
     tab_p = sub.add_parser("tables", help="re-emit CSV tables from a manifest")
     tab_p.add_argument("manifest", help="manifest.json written by `run`")
@@ -60,15 +57,7 @@ def main(argv=None) -> int:
             cfg = load_config(args.config)
             if args.seed is not None:
                 cfg.base_seed = args.seed
-            out = args.out or os.environ.get("LORABANDIT_OUT") or "results"
-            parallel = args.parallel
-            if parallel is None:
-                env = os.environ.get("LORABANDIT_PARALLEL", "1")
-                try:
-                    parallel = int(env)
-                except ValueError:
-                    raise ConfigError(f"LORABANDIT_PARALLEL must be an integer, got {env!r}") from None
-            manifest = run_sweep(cfg, out, parallel=max(1, parallel))
+            manifest = run_sweep(cfg, args.out, parallel=args.parallel)
             print(f"wrote {len(manifest.runs)} runs under {manifest.out_dir} "
                   f"(config hash {manifest.config_hash[:12]})")
             return EXIT_OK

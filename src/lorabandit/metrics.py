@@ -12,7 +12,7 @@ import math
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from itertools import chain, repeat, starmap
-from operator import add, floordiv, itemgetter, truediv
+from operator import itemgetter
 from typing import NamedTuple
 
 
@@ -69,14 +69,10 @@ class RunLog:
         return len(self.rows)
 
     def __iter__(self) -> Iterator[RunRecord]:
-        rows, used = self.rows, list(set(self.rows))
-        columns = [map(dict(zip(used, column)).__getitem__, rows)
-                   for column in zip(*map(self.row_fields, used))]
-        devices = map(floordiv, rows, repeat(3 * len(self.ends[0])))
-        wakes = map(truediv, map(add, map(self.interval_us.__mul__, self.attempts),
-                                 map(self.offsets_us.__getitem__, devices)), repeat(1e6))
-        return map(tuple.__new__, repeat(RunRecord),
-                   zip(*columns[:2], self.attempts, *columns[2:], wakes))
+        for row, attempt in zip(self.rows, self.attempts):
+            seed, device, *fields = self.row_fields(row)
+            yield RunRecord(seed, device, attempt, *fields,
+                            (attempt * self.interval_us + self.offsets_us[device]) / 1e6)
 
 
 class MetricsSummary(NamedTuple):

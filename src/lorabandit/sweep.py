@@ -234,7 +234,8 @@ def _run_forked(jobs: list, workers: int) -> None:
 
 
 def run_sweep(cfg: ExperimentConfig, out_dir, parallel: int = 1) -> RunManifest:
-    """Execute the full sweep and write all artifacts under out_dir.
+    """Execute the full sweep and write all artifacts under out_dir, in at
+    most parallel processes (a parallel of 1 or less runs it serially).
 
     If it fails, it removes the files it writes and the directories it made;
     a directory that existed before the call stays.
@@ -262,21 +263,14 @@ def run_sweep(cfg: ExperimentConfig, out_dir, parallel: int = 1) -> RunManifest:
             for n in cfg.device_counts:
                 for r in range(cfg.runs_per_point):
                     seed = run_seed(cfg.base_seed, policy, n, r)
-                    rec_path = out / "records" / f"{policy}_n{n}_run{r}.jsonl"
-                    sum_path = out / "summaries" / f"{policy}_n{n}_run{r}.json"
+                    entry = {"policy": policy, "n_devices": n, "run": r, "seed": seed,
+                             "records": f"records/{policy}_n{n}_run{r}.jsonl",
+                             "summary": f"summaries/{policy}_n{n}_run{r}.json"}
+                    manifest.runs.append(entry)
+                    rec_path, sum_path = out / entry["records"], out / entry["summary"]
                     jobs.append((cfg, policy, n, seed, rec_path, sum_path, config_hash))
                     # Any job may have written its files when another fails.
                     created += [rec_path, sum_path]
-                    manifest.runs.append(
-                        {
-                            "policy": policy,
-                            "n_devices": n,
-                            "run": r,
-                            "seed": seed,
-                            "records": os.path.relpath(rec_path, out),
-                            "summary": os.path.relpath(sum_path, out),
-                        }
-                    )
 
         # A cpuset or taskset can forbid some of the machine's CPUs.
         cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")

@@ -80,14 +80,11 @@ MUTANTS = [
      "template.sort(key=lambda event: event[:2])",
      "template.sort(key=lambda event: (event[0], -event[1]))", None),
     ("metrics", "wake_time from seconds, not whole µs",
-     "map(truediv, map(add, map(self.interval_us.__mul__, self.attempts),\n"
-     "                                 map(self.offsets_us.__getitem__, devices)), repeat(1e6))",
-     "map(add, map((self.interval_us / 1e6).__mul__, self.attempts),\n"
-     "                    map(truediv, map(self.offsets_us.__getitem__, devices), repeat(1e6)))",
-     None),
+     "(attempt * self.interval_us + self.offsets_us[device]) / 1e6",
+     "attempt * (self.interval_us / 1e6) + self.offsets_us[device] / 1e6", None),
     ("metrics", "the attempt column spliced one field late",
-     "*columns[:2], self.attempts, *columns[2:]", "*columns[:3], self.attempts, *columns[3:]",
-     None),
+     "RunRecord(seed, device, attempt, *fields,",
+     "RunRecord(seed, device, *fields[:1], attempt, *fields[1:],", None),
     ("metrics", "a group counted once per row, not per record",
      "groups[device, acked, dbm, e_active] += c",
      "groups[device, acked, dbm, e_active] += 1", None),
@@ -162,9 +159,25 @@ MUTANTS = [
     ("config", "t_attempts may be 0",
      '_check_int("t_attempts", self.t_attempts, 1)',
      '_check_int("t_attempts", self.t_attempts, 0)', None),
+    ("config", "a payload_base one above 2**53 let through",
+     '_check_int("payload_base", self.payload_base, 0, 2 ** 53)',
+     '_check_int("payload_base", self.payload_base, 0, 2 ** 53 + 1)', None),
+    ("config", "payload_spread may be 0",
+     '_check_int("payload_spread", self.payload_spread, 1)',
+     '_check_int("payload_spread", self.payload_spread, 0)', None),
+    ("config", "a device count may be 0",
+     '_check_int("device_counts entry", n, 1)', '_check_int("device_counts entry", n, 0)', None),
+    ("config", "an epsilon below 0 let through",
+     "if not 0.0 <= self.epsilon", "if not -5e-324 <= self.epsilon", None),
+    ("config", "an epsilon above 1 let through",
+     "self.epsilon <= 1.0:", "self.epsilon <= 1.0000000000000002:", None),
+    ("config", "a negative carrier-sense time let through",
+     "if self.cs_duration_s < 0:", "if self.cs_duration_s < -5e-324:", None),
     ("params", "an integer one above its maximum let through",
      "if maximum is not None and value > maximum:",
      "if maximum is not None and value > maximum + 1:", None),
+    ("params", "a NaN let through as a finite number",
+     "or not abs(value) <= sys.float_info.max", "or abs(value) > sys.float_info.max", None),
     ("params", "a channel's receivable flag not checked as a bool",
      "if not isinstance(receivable, bool):", "if False:", None),
     ("params", "a power drawing 0 mW let through",
@@ -172,6 +185,11 @@ MUTANTS = [
      '_check_number("draw_mw", draw_mw, positive=draw_mw != 0)', None),
     ("energy", "a spreading factor of 13 let through",
      '_check_int("radio.sf", sf, 6, 12)', '_check_int("radio.sf", sf, 6, 13)', None),
+    ("energy", "a spreading factor of 5 let through",
+     '_check_int("radio.sf", sf, 6, 12)', '_check_int("radio.sf", sf, 5, 12)', None),
+    ("energy", "a preamble one above 2**53 symbols let through",
+     '"radio.n_preamble", n_preamble, 0, 2 ** 53)',
+     '"radio.n_preamble", n_preamble, 0, 2 ** 53 + 1)', None),
     ("energy", "energy constants of 0 and below let through",
      '_check_number(f"energy.{name}", value, positive=True)',
      '_check_number(f"energy.{name}", value, positive=False)', None),

@@ -1,8 +1,9 @@
-"""Command-line verbs, exit codes, and environment overrides."""
+"""Command-line verbs, options and exit codes."""
 
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import lorabandit
+from lorabandit import sweep
 from lorabandit.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 
 TINY = {
@@ -223,26 +225,24 @@ def test_run_seed_override_changes_outputs(tmp_path):
     assert rec_a != rec_b
 
 
-def test_out_env_override(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv("LORABANDIT_OUT", str(tmp_path / "envout"))
-    assert main(["run", write_config(tmp_path, TINY)]) == EXIT_OK
-    assert (tmp_path / "envout" / "manifest.json").exists()
+def test_run_defaults_and_a_parallel_below_1(tmp_path, monkeypatch):
+    # Without --out a run writes ./results. A --parallel of 0 or -1 runs the
+    # jobs in this process, as 1 does, and writes the same bytes.
+    def no_fork(jobs, workers):
+        raise AssertionError(f"forked {workers} workers")
 
-
-def test_parallel_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("LORABANDIT_PARALLEL", "2")
+    monkeypatch.setattr(sweep, "_run_forked", no_fork)
+    monkeypatch.setattr(sweep.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
     cfg = write_config(tmp_path, TINY | {"device_counts": [2, 3]})
-    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
-    assert (tmp_path / "out" / "manifest.json").exists()
-
-
-def test_bad_parallel_env_is_a_config_error(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("LORABANDIT_PARALLEL", "abc")
-    code = main(["run", write_config(tmp_path, TINY), "--out", str(tmp_path / "out")])
-    assert code == EXIT_CONFIG
-    assert "LORABANDIT_PARALLEL" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    monkeypatch.chdir(tmp_path)
+    results, trees = tmp_path / "results", {}
+    for parallel in ("1", "0", "-1"):
+        assert main(["run", cfg, "--parallel", parallel]) == EXIT_OK
+        trees[parallel] = {p.relative_to(results): p.read_bytes()
+                           for p in results.rglob("*") if p.is_file()}
+        shutil.rmtree(results)
+    assert len(trees["1"]) == 2 * 2 + 6 + 1  # records, summaries, tables, manifest
+    assert trees["0"] == trees["-1"] == trees["1"]
 
 
 def test_tables_missing_manifest(tmp_path, capsys):

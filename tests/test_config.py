@@ -171,6 +171,20 @@ def test_epsilon_bounds():
     ({"radio": {"sf": 5}}, False),
     ({"radio": {"sf": 12}}, True),
     ({"radio": {"sf": 13}}, False),
+    ({"device_counts": [1]}, True),
+    ({"device_counts": [0]}, False),
+    ({"payload_spread": 1}, True),
+    ({"payload_spread": 0}, False),
+    # A payload of 2**53 symbols is exact as a float; at 1 THz its airtime fits the clock.
+    ({"payload_base": 2 ** 53, "radio": {"bw_hz": 1e12}, "interval_s": 1e7}, True),
+    ({"payload_base": 2 ** 53 + 1, "radio": {"bw_hz": 1e12}, "interval_s": 1e7}, False),
+    # The bounds on float fields hold to the float next to them.
+    ({"epsilon": 0}, True),
+    ({"epsilon": -5e-324}, False),
+    ({"epsilon": 1}, True),
+    ({"epsilon": 1.0000000000000002}, False),
+    ({"cs_duration_s": -0.0}, True),
+    ({"cs_duration_s": -5e-324}, False),
 ])
 def test_integer_bounds_are_exact(doc, accepted):
     if accepted:

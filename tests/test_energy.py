@@ -106,6 +106,10 @@ def test_invalid_radio_config():
         RadioConfig(bw_hz=0)
     with pytest.raises(ConfigError):
         RadioConfig(n_preamble=-1)
+    # A preamble count is exact as a float up to 2**53.
+    assert RadioConfig(n_preamble=2 ** 53).n_preamble == 2 ** 53
+    with pytest.raises(ConfigError, match="n_preamble"):
+        RadioConfig(n_preamble=2 ** 53 + 1)
     with pytest.raises(ConfigError):
         time_on_air(RadioConfig(), -1)
 

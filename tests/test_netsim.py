@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from reference_offsets import fixed_causes
 from reference_sim import reference_run, select_fixed
 
 from lorabandit import netsim
@@ -17,7 +18,7 @@ from lorabandit.metrics import Cause, RunLog, RunRecord, summarize_run
 from lorabandit.netsim import POLICY_NAMES, device_rng, payload_symbols, run_simulation
 from lorabandit.params import Channel, ConfigError, build_arm_space
 from lorabandit.policies import adr_lite_search
-from lorabandit.sweep import read_records, write_records
+from lorabandit.sweep import read_records, run_seed, write_records
 
 
 def make_setup(policy="proposed_ucb_tuned", n_devices=1, **kw):
@@ -559,6 +560,63 @@ def test_airtime_crosses_into_the_next_period(policy):
             and round(r.wake_time * 1e6) + cs_us + airtime_us[r.device]
             >= first_wake_us[r.attempt + 1]]
     assert late
+
+
+# --- the offsets-only oracle of fixed runs -----------------------------------
+
+def logged_causes(log, n_devices):
+    """Each device's causes in a run's log, in attempt order."""
+    causes = [[] for _ in range(n_devices)]
+    for r in sorted(log, key=lambda r: (r.device, r.attempt)):
+        assert r.attempt == len(causes[r.device])
+        causes[r.device].append(r.cause)
+    return causes
+
+
+@pytest.mark.parametrize("base_seed", [20240901, 7])
+def test_stock_fixed_runs_match_the_offsets_oracle(base_seed):
+    # Every fixed run of the stock sweep, N=10 to 30, device by device.
+    cfg = ExperimentConfig(base_seed=base_seed)
+    for n in cfg.device_counts:
+        setup = cfg.run_setup("fixed", n)
+        for r in range(cfg.runs_per_point):
+            seed = run_seed(base_seed, "fixed", n, r)
+            assert logged_causes(run_simulation(setup, seed), n) == fixed_causes(setup, seed)
+
+
+@st.composite
+def micro_configs(draw):
+    """Periods of a few µs, at about 2.4 GHz of bandwidth (3 µs of airtime):
+    devices often wake in one µs, and their busy windows often wrap into the
+    next period."""
+    cs_us = draw(st.integers(0, 3))
+    doc = {"t_attempts": draw(st.integers(1, 30)), "cs_duration_s": cs_us / 1e6,
+           "interval_s": (cs_us + 3 + draw(st.integers(1, 6))) / 1e6,
+           "payload_spread": draw(st.integers(1, 3)), "radio": {"bw_hz": 2.4e9}}
+    if draw(st.booleans()):
+        doc |= draw(channel_plans())
+    return doc
+
+
+@settings(deadline=None, max_examples=150)
+@given(doc=small_configs() | micro_configs(), n_devices=st.integers(1, 8),
+       seed=st.integers(0, 2**64 - 1))
+@example(doc=TIE_DOC, n_devices=6, seed=10370)
+@example(doc=MICRO_DOC, n_devices=6, seed=7)
+@example(doc=TIGHT_DOC, n_devices=6, seed=TIGHT_SEED)
+@example(doc=ON_AIR_DOC, n_devices=6, seed=0)
+def test_fixed_runs_match_the_offsets_oracle(doc, n_devices, seed):
+    setup = config_from_dict(doc).run_setup("fixed", n_devices)
+    assert logged_causes(run_simulation(setup, seed), n_devices) == fixed_causes(setup, seed)
+
+
+@pytest.mark.parametrize("doc, seed", [(TIE_DOC, 10370), (MICRO_DOC, 7)])
+def test_oracle_examples_wake_in_one_us_and_wrap(doc, seed):
+    # Both examples collide and are shadowed by windows from the period before.
+    shadows = []
+    causes = fixed_causes(config_from_dict(doc).run_setup("fixed", 6), seed, shadows)
+    assert any(Cause.COLLISION in device for device in causes)
+    assert {wrapped for *_, wrapped in shadows} == {False, True}
 
 
 # --- the run log --------------------------------------------------------------

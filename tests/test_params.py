@@ -1,7 +1,9 @@
 """Arm-space construction and channel/power domain types."""
 
 import copy
+import math
 import pickle
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -47,6 +49,18 @@ def test_nonpositive_draw_rejected():
         TxPower(5, 0.0)
     with pytest.raises(ConfigError):
         TxPower(5, -1.0)
+
+
+def test_numbers_must_be_finite():
+    # An int is compared exactly, so one beyond a float is refused, not rounded.
+    big = int(sys.float_info.max)
+    for value in (math.nan, math.inf, -math.inf, big + 2 ** 970, 10 ** 400):
+        with pytest.raises(ConfigError, match="finite"):
+            TxPower(5, value)
+        with pytest.raises(ConfigError, match="finite"):
+            Channel(value, True)
+    assert TxPower(5, big).draw_mw == sys.float_info.max
+    assert Channel(-sys.float_info.max, True).center_frequency_hz == -sys.float_info.max
 
 
 def test_full_default_product_is_25():
