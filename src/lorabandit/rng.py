@@ -110,40 +110,47 @@ class DeviceRng:
         return (x >> rot | x << (64 - rot)) & MASK64
 
     def random(self) -> float:
-        """Uniform float in [0, 1) from the top 53 bits of one 64-bit output."""
-        return (self._next64() >> 11) * 2.0 ** -53
+        """Uniform float in [0, 1) from the top 53 bits of one 64-bit output
+        (PCG64 stepped inline)."""
+        self.state = s = (self.state * PCG_MULT + self.inc) & MASK128
+        x = (s >> 64 ^ s) & MASK64
+        rot = s >> 122
+        return (((x >> rot | x << (64 - rot)) & MASK64) >> 11) * 2.0 ** -53
 
     def integers(self, low: int, high: int | None = None) -> int:
         """Uniform int in [low, high), or in [0, low) when high is omitted."""
-        if high is None:
-            low, high = 0, low
-        if not INT64_MIN <= low < high <= INT64_END:
-            raise ValueError(f"need {INT64_MIN} <= low < high <= {INT64_END}, got {low}, {high}")
-        span = high - low  # numpy's rng is span - 1
-        if span == 1:
-            return low
-        if span <= 1 << 32:
-            # One 32-bit word per try: the buffered high half of the last
-            # output, else the low half of a new one (PCG64 stepped inline).
-            while True:
-                if (word := self.buffered) is None:
-                    self.state = s = (self.state * PCG_MULT + self.inc) & MASK128
-                    x = (s >> 64 ^ s) & MASK64
-                    rot = s >> 122
-                    x = (x >> rot | x << (64 - rot)) & MASK64
-                    self.buffered = x >> 32
-                    word = x & MASK32
-                else:
-                    self.buffered = None
-                m = word * span
-                if m & MASK32 >= span or m & MASK32 >= (1 << 32) % span:
-                    return low + (m >> 32)
-        m = self._next64() * span
-        if m & MASK64 < span:
-            threshold = (1 << 64) % span
-            while m & MASK64 < threshold:
+        if high is None and 1 < low <= 1 << 32:  # in range, span > 1: ties, exploration
+            span, low = low, 0
+        else:
+            if high is None:
+                low, high = 0, low
+            if not INT64_MIN <= low < high <= INT64_END:
+                raise ValueError(f"need {INT64_MIN} <= low < high <= {INT64_END}, got {low}, {high}")
+            span = high - low  # numpy's rng is span - 1
+            if span == 1:
+                return low
+            if span > 1 << 32:
                 m = self._next64() * span
-        return low + (m >> 64)
+                if m & MASK64 < span:
+                    threshold = (1 << 64) % span
+                    while m & MASK64 < threshold:
+                        m = self._next64() * span
+                return low + (m >> 64)
+        # One 32-bit word per try: the buffered high half of the last output,
+        # else the low half of a new one (PCG64 stepped inline).
+        while True:
+            if (word := self.buffered) is None:
+                self.state = s = (self.state * PCG_MULT + self.inc) & MASK128
+                x = (s >> 64 ^ s) & MASK64
+                rot = s >> 122
+                x = (x >> rot | x << (64 - rot)) & MASK64
+                self.buffered = x >> 32
+                word = x & MASK32
+            else:
+                self.buffered = None
+            m = word * span
+            if m & MASK32 >= span or m & MASK32 >= (1 << 32) % span:
+                return low + (m >> 32)
 
 
 def device_rng(seed: int, device_index: int, stream: int) -> DeviceRng:

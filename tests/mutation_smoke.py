@@ -5,7 +5,8 @@ one, in a copy of src/, tests/ and perfbench/ made in a temporary
 directory, and runs the tests there against the copy, with the acceptance
 module and the snippet check (test_mutants.py, which any mutant fails) left
 out. It first runs only the tests near the mutated module: its own test
-module, then every other test module that imports it. A mutant that these
+module, then every other test module that imports it or checks it through
+another module (CHECKED_THROUGH). A mutant that these
 pass gets a full run, and survives if no test fails there, so a survivor's
 verdict always comes from the whole suite. Mutants are listed per module
 below; a survivor is either killed by a new test or kept here with the
@@ -107,6 +108,19 @@ MUTANTS = [
      "            tied.sort()\n", "", None),
     ("policies", "an arm joins epsilon-greedy's tie set at its end",
      "insort(tied, arm_index)", "tied.append(arm_index)", None),
+    ("policies", "UCB's forced arm starts one arm late",
+     "self._forced = 0", "self._forced = 1", None),
+    ("policies", "UCB's forced arm does not advance", "            self._forced = i\n", "", None),
+    ("policies", "UCB's variance clamp compares the wrong way",
+     "0.0 if v < 0.0 else v  # max(v, 0.0), -0.0 and NaN included\n"
+     "        self.total_plays += 1\n        ranked",
+     "0.0 if v > 0.0 else v  # max(v, 0.0), -0.0 and NaN included\n"
+     "        self.total_plays += 1\n        ranked", None),
+    ("policies", "epsilon-greedy's variance clamp compares the wrong way",
+     "0.0 if v < 0.0 else v  # max(v, 0.0), -0.0 and NaN included\n"
+     "        self.total_plays += 1\n        tied",
+     "0.0 if v > 0.0 else v  # max(v, 0.0), -0.0 and NaN included\n"
+     "        self.total_plays += 1\n        tied", None),
     ("policies", "the decision cache keyed without the phase",
      "@cache\ndef _phase_decisions(",
      "@lambda f: lambda n, p, built={}: built.setdefault(n, f(n, p))\ndef _phase_decisions(",
@@ -148,8 +162,10 @@ MUTANTS = [
     ("rng", "Lemire's 64-bit threshold test never rejects",
      "while m & MASK64 < threshold:", "while m & MASK64 < 0:", None),
     ("rng", "the buffered 32-bit half not cleared when used",
-     "                else:\n                    self.buffered = None\n",
-     "                else:\n                    pass\n", None),
+     "            else:\n                self.buffered = None\n",
+     "            else:\n                pass\n", None),
+    ("rng", "integers(n) takes its unchecked path at n = 1, with a draw",
+     "high is None and 1 < low <= 1 << 32", "high is None and 0 < low <= 1 << 32", None),
     ("rng", "random() from 52 bits, not 53",
      ">> 11) * 2.0 ** -53", ">> 12) * 2.0 ** -52", None),
     ("rng", "the pool-mixing hash constants read one index off",
@@ -198,15 +214,23 @@ MUTANTS = [
 ]
 
 
+# Test modules that check a module through another one without importing it:
+# test_cli's test_validate_implies_run checks the config, params and energy
+# bounds through cli.main.
+CHECKED_THROUGH = {"config": {"test_cli.py"}, "params": {"test_cli.py"},
+                   "energy": {"test_cli.py"}}
+
+
 def near_tests(tests: Path, module: str) -> list[Path]:
     """tests/test_<module>.py, if there is one, then every other test module
-    that imports lorabandit.<module>."""
+    that imports lorabandit.<module> or checks it (CHECKED_THROUGH)."""
     imports = re.compile(rf"^\s*(?:from lorabandit import .*\b{module}\b"
                          rf"|(?:from|import) .*\blorabandit\.{module}\b)", re.M)
-    own = tests / f"test_{module}.py"
+    own, through = tests / f"test_{module}.py", CHECKED_THROUGH.get(module, set())
     return [path for path in sorted(tests.glob("test_*.py"), key=lambda p: (p != own, p.name))
             if path.name not in LEFT_OUT
-            and (path == own or imports.search(path.read_text(encoding="utf-8")))]
+            and (path == own or path.name in through
+                 or imports.search(path.read_text(encoding="utf-8")))]
 
 
 def fails(work: Path, paths: list, control: bool = False) -> str | None:

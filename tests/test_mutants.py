@@ -10,15 +10,23 @@ from pathlib import Path
 
 import pytest
 
-from mutation_smoke import MUTANTS, fails
+from mutation_smoke import MUTANTS, fails, near_tests
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "lorabandit"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "lorabandit"
 
 
 def test_every_mutant_snippet_occurs_once_in_its_module():
     for module, name, snippet, _, _ in MUTANTS:
         text = (SRC / f"{module}.py").read_text(encoding="utf-8")
         assert text.count(snippet) == 1, f"{module}: {name}"
+
+
+def test_cli_tests_are_near_the_modules_main_checks():
+    # test_validate_implies_run checks config, params and energy bounds
+    # through cli.main, so their mutants run test_cli.py before a full run.
+    for module in ("config", "params", "energy"):
+        assert TESTS / "test_cli.py" in near_tests(TESTS, module), module
 
 
 def test_an_import_failure_kills_a_mutant_but_breaks_the_control_run(tmp_path):

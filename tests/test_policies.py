@@ -360,6 +360,53 @@ def test_ucb_initialization_completeness():
     assert policy.select().phase is Phase.LEARNED
 
 
+# A step observes arm k (an attempt out of turn), or selects (-2) and then
+# observes the selected arm (-1), as the simulator does.
+FORCED_STEPS = st.lists(st.integers(min_value=-2, max_value=24), max_size=80)
+
+
+@settings(deadline=None)
+@given(n_arms=st.sampled_from([1, 2, 3, 6, 25]), steps=FORCED_STEPS,
+       rewards=st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=1, max_size=5))
+# The simulator's initialization pass: each select is followed by its observe.
+@example(n_arms=25, steps=[-1] * 30, rewards=[0.5])
+@example(n_arms=6, steps=[5, 0, -2, -1, 3, -1, -1, 2, -1, 1, -1, -1], rewards=[0.0, 1.0])
+def test_ucb_forces_the_lowest_unpulled_arm(n_arms, steps, rewards):
+    # Whatever arms were observed before or between selects, an
+    # initialization select returns the lowest unpulled arm, and the first
+    # learned select comes once no arm is unpulled. The forced arm is kept
+    # as a position that only moves up, so the initialization selects read
+    # an arm by index at most once each, plus once per arm passed over.
+    reads = [0]
+
+    class ReadCounted(list):
+        def __getitem__(self, k):
+            reads[0] += 1
+            return super().__getitem__(k)
+
+    policy = UcbTunedPolicy(n_arms, np.random.default_rng(0))
+    policy.arms = ReadCounted(policy.arms)
+    init_selects = init_reads = 0
+    for t, step in enumerate(steps):
+        reward = rewards[t % len(rewards)]
+        if step >= 0:
+            policy.observe(step % n_arms, reward > 0, reward)
+            continue
+        unpulled = [i for i, a in enumerate(policy.arms) if a.pulls == 0]
+        assert policy.unpulled == len(unpulled)
+        before = reads[0]
+        decision = policy.select()
+        if unpulled:
+            assert decision == PolicyDecision(unpulled[0], Phase.INITIALIZATION)
+            init_selects += 1
+            init_reads += reads[0] - before
+        else:
+            assert decision.phase is Phase.LEARNED
+        if step == -1:
+            policy.observe(decision.arm_index, reward > 0, reward)
+    assert init_reads <= init_selects + n_arms - 1
+
+
 # --- epsilon-greedy -----------------------------------------------------------
 
 def test_epsilon_one_is_uniform():

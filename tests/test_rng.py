@@ -17,9 +17,12 @@ SEEDS = st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]) | st.integers(0, 2**64
 # Lemire's method rejects about half the 32-bit draws for 2**31 + 1 and a
 # quarter of the 64-bit draws for 2**62 + 1; the other spans almost never.
 WIDE_HIGHS = [3, 10**7, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1, 2**62, 2**62 + 1, 2**63 - 1]
+# integers(n) takes a path without the range check for 1 < n <= 2**32: its
+# edges, and the span Lemire's method rejects most often there.
 CALLS = st.lists(
     st.just(("random",))
     | st.tuples(st.just("integers"), st.integers(1, 30))
+    | st.tuples(st.just("integers"), st.sampled_from([1, 2**31 + 1, 2**32]))
     | st.tuples(st.just("integers"), st.just(0), st.sampled_from(WIDE_HIGHS)),
     max_size=60,
 )
@@ -36,6 +39,14 @@ CALLS = st.lists(
 @example(seed=20240901, device=0, stream=0,
          calls=[("integers", 3), ("random",), ("integers", 3), ("integers", 0, 2**32 + 1),
                 ("integers", 7)])
+# A buffered high half crosses from the unchecked integers(n) into the
+# checked 32-bit path and back, with a random() between: integers(3) buffers
+# the high half of its output, integers(0, 5) uses it, random() steps once,
+# integers(0, 9) buffers again and integers(2**31 + 1) uses that half;
+# integers(1) draws nothing, so integers(3) steps.
+@example(seed=20240901, device=1, stream=0,
+         calls=[("integers", 3), ("integers", 0, 5), ("random",), ("integers", 0, 9),
+                ("integers", 2**31 + 1), ("integers", 1), ("integers", 3)])
 def test_matches_numpy_default_rng(seed, device, stream, calls):
     ours = device_rng(seed, device, stream)
     ref = np.random.default_rng(np.random.SeedSequence([seed & (2**64 - 1), device, stream]))
