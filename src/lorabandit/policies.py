@@ -20,7 +20,7 @@ from .params import DEFAULT_CHANNEL_MHZ, DEFAULT_RECEIVABLE_MHZ, ConfigError, Pa
 if TYPE_CHECKING:
     from .rng import DeviceRng
 
-MAX_BERNOULLI_VARIANCE = 0.25  # UCB1-Tuned's variance cap, written as 0.25 where it is read
+MAX_BERNOULLI_VARIANCE = 0.25
 _NEG_INF = -math.inf
 
 
@@ -34,8 +34,8 @@ class ArmState:
 
     mean and variance (the empirical variance of the rewards, clamped at 0)
     are derived from the sums when the state is built and kept current by
-    each learner's observe() with the same operations, so a decision reads
-    them instead of recomputing them. Two states are equal if every field is.
+    _ArmLearner.observe() with the same operations, so a decision reads them
+    instead of recomputing them. Two states are equal if every field is.
     """
 
     __slots__ = ("pulls", "reward_sum", "reward_sq_sum", "mean", "variance")
@@ -134,13 +134,7 @@ def adr_lite_search(
 class _ArmLearner:
     """The per-arm statistics both learners keep: one ArmState per arm, the
     total number of plays, how many arms are unpulled and each arm's
-    learned-phase decision, shared with every learner of its arm count.
-
-    Each learner's observe() folds one attempt's reward into its arm's
-    statistics in its own frame, with ArmState.__init__'s operations in the
-    same order (the clamp as a comparison, which gives what max(v, 0.0)
-    gives, -0.0 and NaN included); a reward outside [0, inf), NaN included,
-    is refused before any change."""
+    learned-phase decision, shared with every learner of its arm count."""
 
     def __init__(self, n_arms: int, rng: DeviceRng):
         self.rng = rng
@@ -148,6 +142,25 @@ class _ArmLearner:
         self.total_plays = 0
         self.unpulled = n_arms
         self._decisions = _phase_decisions(n_arms, Phase.LEARNED)
+
+    def observe(self, arm_index: int, acked: bool, reward: float) -> None:
+        """Fold one attempt's reward into its arm's statistics in this one
+        frame, with ArmState.__init__'s operations in the same order (the
+        clamp as a comparison, which gives what max(v, 0.0) gives, -0.0 and
+        NaN included); a reward outside [0, inf), NaN included, is refused
+        before any change."""
+        if not 0.0 <= reward < math.inf:
+            raise ValueError(f"reward {reward} is not in [0, inf)")
+        arm = self.arms[arm_index]
+        if arm.pulls == 0:
+            self.unpulled -= 1
+        arm.pulls = pulls = arm.pulls + 1
+        arm.reward_sum = reward_sum = arm.reward_sum + reward
+        arm.reward_sq_sum = reward_sq_sum = arm.reward_sq_sum + reward ** 2
+        arm.mean = mean = reward_sum / pulls
+        v = reward_sq_sum / pulls - mean ** 2
+        arm.variance = 0.0 if v < 0.0 else v
+        self.total_plays += 1
 
 
 class UcbTunedPolicy(_ArmLearner):
@@ -171,23 +184,14 @@ class UcbTunedPolicy(_ArmLearner):
         self._ranked: list[tuple[float, int]] = []
 
     def observe(self, arm_index: int, acked: bool, reward: float) -> None:
-        if not 0.0 <= reward < math.inf:
-            raise ValueError(f"reward {reward} is not in [0, inf)")
-        arm = self.arms[arm_index]
-        if arm.pulls == 0:
-            self.unpulled -= 1
-        arm.pulls = pulls = arm.pulls + 1
-        arm.reward_sum = reward_sum = arm.reward_sum + reward
-        arm.reward_sq_sum = reward_sq_sum = arm.reward_sq_sum + reward ** 2
-        arm.mean = mean = reward_sum / pulls
-        v = reward_sq_sum / pulls - mean ** 2
-        arm.variance = 0.0 if v < 0.0 else v  # max(v, 0.0), -0.0 and NaN included
-        self.total_plays += 1
+        _ArmLearner.observe(self, arm_index, acked, reward)
         ranked = self._ranked
         if ranked:
             bounds = self._bounds
             del ranked[bisect_left(ranked, (bounds[arm_index], arm_index))]
-            bounds[arm_index] = b = mean + sqrt(self._log_h / pulls * 0.25)
+            arm = self.arms[arm_index]
+            bounds[arm_index] = b = arm.mean + sqrt(
+                self._log_h / arm.pulls * MAX_BERNOULLI_VARIANCE)
             insort(ranked, (b, arm_index))
 
     def select(self) -> PolicyDecision:
@@ -212,7 +216,8 @@ class UcbTunedPolicy(_ArmLearner):
         log_m = log(m)
         if log_m > self._log_h:  # rebuild, valid for ~1/8 more plays: few rebuilds, tight bounds
             self._log_h = log_h = log(m + m // 8 + 1)
-            self._bounds = bounds = [arm.mean + sqrt(log_h / arm.pulls * 0.25) for arm in arms]
+            self._bounds = bounds = [
+                arm.mean + sqrt(log_h / arm.pulls * MAX_BERNOULLI_VARIANCE) for arm in arms]
             self._ranked = sorted(zip(bounds, range(len(arms))))
         two_log_m = 2.0 * log_m
         best, tied = _NEG_INF, None  # tied lists the arms only once two scores tie
@@ -222,7 +227,8 @@ class UcbTunedPolicy(_ArmLearner):
             arm = arms[k]
             pulls = arm.pulls
             v = arm.variance + sqrt(two_log_m / pulls)
-            score = arm.mean + sqrt(log_m / pulls * (v if v < 0.25 else 0.25))
+            score = arm.mean + sqrt(log_m / pulls * (
+                v if v < MAX_BERNOULLI_VARIANCE else MAX_BERNOULLI_VARIANCE))
             if score > best:
                 best, first, tied = score, k, None
             elif score == best:
@@ -245,20 +251,10 @@ class EpsilonGreedyPolicy(_ArmLearner):
         self._best, self._tied = 0.0, []  # the ascending arms of mean _best; [] if unknown
 
     def observe(self, arm_index: int, acked: bool, reward: float) -> None:
-        if not 0.0 <= reward < math.inf:
-            raise ValueError(f"reward {reward} is not in [0, inf)")
-        arm = self.arms[arm_index]
-        if arm.pulls == 0:
-            self.unpulled -= 1
-        arm.pulls = pulls = arm.pulls + 1
-        arm.reward_sum = reward_sum = arm.reward_sum + reward
-        arm.reward_sq_sum = reward_sq_sum = arm.reward_sq_sum + reward ** 2
-        arm.mean = mean = reward_sum / pulls
-        v = reward_sq_sum / pulls - mean ** 2
-        arm.variance = 0.0 if v < 0.0 else v  # max(v, 0.0), -0.0 and NaN included
-        self.total_plays += 1
+        _ArmLearner.observe(self, arm_index, acked, reward)
         tied = self._tied
         if tied:  # only this arm's mean moved
+            mean = self.arms[arm_index].mean
             if mean > self._best:
                 self._best, self._tied = mean, [arm_index]
             elif mean == self._best:

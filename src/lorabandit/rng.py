@@ -110,12 +110,8 @@ class DeviceRng:
         return (x >> rot | x << (64 - rot)) & MASK64
 
     def random(self) -> float:
-        """Uniform float in [0, 1) from the top 53 bits of one 64-bit output
-        (PCG64 stepped inline)."""
-        self.state = s = (self.state * PCG_MULT + self.inc) & MASK128
-        x = (s >> 64 ^ s) & MASK64
-        rot = s >> 122
-        return (((x >> rot | x << (64 - rot)) & MASK64) >> 11) * 2.0 ** -53
+        """Uniform float in [0, 1) from the top 53 bits of one 64-bit output."""
+        return (self._next64() >> 11) * 2.0 ** -53
 
     def integers(self, low: int, high: int | None = None) -> int:
         """Uniform int in [low, high), or in [0, low) when high is omitted."""

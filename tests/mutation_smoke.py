@@ -111,16 +111,8 @@ MUTANTS = [
     ("policies", "UCB's forced arm starts one arm late",
      "self._forced = 0", "self._forced = 1", None),
     ("policies", "UCB's forced arm does not advance", "            self._forced = i\n", "", None),
-    ("policies", "UCB's variance clamp compares the wrong way",
-     "0.0 if v < 0.0 else v  # max(v, 0.0), -0.0 and NaN included\n"
-     "        self.total_plays += 1\n        ranked",
-     "0.0 if v > 0.0 else v  # max(v, 0.0), -0.0 and NaN included\n"
-     "        self.total_plays += 1\n        ranked", None),
-    ("policies", "epsilon-greedy's variance clamp compares the wrong way",
-     "0.0 if v < 0.0 else v  # max(v, 0.0), -0.0 and NaN included\n"
-     "        self.total_plays += 1\n        tied",
-     "0.0 if v > 0.0 else v  # max(v, 0.0), -0.0 and NaN included\n"
-     "        self.total_plays += 1\n        tied", None),
+    ("policies", "the learners' variance clamp compares the wrong way",
+     "0.0 if v < 0.0 else v", "0.0 if v > 0.0 else v", None),
     ("policies", "the decision cache keyed without the phase",
      "@cache\ndef _phase_decisions(",
      "@lambda f: lambda n, p, built={}: built.setdefault(n, f(n, p))\ndef _phase_decisions(",

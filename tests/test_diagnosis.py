@@ -6,7 +6,9 @@ them on channels the gateway does not hear, and a device that wakes less
 than one busy window after another hears that device on every forced arm.
 These tests pin those facts against run_simulation on the stock config, so
 that a change that moves them fails here by name. They simulate only the
-UCB runs at N=10 and N=30 and the fixed runs.
+UCB runs at N=10 and N=30; the fixed runs' causes come from the offsets
+oracle, which tests/test_netsim.py checks against run_simulation on every
+stock fixed run.
 """
 
 import pytest
@@ -23,29 +25,29 @@ ARMS = build_arm_space(CFG.channels, CFG.powers)
 UCB = "proposed_ucb_tuned"
 
 
-def device_runs(policy: str, n: int):
-    """Each stock run's records of policy at N=n, as per device the list of
-    its records in attempt order; with the run's setup and seed."""
-    setup = CFG.run_setup(policy, n)
+def device_runs(n: int):
+    """Each stock UCB run at N=n, as per device the list of its records in
+    attempt order."""
+    setup = CFG.run_setup(UCB, n)
     for r in range(CFG.runs_per_point):
-        seed = run_seed(CFG.base_seed, policy, n, r)
         devices = [[] for _ in range(n)]
-        for record in sorted(run_simulation(setup, seed), key=lambda r: (r.device, r.attempt)):
+        for record in sorted(run_simulation(setup, run_seed(CFG.base_seed, UCB, n, r)),
+                             key=lambda r: (r.device, r.attempt)):
             devices[record.device].append(record)
-        yield setup, seed, devices
+        yield devices
 
 
 @pytest.fixture(scope="module")
 def ucb_runs():
     """(N, device records) of every stock UCB device-run at N=10 and N=30."""
-    return [(n, device) for n in (10, 30) for _, _, devices in device_runs(UCB, n)
-            for device in devices]
+    return [(n, device) for n in (10, 30) for devices in device_runs(n) for device in devices]
 
 
 @pytest.fixture(scope="module")
 def fixed_runs():
-    """(setup, seed, per-device records) of every stock fixed run."""
-    return [run for n in CFG.device_counts for run in device_runs("fixed", n)]
+    """(N, per-device causes) of every stock fixed run, from the offsets oracle."""
+    return [(n, fixed_causes(CFG.run_setup("fixed", n), run_seed(CFG.base_seed, "fixed", n, r)))
+            for n in CFG.device_counts for r in range(CFG.runs_per_point)]
 
 
 def test_ucb_at_10_loses_exactly_its_unreceivable_initialization_pulls(ucb_runs):
@@ -86,14 +88,13 @@ def test_ucb_at_30_stuck_device_runs_lost_their_whole_initialization(ucb_runs):
 def test_fixed_success_rate_is_one_minus_shadowed_share(fixed_runs):
     # A fixed device is acked on every attempt or on none, so its point's
     # rate is 1 - k/N, k the devices the offsets oracle finds shadowed.
-    for setup, seed, devices in fixed_runs:
-        causes = fixed_causes(setup, seed)
-        assert [[r.cause for r in device] for device in devices] == causes
+    for n, causes in fixed_runs:
+        assert len(causes) == n
         shadowed = sum(Cause.SUCCESS not in device for device in causes)
         assert all(set(device) == {Cause.SUCCESS} or Cause.SUCCESS not in device
                    for device in causes)
-        successes = sum(r.acked for device in devices for r in device)
-        assert successes == (setup.n_devices - shadowed) * CFG.t_attempts
+        successes = sum(cause == Cause.SUCCESS for device in causes for cause in device)
+        assert successes == (n - shadowed) * CFG.t_attempts
 
 
 def test_stock_sweep_has_no_collision(ucb_runs, fixed_runs):
@@ -109,19 +110,19 @@ def test_stock_sweep_has_no_collision(ucb_runs, fixed_runs):
                 wakes = [device_rng(seed, i, stream=1).integers(0, interval_us)
                          for i in range(n)]
                 assert len(set(wakes)) == n, (policy, n, r)
-    simulated = [device for _, device in ucb_runs]
-    simulated += [device for _, _, devices in fixed_runs for device in devices]
-    assert not any(r.cause == Cause.COLLISION for device in simulated for r in device)
+    assert not any(r.cause == Cause.COLLISION for _, device in ucb_runs for r in device)
+    assert not any(Cause.COLLISION in device for _, causes in fixed_runs for device in causes)
 
 
-def test_overhead_dominates_every_attempt_energy(ucb_runs, fixed_runs):
+def test_overhead_dominates_every_attempt_energy(ucb_runs):
     # The 207.9 mJ of wake-up, processing and reception is 89.4-98.9 % of a
     # transmitted attempt's energy and all of a CarrierBusy attempt's, so
-    # energy efficiency follows the success rate for every policy.
+    # energy efficiency follows the success rate for every policy: UCB's
+    # forced pass transmits on every arm.
     overhead = CFG.energy.overhead_mj
     assert round(overhead, 1) == 207.9
     records = [r for _, device in ucb_runs for r in device]
-    records += [r for _, _, devices in fixed_runs for device in devices for r in device]
+    assert {r.arm_index for r in records} == {a.arm_index for a in ARMS}
     shares = set()
     for r in records:
         if r.cause == Cause.CARRIER_BUSY:
