@@ -1,9 +1,11 @@
 """Command-line entry point.
 
 Verbs:
-  run <config.json> [--out DIR] [--seed U64] [--parallel K]
+  run <config.json> [--out DIR] [--seed INT] [--parallel K]
   tables <manifest.json>
   validate <config.json>
+
+--seed replaces the config's base_seed: any integer, used mod 2**64.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime error.
 """

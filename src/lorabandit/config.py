@@ -27,19 +27,9 @@ from .policies import adr_lite_list
 
 DEFAULT_DEVICE_COUNTS = (10, 15, 20, 25, 30)
 
-# The config fields a document gives as plain values, and the fields of its
-# "energy" and "radio" objects (each power's draw comes from "powers" or
-# energy.p_toa_mw).
-_SCALAR_FIELDS = (
-    "policies", "device_counts", "runs_per_point", "t_attempts", "interval_s",
-    "epsilon", "cs_duration_s", "reward_mode", "epsilon_reward",
-    "payload_base", "payload_spread", "base_seed",
-)
-_ENERGY_FIELDS = set(EnergyModel.__slots__)
-_RADIO_FIELDS = set(RadioConfig.__slots__)
-
-# Each field's default, in field order; a config gets its own copy of each
-# list.
+# Each config field's default, in field order; a config gets its own copy of
+# each list. A saved document (to_dict) names every field, adr_quality_hz as
+# adr_quality_mhz, and writes channels, powers, energy and radio as objects.
 _DEFAULTS = {
     "policies": list(POLICY_NAMES), "device_counts": list(DEFAULT_DEVICE_COUNTS),
     "runs_per_point": 5, "t_attempts": 200, "interval_s": 10.0,
@@ -104,6 +94,9 @@ class ExperimentConfig:
             raise ConfigError(f"adr_quality_hz must be a list or None, got {self.adr_quality_hz!r}")
         for hz in self.adr_quality_hz or ():
             _check_number("adr quality frequency in Hz", hz)
+        for hz in (*(c.center_frequency_hz for c in self.channels), *(self.adr_quality_hz or ())):
+            if hz / 1e6 * 1e6 != hz:  # to_dict's MHz must read back as hz
+                raise ConfigError(f"{hz!r} Hz would read back from MHz as {hz / 1e6 * 1e6!r} Hz")
         arms = build_arm_space(self.channels, self.powers)  # duplicate or missing channels/levels
         if not any(c.receivable for c in self.channels):
             raise ConfigError("at least one channel must be receivable")
@@ -115,7 +108,7 @@ class ExperimentConfig:
         return RunSetup(self, policy, n_devices)
 
     def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in _SCALAR_FIELDS} | {
+        return {name: getattr(self, name) for name in _DEFAULTS if name != "adr_quality_hz"} | {
             "channels": [
                 {"mhz": c.mhz, "receivable": c.receivable} for c in self.channels
             ],
@@ -208,15 +201,13 @@ def _parse_draw_table(raw) -> dict[int, float]:
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
     """Build and validate a config, filling every omitted field with defaults."""
-    _check_keys("config", doc, {
-        *_SCALAR_FIELDS, "channels", "powers", "energy", "radio", "adr_quality_mhz",
-    })
-    kwargs = {name: doc[name] for name in _SCALAR_FIELDS if name in doc}
+    _check_keys("config", doc, _DEFAULTS.keys() - {"adr_quality_hz"} | {"adr_quality_mhz"})
+    kwargs = {name: doc[name] for name in doc.keys() & _DEFAULTS.keys()}  # objects parsed below
 
     if "channels" in doc:
         kwargs["channels"] = _parse_channels(doc["channels"])
 
-    energy_doc = _check_keys("energy", doc.get("energy", {}), {*_ENERGY_FIELDS, "p_toa_mw"})
+    energy_doc = _check_keys("energy", doc.get("energy", {}), {*EnergyModel.__slots__, "p_toa_mw"})
     kwargs["energy"] = EnergyModel(**{k: v for k, v in energy_doc.items() if k != "p_toa_mw"})
     table = None
     if "p_toa_mw" in energy_doc:
@@ -225,7 +216,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         default = [{"level_dbm": dbm} for dbm in DEFAULT_DRAW_MW]
         kwargs["powers"] = _parse_powers(doc.get("powers", default), table)
 
-    radio_doc = _check_keys("radio", doc.get("radio", {}), _RADIO_FIELDS)
+    radio_doc = _check_keys("radio", doc.get("radio", {}), set(RadioConfig.__slots__))
     kwargs["radio"] = RadioConfig(**radio_doc)
 
     if doc.get("adr_quality_mhz") is not None:

@@ -181,6 +181,10 @@ MUTANTS = [
      "self.epsilon <= 1.0:", "self.epsilon <= 1.0000000000000002:", None),
     ("config", "a negative carrier-sense time let through",
      "if self.cs_duration_s < 0:", "if self.cs_duration_s < -5e-324:", None),
+    ("config", "a frequency that reads back from MHz as another let through",
+     "if hz / 1e6 * 1e6 != hz:", "if False:", None),
+    ("config", "the saved document without base_seed",
+     'if name != "adr_quality_hz"}', 'if name not in ("adr_quality_hz", "base_seed")}', None),
     ("params", "an integer one above its maximum let through",
      "if maximum is not None and value > maximum:",
      "if maximum is not None and value > maximum + 1:", None),

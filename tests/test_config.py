@@ -269,6 +269,31 @@ def test_config_hash_is_canonical():
         assert type(value) is float
 
 
+def test_frequencies_must_read_back_from_their_mhz():
+    # A saved config writes 2080032180.0 Hz as 2080.03218 MHz, which reads
+    # back as another frequency under the same hash, so the config is refused.
+    message = r"2080032180\.0 Hz would read back from MHz as 2080032180\.0000002 Hz"
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig(channels=[Channel(2080032180.0, True)], policies=["fixed"])
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig(adr_quality_hz=[2080032180.0], policies=["fixed"])
+    ExperimentConfig(channels=[Channel(921e6, True)], policies=["fixed"])
+
+
+@settings(deadline=None, max_examples=300)
+@given(mhz=st.floats(allow_nan=False, allow_infinity=False))
+def test_document_frequencies_always_read_back(mhz):
+    # Every finite MHz a document gives reads back from its own Hz: only a
+    # config built in Python meets the read-back check.
+    doc = {"policies": ["fixed", "adr_lite"], "channels": [{"mhz": mhz, "receivable": True}],
+           "adr_quality_mhz": [mhz]}
+    try:
+        config_from_dict(doc)
+    except ConfigError as exc:
+        assert "read back" not in str(exc)
+        event("refused by another check")
+
+
 @pytest.mark.parametrize("build", [
     lambda: ExperimentConfig(radio=RadioConfig(sf=7.5)),
     lambda: ExperimentConfig(radio=RadioConfig(n_preamble=8.5)),
@@ -503,6 +528,8 @@ def test_accepted_config_dicts_run(doc, seed):
         return
     event("accepted")
     json.dumps(cfg.to_dict(), allow_nan=False)
+    # The saved document reads back as this very config, not just its hash.
+    assert vars(config_from_dict(json.loads(json.dumps(cfg.to_dict())))) == vars(cfg)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "records.jsonl"
         for policy in cfg.policies:

@@ -6,9 +6,10 @@ them on channels the gateway does not hear, and a device that wakes less
 than one busy window after another hears that device on every forced arm.
 These tests pin those facts against run_simulation on the stock config, so
 that a change that moves them fails here by name. They simulate only the
-UCB runs at N=10 and N=30; the fixed runs' causes come from the offsets
-oracle, which tests/test_netsim.py checks against run_simulation on every
-stock fixed run.
+UCB runs at N=10 and N=30; the fixed runs' causes, and the causes of UCB's
+forced pass, come from the offsets oracle, which tests/test_netsim.py
+checks against run_simulation on every stock fixed run and every stock UCB
+run's forced pass.
 """
 
 import pytest
@@ -18,7 +19,7 @@ from lorabandit.metrics import Cause
 from lorabandit.netsim import device_rng, run_simulation
 from lorabandit.params import build_arm_space
 from lorabandit.sweep import run_seed
-from reference_offsets import fixed_causes
+from reference_offsets import fixed_causes, ucb_initial_causes
 
 CFG = ExperimentConfig()
 ARMS = build_arm_space(CFG.channels, CFG.powers)
@@ -83,6 +84,21 @@ def test_ucb_at_30_stuck_device_runs_lost_their_whole_initialization(ucb_runs):
         if i not in stuck:
             assert [r.cause for r in device[:len(ARMS)] if not r.acked] == (
                 [Cause.CHANNEL_NOT_RECEIVABLE] * 10)
+
+
+def test_ucb_unreceivable_pulls_at_30_check_the_carrier_first(ucb_runs):
+    # The busy check comes before receivability: 310 of the 1,500
+    # unreceivable forced pulls at N=30 are CarrierBusy, the 31 stuck
+    # device-runs' 31 x 10. The offsets oracle, with no event loop, agrees.
+    deaf = [a.arm_index for a in ARMS if not a.channel.receivable]
+    pulls = [r.cause for n, device in ucb_runs if n == 30
+             for r in device[:len(ARMS)] if r.arm_index in deaf]
+    setup = CFG.run_setup(UCB, 30)
+    oracle = [device[k] for r in range(CFG.runs_per_point)
+              for device in ucb_initial_causes(setup, run_seed(CFG.base_seed, UCB, 30, r))
+              for k in deaf]
+    assert len(pulls) == len(oracle) == 1500
+    assert pulls.count(Cause.CARRIER_BUSY) == oracle.count(Cause.CARRIER_BUSY) == 310
 
 
 def test_fixed_success_rate_is_one_minus_shadowed_share(fixed_runs):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from reference_offsets import fixed_causes
+from reference_offsets import fixed_causes, ucb_initial_causes
 from reference_sim import reference_run, select_fixed
 
 from lorabandit import netsim
@@ -562,7 +562,7 @@ def test_airtime_crosses_into_the_next_period(policy):
     assert late
 
 
-# --- the offsets-only oracle of fixed runs -----------------------------------
+# --- the offsets-only oracle of fixed runs and UCB's forced pass -------------
 
 def logged_causes(log, n_devices):
     """Each device's causes in a run's log, in attempt order."""
@@ -610,13 +610,45 @@ def test_fixed_runs_match_the_offsets_oracle(doc, n_devices, seed):
     assert logged_causes(run_simulation(setup, seed), n_devices) == fixed_causes(setup, seed)
 
 
+def logged_forced_pass(setup, seed):
+    """Each device's causes in a UCB run's forced pass: its first n_arms
+    periods, or all of them if the run is shorter."""
+    periods = min(len(setup.config.channels) * len(setup.config.powers), setup.config.t_attempts)
+    return [device[:periods]
+            for device in logged_causes(run_simulation(setup, seed), setup.n_devices)]
+
+
+@pytest.mark.parametrize("base_seed", [20240901, 7])
+def test_stock_ucb_forced_passes_match_the_offsets_oracle(base_seed):
+    # The first 25 periods of every UCB run of the stock sweep, N=10 to 30.
+    cfg = ExperimentConfig(base_seed=base_seed)
+    for n in cfg.device_counts:
+        setup = cfg.run_setup("proposed_ucb_tuned", n)
+        for r in range(cfg.runs_per_point):
+            seed = run_seed(base_seed, "proposed_ucb_tuned", n, r)
+            assert logged_forced_pass(setup, seed) == ucb_initial_causes(setup, seed)
+
+
+@settings(deadline=None, max_examples=150)
+@given(doc=small_configs() | micro_configs(), n_devices=st.integers(1, 8),
+       seed=st.integers(0, 2**64 - 1))
+@example(doc=TIE_DOC, n_devices=6, seed=10370)
+@example(doc=MICRO_DOC, n_devices=6, seed=7)
+@example(doc=TIGHT_DOC, n_devices=6, seed=TIGHT_SEED)
+def test_ucb_forced_passes_match_the_offsets_oracle(doc, n_devices, seed):
+    setup = config_from_dict(doc).run_setup("proposed_ucb_tuned", n_devices)
+    assert logged_forced_pass(setup, seed) == ucb_initial_causes(setup, seed)
+
+
 @pytest.mark.parametrize("doc, seed", [(TIE_DOC, 10370), (MICRO_DOC, 7)])
 def test_oracle_examples_wake_in_one_us_and_wrap(doc, seed):
-    # Both examples collide and are shadowed by windows from the period before.
-    shadows = []
-    causes = fixed_causes(config_from_dict(doc).run_setup("fixed", 6), seed, shadows)
-    assert any(Cause.COLLISION in device for device in causes)
-    assert {wrapped for *_, wrapped in shadows} == {False, True}
+    # Both examples collide and are shadowed by windows from the period
+    # before, in fixed runs and in UCB's forced pass alike.
+    for policy, oracle in (("fixed", fixed_causes), ("proposed_ucb_tuned", ucb_initial_causes)):
+        shadows = []
+        causes = oracle(config_from_dict(doc).run_setup(policy, 6), seed, shadows)
+        assert any(Cause.COLLISION in device for device in causes), policy
+        assert {wrapped for *_, wrapped in shadows} == {False, True}, policy
 
 
 # --- the run log --------------------------------------------------------------
