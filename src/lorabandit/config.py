@@ -28,8 +28,8 @@ from .policies import adr_lite_list
 DEFAULT_DEVICE_COUNTS = (10, 15, 20, 25, 30)
 
 # Each config field's default, in field order; a config gets its own copy of
-# each list. A saved document (to_dict) names every field, adr_quality_hz as
-# adr_quality_mhz, and writes channels, powers, energy and radio as objects.
+# each list. A saved document (to_dict) names every field, and writes
+# channels, powers, energy and radio as objects.
 _DEFAULTS = {
     "policies": list(POLICY_NAMES), "device_counts": list(DEFAULT_DEVICE_COUNTS),
     "runs_per_point": 5, "t_attempts": 200, "interval_s": 10.0,
@@ -37,7 +37,7 @@ _DEFAULTS = {
     "energy": EnergyModel(), "radio": RadioConfig(),
     "epsilon": 0.1, "cs_duration_s": 0.005, "reward_mode": "normalized",
     "epsilon_reward": "energy", "payload_base": 36, "payload_spread": 9,
-    "adr_quality_hz": None, "base_seed": 20240901,
+    "adr_quality_mhz": None, "base_seed": 20240901,
 }
 
 
@@ -90,11 +90,14 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not (isinstance(value, (list, tuple)) and all(isinstance(v, kind) for v in value)):
                 raise ConfigError(f"{name} must be a list of {kind.__name__}, got {value!r}")
-        if not isinstance(self.adr_quality_hz, (list, tuple, type(None))):
-            raise ConfigError(f"adr_quality_hz must be a list or None, got {self.adr_quality_hz!r}")
-        for hz in self.adr_quality_hz or ():
-            _check_number("adr quality frequency in Hz", hz)
-        for hz in (*(c.center_frequency_hz for c in self.channels), *(self.adr_quality_hz or ())):
+        quality = self.adr_quality_mhz
+        if not isinstance(quality, (list, tuple, type(None))):
+            raise ConfigError(f"adr_quality_mhz must be a list or None, got {quality!r}")
+        if quality is not None:
+            self.adr_quality_mhz = [_check_number("adr_quality_mhz entry", mhz) for mhz in quality]
+        for mhz in self.adr_quality_mhz or ():
+            _check_number("adr quality frequency in Hz", mhz * 1e6)  # adr_lite_list compares Hz
+        for hz in (c.center_frequency_hz for c in self.channels):
             if hz / 1e6 * 1e6 != hz:  # to_dict's MHz must read back as hz
                 raise ConfigError(f"{hz!r} Hz would read back from MHz as {hz / 1e6 * 1e6!r} Hz")
         arms = build_arm_space(self.channels, self.powers)  # duplicate or missing channels/levels
@@ -102,28 +105,21 @@ class ExperimentConfig:
             raise ConfigError("at least one channel must be receivable")
         cost_rows(self, max(self.device_counts))  # what a run's payloads cost
         if "adr_lite" in self.policies:
-            adr_lite_list(arms, self.adr_quality_hz)
+            adr_lite_list(arms, self.adr_quality_mhz)
 
     def run_setup(self, policy: str, n_devices: int) -> RunSetup:
         return RunSetup(self, policy, n_devices)
 
     def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in _DEFAULTS if name != "adr_quality_hz"} | {
+        return {name: getattr(self, name) for name in _DEFAULTS} | {
             "channels": [
                 {"mhz": c.mhz, "receivable": c.receivable} for c in self.channels
             ],
             "powers": [
                 {"level_dbm": p.level_dbm, "draw_mw": p.draw_mw} for p in self.powers
             ],
-            "energy": {k: getattr(self.energy, k) for k in EnergyModel.__slots__} | {
-                "p_toa_mw": {str(p.level_dbm): p.draw_mw for p in self.powers},
-            },
+            "energy": {k: getattr(self.energy, k) for k in EnergyModel.__slots__},
             "radio": {k: getattr(self.radio, k) for k in RadioConfig.__slots__},
-            "adr_quality_mhz": (
-                None
-                if self.adr_quality_hz is None
-                else [hz / 1e6 for hz in self.adr_quality_hz]
-            ),
         }
 
     def config_hash(self) -> str:
@@ -156,75 +152,36 @@ def _parse_channels(raw) -> list[Channel]:
     return channels
 
 
-def _parse_powers(raw, table: dict[int, float] | None) -> list[TxPower]:
-    """Each power's draw is its own draw_mw, else its entry in table (the
-    parsed energy.p_toa_mw), else, with no table, the default draw."""
-    lookup = DEFAULT_DRAW_MW if table is None else table
+def _parse_powers(raw) -> list[TxPower]:
+    """Each power draws its own draw_mw, else its level's default draw."""
     powers = []
     for entry in _check_type("powers", raw, list):
         _check_keys("power entry", entry, {"level_dbm", "draw_mw"})
         try:
-            level = _check_int("level_dbm", entry["level_dbm"], None)  # keys the draw tables
+            level = _check_int("level_dbm", entry["level_dbm"], None)  # keys the default draws
             if "draw_mw" in entry:
-                power = TxPower(level, entry["draw_mw"])
-                if table is not None and table.get(level, power.draw_mw) != power.draw_mw:
-                    raise ConfigError(
-                        f"{level} dBm draws {power.draw_mw} mW here but {table[level]} mW "
-                        f"in energy.p_toa_mw"
-                    )
-            elif level in lookup:
-                power = TxPower(level, lookup[level])
+                draw = entry["draw_mw"]
+            elif level in DEFAULT_DRAW_MW:
+                draw = DEFAULT_DRAW_MW[level]
             else:
-                where = "the default draws" if table is None else "energy.p_toa_mw"
-                raise ConfigError(f"no draw_mw, and {where} lack {level} dBm")
-            powers.append(power)
+                raise ConfigError(f"no draw_mw, and the default draws lack {level} dBm")
+            powers.append(TxPower(level, draw))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad power entry {entry!r}: {exc}") from exc
     return powers
 
 
-def _parse_draw_table(raw) -> dict[int, float]:
-    table = {}
-    for key, mw in _check_type("energy.p_toa_mw", raw, dict).items():
-        try:
-            level = int(key)
-        except (TypeError, ValueError):
-            level = None
-        if level is None or str(level) != key:
-            raise ConfigError(
-                f"energy.p_toa_mw keys must be dBm integers written as such "
-                f"(\"-3\", \"13\"), got {key!r}"
-            )
-        table[level] = _check_number(f"energy.p_toa_mw[{key!r}]", mw)
-    return table
-
-
 def config_from_dict(doc: dict) -> ExperimentConfig:
     """Build and validate a config, filling every omitted field with defaults."""
-    _check_keys("config", doc, _DEFAULTS.keys() - {"adr_quality_hz"} | {"adr_quality_mhz"})
-    kwargs = {name: doc[name] for name in doc.keys() & _DEFAULTS.keys()}  # objects parsed below
-
+    kwargs = dict(_check_keys("config", doc, _DEFAULTS.keys()))  # objects parsed below
     if "channels" in doc:
         kwargs["channels"] = _parse_channels(doc["channels"])
-
-    energy_doc = _check_keys("energy", doc.get("energy", {}), {*EnergyModel.__slots__, "p_toa_mw"})
-    kwargs["energy"] = EnergyModel(**{k: v for k, v in energy_doc.items() if k != "p_toa_mw"})
-    table = None
-    if "p_toa_mw" in energy_doc:
-        table = _parse_draw_table(energy_doc["p_toa_mw"])
-    if "powers" in doc or table is not None:
-        default = [{"level_dbm": dbm} for dbm in DEFAULT_DRAW_MW]
-        kwargs["powers"] = _parse_powers(doc.get("powers", default), table)
-
+    energy_doc = _check_keys("energy", doc.get("energy", {}), set(EnergyModel.__slots__))
+    kwargs["energy"] = EnergyModel(**energy_doc)
+    if "powers" in doc:
+        kwargs["powers"] = _parse_powers(doc["powers"])
     radio_doc = _check_keys("radio", doc.get("radio", {}), set(RadioConfig.__slots__))
     kwargs["radio"] = RadioConfig(**radio_doc)
-
-    if doc.get("adr_quality_mhz") is not None:
-        quality = _check_type("adr_quality_mhz", doc["adr_quality_mhz"], list)
-        kwargs["adr_quality_hz"] = [
-            _check_number("adr_quality_mhz entry", mhz) * 1e6 for mhz in quality
-        ]
-
     return ExperimentConfig(**kwargs)
 
 

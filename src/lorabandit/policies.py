@@ -94,17 +94,18 @@ def adr_lite_next(prev_index: int, acked: bool, list_len: int) -> int:
 
 
 def adr_lite_list(
-    arms: list[ParamCombo], quality_order_hz: list[float] | None = None
+    arms: list[ParamCombo], quality_order_mhz: list[float] | None = None
 ) -> list[ParamCombo]:
     """The arms in ADR-Lite's search order.
 
     Power-major ascending; within one power the channels run worst-first.
     For the default channel plan the non-receivable channels (guaranteed
     losers) come first, then the receivable ones, each group by ascending
-    frequency.  Any other channel plan must supply an explicit quality order.
+    frequency.  Any other channel plan must supply an explicit quality order,
+    worst first, in MHz.
     """
     channels = {a.channel for a in arms}
-    if quality_order_hz is None:
+    if quality_order_mhz is None:
         plan = sorted((c.mhz, c.receivable) for c in channels)
         default_plan = sorted(
             (mhz, mhz in DEFAULT_RECEIVABLE_MHZ) for mhz in DEFAULT_CHANNEL_MHZ
@@ -115,20 +116,21 @@ def adr_lite_list(
             )
         rank = {c: (c.receivable, c.center_frequency_hz) for c in channels}
     else:
-        if sorted(c.center_frequency_hz for c in channels) != sorted(quality_order_hz):
+        order_hz = [mhz * 1e6 for mhz in quality_order_mhz]
+        if sorted(c.center_frequency_hz for c in channels) != sorted(order_hz):
             raise ConfigError(
                 "channel quality order must list every configured frequency exactly once"
             )
-        worst_first = {hz: i for i, hz in enumerate(quality_order_hz)}
+        worst_first = {hz: i for i, hz in enumerate(order_hz)}
         rank = {c: worst_first[c.center_frequency_hz] for c in channels}
     return sorted(arms, key=lambda a: (a.power.level_dbm, rank[a.channel]))
 
 
 def adr_lite_search(
-    arms: list[ParamCombo], quality_order_hz: list[float] | None = None
+    arms: list[ParamCombo], quality_order_mhz: list[float] | None = None
 ) -> list[PolicyDecision]:
     """ADR-Lite's search list: the decisions of adr_lite_list's arms, in order."""
-    return [PolicyDecision(a.arm_index) for a in adr_lite_list(arms, quality_order_hz)]
+    return [PolicyDecision(a.arm_index) for a in adr_lite_list(arms, quality_order_mhz)]
 
 
 class _ArmLearner:

@@ -184,7 +184,13 @@ MUTANTS = [
     ("config", "a frequency that reads back from MHz as another let through",
      "if hz / 1e6 * 1e6 != hz:", "if False:", None),
     ("config", "the saved document without base_seed",
-     'if name != "adr_quality_hz"}', 'if name not in ("adr_quality_hz", "base_seed")}', None),
+     "{name: getattr(self, name) for name in _DEFAULTS}",
+     '{name: getattr(self, name) for name in _DEFAULTS if name != "base_seed"}', None),
+    ("config", "a power without draw_mw draws the lowest default",
+     "draw = DEFAULT_DRAW_MW[level]", "draw = min(DEFAULT_DRAW_MW.values())", None),
+    ("config", "an ADR order entry whose Hz is not finite let through",
+     '_check_number("adr quality frequency in Hz", mhz * 1e6)',
+     '_check_number("adr quality frequency in Hz", mhz)', None),
     ("params", "an integer one above its maximum let through",
      "if maximum is not None and value > maximum:",
      "if maximum is not None and value > maximum + 1:", None),

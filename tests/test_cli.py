@@ -55,76 +55,92 @@ def test_exit_codes_of_the_process(tmp_path):
 TWO_CHANNELS = [{"mhz": 921.0, "receivable": True}, {"mhz": 921.4, "receivable": True}]
 
 
-@pytest.mark.parametrize("doc", [
-    {"runs_per_point": "5"},
-    {"device_counts": ["3"]},
-    {"t_attempts": 2.5},
-    {"payload_spread": 0},
-    {"payload_base": 10 ** 400},  # beyond a float: time_on_air could not convert it
-    {"interval_s": 1e-9},
-    {"interval_s": 0.03, "policies": ["adr_lite"]},
-    {"radio": {"sf": 3}},
-    {"radio": {"sf": 13}},
-    {"policies": ["adr_lite"], "channels": TWO_CHANNELS},
-    {"radio": {"sf": "x"}},
-    {"radio": 7},
-    {"energy": 5},
-    {"energy": {"p_toa_mw": {"x": 1}}},
-    {"channels": 5},
-    {"powers": 5},
-    {"adr_quality_mhz": 5},
-    {"channels": [{"mhz": 921.0, "receivable": "false"}, TWO_CHANNELS[1]]},
-    {"powers": [{"level_dbm": 1.7}, {"level_dbm": 5}]},
+def _draws(*mw):
+    """A powers list: the default levels, drawing mw in turn."""
+    return [{"level_dbm": dbm, "draw_mw": d} for dbm, d in zip((-3, 1, 5, 9, 13), mw)]
+
+
+# Each config validate refuses, and, where the rule is reached only through
+# one field among valid ones, the fragment of the refusal it must print.
+REFUSED = [
+    ({"runs_per_point": "5"}, None),
+    ({"device_counts": ["3"]}, None),
+    ({"t_attempts": 2.5}, None),
+    ({"payload_spread": 0}, None),
+    ({"payload_base": 10 ** 400}, None),  # beyond a float: time_on_air could not convert it
+    ({"interval_s": 1e-9}, None),
+    ({"interval_s": 0.03, "policies": ["adr_lite"]}, None),
+    ({"radio": {"sf": 3}}, None),
+    ({"radio": {"sf": 13}}, None),
+    ({"policies": ["adr_lite"], "channels": TWO_CHANNELS}, None),
+    ({"radio": {"sf": "x"}}, None),
+    ({"radio": 7}, None),
+    ({"energy": 5}, None),
+    ({"powers": [{"level_dbm": "x", "draw_mw": 1}]}, "level_dbm must be an integer, got 'x'"),
+    ({"channels": 5}, None),
+    ({"powers": 5}, None),
+    ({"adr_quality_mhz": 5}, None),
+    ({"channels": [{"mhz": 921.0, "receivable": "false"}, TWO_CHANNELS[1]]}, None),
+    ({"powers": [{"level_dbm": 1.7}, {"level_dbm": 5}]}, None),
     # Times that overflow the microsecond clock (or the int64 start offsets).
-    {"interval_s": 1e308},
-    {"cs_duration_s": 1e308},
-    {"radio": {"bw_hz": 1e-300}},
-    {"interval_s": 1e13},
+    ({"interval_s": 1e308}, None),
+    ({"cs_duration_s": 1e308}, None),
+    ({"radio": {"bw_hz": 1e-300}}, None),
+    ({"interval_s": 1e13}, None),
     # Unknown keys inside the nested sections.
-    {"radio": {"SF": 9}},
-    {"energy": {"e_wu": 1}},
-    {"channels": [TWO_CHANNELS[0] | {"rx": 1}, TWO_CHANNELS[1]]},
-    {"powers": [{"level_dbm": 5, "dbm": 1}, {"level_dbm": 9}]},
-    # A draw given twice, differently.
-    {"powers": [{"level_dbm": -3, "draw_mw": 1}, {"level_dbm": 1, "draw_mw": 2}],
-     "energy": {"p_toa_mw": {"-3": 1, "1": 3}}},
+    ({"radio": {"SF": 9}}, None),
+    ({"energy": {"e_wu": 1}}, None),
+    ({"channels": [TWO_CHANNELS[0] | {"rx": 1}, TWO_CHANNELS[1]]}, None),
+    ({"powers": [{"level_dbm": 5, "dbm": 1}, {"level_dbm": 9}]}, None),
+    # A draw is given on its power only.
+    ({"energy": {"p_toa_mw": {"-3": 1, "1": 3}}}, "unknown energy fields: ['p_toa_mw']"),
     # Energies and rewards that are not positive finite numbers.
     # (At 13 dBm and SF 12, e_active overflows from 43-symbol payloads on.)
-    {"radio": {"sf": 12}, "payload_base": 43,
-     "energy": {"p_toa_mw": {"-3": 1, "1": 2, "5": 3, "9": 4, "13": 1e308}}},
-    {"energy": {"e_wu_mj": 1e308, "e_proc_mj": 1e308}},
-    {"radio": {"bw_hz": 1e300},
-     "energy": {"p_mcu_mw": 1e-300, "p_toa_mw": {"-3": 1e-300, "1": 1e-10, "5": 1, "9": 10, "13": 100}}},
-    {"policies": ["proposed_ucb_tuned"], "t_attempts": 30, "reward_mode": "raw",
-     "radio": {"bw_hz": 1e300},
-     "energy": {"p_mcu_mw": 1e-10, "p_toa_mw": {"-3": 1e-10, "1": 2e-10, "5": 3e-10, "9": 4e-10, "13": 5e-10}}},
+    ({"radio": {"sf": 12}, "payload_base": 43, "powers": _draws(1, 2, 3, 4, 1e308)},
+     "for 43-symbol payloads at 13 dBm they are inf mJ"),
+    ({"energy": {"e_wu_mj": 1e308, "e_proc_mj": 1e308}}, None),
+    ({"radio": {"bw_hz": 1e300}, "energy": {"p_mcu_mw": 1e-300},
+      "powers": _draws(1e-300, 1e-10, 1, 10, 100)},
+     "e_toa must be positive, but for 36-symbol payloads it is 0.0 mJ at -3 dBm"),
+    ({"policies": ["proposed_ucb_tuned"], "t_attempts": 30, "reward_mode": "raw",
+      "radio": {"bw_hz": 1e300}, "energy": {"p_mcu_mw": 1e-10},
+      "powers": _draws(1e-10, 2e-10, 3e-10, 4e-10, 5e-10)},
+     "the reward under 1.341e+154, but for 36-symbol payloads at -3 dBm"),
     # A run's total active energy that overflows when summed (40 x 1e307 mJ).
-    {"energy": {"e_wu_mj": 1e307}, "t_attempts": 20},
+    ({"energy": {"e_wu_mj": 1e307}, "t_attempts": 20}, None),
     # A frequency finite in MHz but not in Hz, which records and the manifest
-    # would write as inf.
-    {"channels": [{"mhz": 1e308, "receivable": True}, TWO_CHANNELS[0]], "t_attempts": 2},
-    {"adr_quality_mhz": [1e308]},
+    # would write as inf, or which ADR-Lite could not compare.
+    ({"channels": [{"mhz": 1e308, "receivable": True}, TWO_CHANNELS[0]], "t_attempts": 2}, None),
+    ({"adr_quality_mhz": [1e308]}, "adr quality frequency in Hz must be a finite number"),
     # Sweep points given twice, whose jobs would overwrite each other's files.
-    {"policies": ["fixed", "fixed"], "device_counts": [2, 2], "t_attempts": 2},
-    {"device_counts": [2, 3, 2]},
+    ({"policies": ["fixed", "fixed"], "device_counts": [2, 2], "t_attempts": 2}, None),
+    ({"device_counts": [2, 3, 2]}, None),
     # More runs than run_seed's 64-bit run index tells apart; run would list
     # every job before the first one starts.
-    {"runs_per_point": 10 ** 30},
+    ({"runs_per_point": 10 ** 30}, None),
     # Integers beyond a float, where a float or an exact-as-float count is due.
-    {"interval_s": 10 ** 400},
-    {"radio": {"n_preamble": 10 ** 400}},
+    ({"interval_s": 10 ** 400}, None),
+    ({"radio": {"n_preamble": 10 ** 400}}, None),
     # Device efficiencies that overflow when summed (3 x about 1 / 9e-309 per mJ).
-    {"energy": {"e_wu_mj": 3e-309, "e_proc_mj": 3e-309, "e_r_mj": 3e-309, "p_mcu_mw": 1e-310},
-     "powers": [{"level_dbm": 1, "draw_mw": 1e-310}, {"level_dbm": 5, "draw_mw": 2e-310}],
-     "device_counts": [3]},
-])
-def test_validate_implies_run(tmp_path, capsys, doc):
+    ({"energy": {"e_wu_mj": 3e-309, "e_proc_mj": 3e-309, "e_r_mj": 3e-309, "p_mcu_mw": 1e-310},
+      "powers": [{"level_dbm": 1, "draw_mw": 1e-310}, {"level_dbm": 5, "draw_mw": 2e-310}],
+      "device_counts": [3]}, None),
+    # An ADR order entry that is not a number.
+    ({"adr_quality_mhz": ["921"]}, "adr_quality_mhz entry must be a finite number, got '921'"),
+]
+
+
+@pytest.mark.parametrize("doc, message", REFUSED, ids=[f"doc{i}" for i in range(len(REFUSED))])
+def test_validate_implies_run(tmp_path, capsys, doc, message):
     # Whatever validate refuses, run refuses the same way, before any work.
     cfg = write_config(tmp_path, TINY | doc)
     assert main(["validate", cfg]) == EXIT_CONFIG
     assert main(["run", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     assert not (tmp_path / "out").exists()
-    assert capsys.readouterr().err.count("config error") == 2
+    err = capsys.readouterr().err
+    assert err.count("config error") == 2
+    if message is not None:
+        assert err.count(message) == 2, err
 
 
 def test_validate_unparseable(tmp_path, capsys):

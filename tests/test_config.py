@@ -10,6 +10,7 @@ from hypothesis import event, given, settings, strategies as st
 
 from lorabandit import netsim
 from lorabandit.config import (
+    _DEFAULTS,
     DEFAULT_DEVICE_COUNTS,
     ExperimentConfig,
     config_from_dict,
@@ -49,10 +50,12 @@ def test_empty_document_yields_full_defaults():
 
 
 def test_missing_draw_level_names_the_level():
-    doc = {"energy": {"p_toa_mw": {"-3": 15, "1": 30, "5": 70, "9": 165}},
-           "powers": [{"level_dbm": lvl} for lvl in (-3, 1, 5, 9, 13)]}
-    with pytest.raises(ConfigError, match="13"):
-        config_from_dict(doc)
+    # A power without draw_mw draws its level's default; a level with no
+    # default must give its own.
+    cfg = config_from_dict({"powers": [{"level_dbm": 13}, {"level_dbm": 1, "draw_mw": 20}]})
+    assert cfg.powers == [TxPower(13, 400.0), TxPower(1, 20.0)]
+    with pytest.raises(ConfigError, match="the default draws lack 7 dBm"):
+        config_from_dict({"powers": [{"level_dbm": -3}, {"level_dbm": 7}]})
 
 
 CUSTOM_POWERS = [{"level_dbm": -3, "draw_mw": 20}, {"level_dbm": 5, "draw_mw": 90},
@@ -62,11 +65,11 @@ CUSTOM_POWERS = [{"level_dbm": -3, "draw_mw": 20}, {"level_dbm": 5, "draw_mw": 9
 @pytest.mark.parametrize("energy", [
     {"e_wu_mj": 56.1},
     {"e_wu_mj": 56.1, "e_proc_mj": 85.8, "e_r_mj": 66.0, "p_mcu_mw": 29.7},
-    {"p_toa_mw": {"-3": 20, "5": 90, "13": 250}},
+    {"p_mcu_mw": 29.7, "e_r_mj": 66.0},
 ])
 def test_energy_block_never_resets_the_power_draws(energy):
-    # An energy block that restates defaults (or the powers' own draws)
-    # changes nothing: the draws stay those the powers give.
+    # An energy block that restates defaults changes nothing: the draws stay
+    # those the powers give.
     plain = config_from_dict({"powers": CUSTOM_POWERS})
     restated = config_from_dict({"powers": CUSTOM_POWERS, "energy": energy})
     assert [p.draw_mw for p in restated.powers] == [20.0, 90.0, 250.0]
@@ -76,34 +79,13 @@ def test_energy_block_never_resets_the_power_draws(energy):
                 == list(run_simulation(plain.run_setup(policy, 3), 5)))
 
 
-def test_conflicting_draws_name_the_level():
-    doc = {"powers": [{"level_dbm": -3, "draw_mw": 1}, {"level_dbm": 1, "draw_mw": 2}],
-           "energy": {"p_toa_mw": {"-3": 1, "1": 3}}}
-    with pytest.raises(ConfigError, match=r"\b1 dBm draws 2.0 mW here but 3.0 mW"):
-        config_from_dict(doc)
-
-
 def test_power_outside_the_default_levels_with_an_energy_block():
     doc = {"energy": {"e_wu_mj": 20}, "powers": [{"level_dbm": 7, "draw_mw": 426}]}
     cfg = config_from_dict(doc)
     assert cfg.energy.e_wu_mj == 20.0
-    assert cfg.to_dict()["energy"]["p_toa_mw"] == {"7": 426.0}
+    assert cfg.to_dict()["powers"] == [{"level_dbm": 7, "draw_mw": 426.0}]
     records = run_simulation(cfg.run_setup("proposed_ucb_tuned", 2), 1)
     assert {r.power_dbm for r in records} == {7}
-
-
-def test_draw_table_entries_without_a_power_are_ignored():
-    table = {"-3": 15, "1": 30, "5": 70, "9": 165, "13": 400, "7": 300}
-    cfg = config_from_dict({"energy": {"p_toa_mw": table}})
-    assert cfg.config_hash() == config_from_dict({}).config_hash()
-
-
-@pytest.mark.parametrize("key", ["01", " 5", "1_3", "+1", "-0"])
-def test_draw_table_keys_must_be_written_as_integers(key):
-    # int() accepts each of these; "01" would silently override "1".
-    table = {"-3": 15, "1": 30, "5": 70, "9": 165, "13": 400, key: 35}
-    with pytest.raises(ConfigError, match="p_toa_mw keys must be dBm integers"):
-        config_from_dict({"energy": {"p_toa_mw": table}})
 
 
 def test_device_count_override():
@@ -146,8 +128,10 @@ def test_bad_policy_rejected():
 
 
 def test_non_monotone_draw_table_rejected():
-    doc = {"energy": {"p_toa_mw": {"-3": 50, "1": 30, "5": 70, "9": 165, "13": 400}}}
-    with pytest.raises(ConfigError, match="increasing"):
+    # -3 dBm drawing 50 mW costs more per attempt than 1 dBm's default 30 mW.
+    doc = {"powers": [{"level_dbm": -3, "draw_mw": 50},
+                      *({"level_dbm": dbm} for dbm in (1, 5, 9, 13))]}
+    with pytest.raises(ConfigError, match="e_toa must be strictly increasing in level_dbm"):
         config_from_dict(doc)
 
 
@@ -226,7 +210,7 @@ def test_load_config_round_trip(tmp_path):
     cfg = load_config(path)
     assert cfg.device_counts == [4, 8]
     assert cfg.epsilon == 0.2
-    assert cfg.adr_quality_hz == [mhz * 1e6 for mhz in doc["adr_quality_mhz"]]
+    assert cfg.adr_quality_mhz == doc["adr_quality_mhz"]
 
 
 def test_config_hash_stability_and_sensitivity():
@@ -241,7 +225,7 @@ def test_default_config_hash_pinned():
     # A default sweep is keyed by this hash; moving where a default is
     # written must not change it.
     assert config_from_dict({}).config_hash() == (
-        "1674a872c11270dc787179ef6690b3323c5641fe98e8aed65af8068b6d905c74"
+        "4eb5ae5c4d570f707f3f8f0db60e081d5717d303293e2043eb9edffc1f29c4bf"
     )
 
 
@@ -270,14 +254,31 @@ def test_config_hash_is_canonical():
 
 
 def test_frequencies_must_read_back_from_their_mhz():
-    # A saved config writes 2080032180.0 Hz as 2080.03218 MHz, which reads
-    # back as another frequency under the same hash, so the config is refused.
+    # A saved config writes a 2080032180.0 Hz channel as 2080.03218 MHz,
+    # which reads back as another frequency under the same hash, so the
+    # config is refused.
     message = r"2080032180\.0 Hz would read back from MHz as 2080032180\.0000002 Hz"
     with pytest.raises(ConfigError, match=message):
         ExperimentConfig(channels=[Channel(2080032180.0, True)], policies=["fixed"])
-    with pytest.raises(ConfigError, match=message):
-        ExperimentConfig(adr_quality_hz=[2080032180.0], policies=["fixed"])
     ExperimentConfig(channels=[Channel(921e6, True)], policies=["fixed"])
+
+
+def test_saved_document_names_each_field_once():
+    # The saved document holds the config's own fields under their own
+    # names: each draw once, on its power, and the ADR order in MHz as given.
+    cfg = config_from_dict({})
+    assert vars(cfg).keys() == cfg.to_dict().keys() == _DEFAULTS.keys()
+    assert list(cfg.to_dict()["energy"]) == list(EnergyModel.__slots__)
+    plan = [{"mhz": mhz, "receivable": True} for mhz in (920, 921, 922)]
+    cfg = config_from_dict({"channels": plan, "adr_quality_mhz": [920, 921, 922]})
+    saved = json.loads(json.dumps(cfg.to_dict()))
+    assert saved["adr_quality_mhz"] == [920.0, 921.0, 922.0]
+    assert all(type(mhz) is float for mhz in saved["adr_quality_mhz"])
+    back = config_from_dict(saved)
+    assert vars(back) == vars(cfg) and back.config_hash() == cfg.config_hash()
+    built = ExperimentConfig(channels=[Channel(mhz * 1e6, True) for mhz in (920, 921, 922)],
+                             adr_quality_mhz=(920, 921, 922))
+    assert built.config_hash() == cfg.config_hash()
 
 
 @settings(deadline=None, max_examples=300)
@@ -316,7 +317,7 @@ def test_library_values_checked_as_json_ones(build):
     ("channels", 5),
     ("channels", [(921e6, True)]),
     ("powers", [(1, 30.0)]),
-    ("adr_quality_hz", 5),
+    ("adr_quality_mhz", 5),
 ])
 def test_nested_field_of_the_wrong_type(field, value):
     # A config built in Python gets a ConfigError, not an AttributeError or
@@ -446,8 +447,9 @@ def _channels(draw):
 def _powers(draw, doc):
     """The power table in one of the ways a document can give it: the
     default, default levels without draws, levels with their own draws, or
-    draws from energy.p_toa_mw (with or without a powers list)."""
-    way = draw(st.sampled_from(["default", "levels", "draws", "table", "levels+table"]))
+    default levels with and without draws (each draw given within a quarter
+    of its level's default, so the draws still rise with the level)."""
+    way = draw(st.sampled_from(["default", "levels", "draws", "mixed"]))
     if way == "levels":
         levels = draw(st.lists(st.sampled_from(DEFAULT_LEVELS), min_size=1, unique=True))
         doc["powers"] = [{"level_dbm": dbm} for dbm in levels]
@@ -456,11 +458,12 @@ def _powers(draw, doc):
                                       unique=True)))
         doc["powers"] = [{"level_dbm": dbm, "draw_mw": mw}
                          for dbm, mw in zip(levels, draw(_increasing(len(levels))))]
-    elif way != "default":
-        table = dict(zip(map(str, DEFAULT_LEVELS), draw(_increasing(len(DEFAULT_LEVELS)))))
-        doc.setdefault("energy", {})["p_toa_mw"] = table
-        if way == "levels+table":
-            doc["powers"] = [{"level_dbm": dbm} for dbm in draw(st.permutations(DEFAULT_LEVELS))]
+    elif way == "mixed":
+        levels = draw(st.lists(st.sampled_from(DEFAULT_LEVELS), min_size=1, unique=True))
+        doc["powers"] = [{"level_dbm": dbm} for dbm in levels]
+        for entry in doc["powers"]:
+            if draw(st.booleans()):
+                entry["draw_mw"] = DEFAULT_DRAW_MW[entry["level_dbm"]] * draw(st.floats(0.75, 1.25))
 
 
 STOCK = ExperimentConfig()

@@ -714,5 +714,5 @@ def test_runs_share_the_decision_lists_of_fixed_and_adr_lite():
     assert [p.decision for p in fixed] == [select_fixed(i, arms) for i in range(5)]
     assert fixed[0].decision is fixed[2].decision is fixed[4].decision
     adr = netsim._make_policies(cfg.run_setup("adr_lite", 5), arms, 1)
-    assert adr[0].search == adr_lite_search(arms, cfg.adr_quality_hz)
+    assert adr[0].search == adr_lite_search(arms, cfg.adr_quality_mhz)
     assert all(p.search is adr[0].search for p in adr)

@@ -623,7 +623,7 @@ def test_adr_list_rejects_unknown_plan_without_order():
 def test_adr_list_explicit_quality_order():
     channels = [Channel(900.0e6, True), Channel(900.4e6, False)]
     combos = adr_lite_list(
-        build_arm_space(channels, default_powers()[:2]), quality_order_hz=[900.4e6, 900.0e6]
+        build_arm_space(channels, default_powers()[:2]), quality_order_mhz=[900.4, 900.0]
     )
     assert [(c.channel.mhz, c.power.level_dbm) for c in combos] == [
         (900.4, -3), (900.0, -3), (900.4, 1), (900.0, 1)]
@@ -633,7 +633,7 @@ def test_adr_list_rejects_incomplete_quality_order():
     channels = [Channel(900.0e6, True), Channel(900.4e6, False)]
     with pytest.raises(ConfigError):
         adr_lite_list(build_arm_space(channels, default_powers()[:1]),
-                      quality_order_hz=[900.0e6])
+                      quality_order_mhz=[900.0])
 
 
 def test_adr_policy_starts_at_tail_and_walks():
