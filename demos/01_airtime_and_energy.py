@@ -9,7 +9,6 @@ from lorabandit.energy import (
     EnergyModel,
     RadioConfig,
     attempt_energy,
-    reward_basis,
     symbol_time,
     time_on_air,
 )
@@ -29,12 +28,13 @@ print(f"fixed overhead : {energy.overhead_mj:.1f} mJ per attempt "
       "(wake-up + processing + receive window)")
 print()
 
-# Rewards are normalized by the transmission energy at the cheapest power.
+# An ACK earns e_toa_min / e_toa, e_toa_min at the cheapest power, as
+# lorabandit.netsim.cost_rows works it out for a run.
 e_min = min(attempt_energy(radio, n_payload, energy, p).e_toa_mj for p in powers)
 print(f"{'power':>6} {'draw':>7} {'e_toa':>8} {'e_active':>9} {'ack reward':>11}")
 for p in powers:
     e = attempt_energy(radio, n_payload, energy, p)
-    r = reward_basis(e, "normalized", e_min)
+    r = e_min / e.e_toa_mj
     print(f"{p.level_dbm:>4} dBm {p.draw_mw:>5.0f} mW {e.e_toa_mj:>6.2f} mJ "
           f"{e.e_active_mj:>6.1f} mJ {r:>11.3f}")
 

@@ -1,4 +1,4 @@
-"""Airtime and active-mode energy model, plus the ACK reward basis.
+"""Airtime and active-mode energy model.
 
 All times are in seconds, energies in millijoules and powers in milliwatts,
 so power * time lands directly in mJ.
@@ -82,23 +82,4 @@ def attempt_energy(cfg: RadioConfig, n_payload: int, model: EnergyModel,
     e_toa = (model.p_mcu_mw + power.draw_mw) * t_toa
     e_active = model.e_wu_mj + model.e_proc_mj + e_toa + model.e_r_mj
     return AttemptEnergy(t_toa=t_toa, e_toa_mj=e_toa, e_active_mj=e_active)
-
-
-def reward_basis(e: AttemptEnergy, mode: str, e_toa_min_mj: float | None = None) -> float:
-    """Reward granted for an ACKed attempt.
-
-    normalized: e_toa_min / e_toa, in (0, 1], where e_toa_min is
-    the transmission energy at the cheapest configured power for the same
-    payload.  raw: 1 / e_toa in 1/mJ.  Both decrease with TX power, so the
-    learner is pushed toward the cheapest power that still gets ACKed.
-    """
-    if e.e_toa_mj <= 0:
-        raise ValueError("e_toa must be positive")
-    if mode == "raw":
-        return 1.0 / e.e_toa_mj
-    if mode == "normalized":
-        if e_toa_min_mj is None:
-            raise ValueError("normalized mode requires e_toa_min_mj")
-        return e_toa_min_mj / e.e_toa_mj
-    raise ConfigError(f"unknown reward mode {mode!r}")
 

@@ -16,7 +16,7 @@ from itertools import repeat
 from operator import add, attrgetter
 from typing import TYPE_CHECKING, NamedTuple
 
-from .energy import attempt_energy, reward_basis
+from .energy import attempt_energy
 from .metrics import Cause, RunLog
 from .params import ConfigError, ParamCombo, build_arm_space
 from .policies import (AdrLitePolicy, EpsilonGreedyPolicy, FixedPolicy, UcbTunedPolicy,
@@ -32,8 +32,6 @@ POLICY_NAMES = ("proposed_ucb_tuned", "epsilon_greedy", "adr_lite", "fixed")
 # offset is drawn below the interval as a signed 64-bit integer, the domain
 # of the device streams' bounded draws (lorabandit.rng).
 _US_LIMIT = 2 ** 63
-# The learners square every reward.
-_REWARD_LIMIT = math.sqrt(sys.float_info.max)
 
 
 class RunSetup(NamedTuple):
@@ -63,13 +61,15 @@ def cost_rows(
 ) -> dict[int, list[tuple[int, float, float, float]]]:
     """The cost of an attempt at each power, in ascending dBm, as (airtime
     µs, e_toa, e_active, reward on ACK), for each payload size a run of
-    n_devices uses: payload_symbols of devices 0 to n_devices - 1.
+    n_devices uses: payload_symbols of devices 0 to n_devices - 1. The
+    reward is e_toa_min / e_toa, e_toa_min at the cheapest power: 1 there,
+    falling with the level, so in [0, 1] as UCB1-Tuned's variance cap assumes.
 
     Raises ConfigError unless, for every size, e_toa rises strictly with the
     level from a positive value (rewards rank powers by it), every e_active
-    is finite and every reward small enough to square, a transmission ends
-    before the device's next wake, the run's e_active can be summed, and so
-    can the energy efficiencies of its devices and of a point's runs.
+    is finite, a transmission ends before the device's next wake, the run's
+    e_active can be summed, and so can the energy efficiencies of its
+    devices and of a point's runs.
     """
     powers = sorted(cfg.powers, key=lambda p: p.level_dbm)
     rows = {}
@@ -90,14 +90,12 @@ def cost_rows(
         airtime_us = _whole_us("the airtime", energies[0].t_toa)
         rows[n_payload] = []
         for p, e in zip(powers, energies):
-            reward = reward_basis(e, cfg.reward_mode, e_toa[0])
-            if not (math.isfinite(e.e_active_mj) and reward < _REWARD_LIMIT):
+            if not math.isfinite(e.e_active_mj):
                 raise ConfigError(
-                    f"e_active must be finite and the reward under {_REWARD_LIMIT:.4g}, but "
-                    f"for {n_payload}-symbol payloads at {p.level_dbm} dBm they are "
-                    f"{e.e_active_mj} mJ and {reward}"
+                    f"e_active must be finite, but for {n_payload}-symbol payloads at "
+                    f"{p.level_dbm} dBm it is {e.e_active_mj} mJ"
                 )
-            rows[n_payload].append((airtime_us, e.e_toa_mj, e.e_active_mj, reward))
+            rows[n_payload].append((airtime_us, e.e_toa_mj, e.e_active_mj, e_toa[0] / e.e_toa_mj))
     busy_us = _whole_us("cs_duration_s", cfg.cs_duration_s) + max(
         table[0][0] for table in rows.values()
     )

@@ -80,6 +80,10 @@ MUTANTS = [
     ("netsim", "ends before wakes at equal µs",
      "template.sort(key=lambda event: event[:2])",
      "template.sort(key=lambda event: (event[0], -event[1]))", None),
+    ("netsim", "the reward divides by e_active, not e_toa",
+     "e_toa[0] / e.e_toa_mj", "e_toa[0] / e.e_active_mj", None),
+    ("netsim", "epsilon-greedy's ack mode earns the energy reward",
+     "1.0 if ack_only else reward", "reward", None),
     ("metrics", "wake_time from seconds, not whole µs",
      "(attempt * self.interval_us + self.offsets_us[device]) / 1e6",
      "attempt * (self.interval_us / 1e6) + self.offsets_us[device] / 1e6", None),

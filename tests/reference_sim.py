@@ -12,7 +12,7 @@ McKeeman 1998).
 
 from __future__ import annotations
 
-from lorabandit.energy import attempt_energy, reward_basis
+from lorabandit.energy import attempt_energy
 from lorabandit.metrics import Cause, RunRecord
 from lorabandit.netsim import device_rng, payload_symbols
 from lorabandit.params import build_arm_space
@@ -106,7 +106,7 @@ def reference_run(setup, seed, events=None):
                 n_payload = devices[tx["device"]]["payload"]
                 e_min = min(attempt_energy(cfg.radio, n_payload, cfg.energy, p).e_toa_mj
                             for p in cfg.powers)
-                reward = reward_basis(energy, cfg.reward_mode, e_min)
+                reward = e_min / energy.e_toa_mj
         devices[tx["device"]]["policy"].observe(arm.arm_index, acked, reward)
         records.append(RunRecord(
             seed, tx["device"], tx["attempt"], arm.arm_index,

@@ -94,18 +94,16 @@ REFUSED = [
     ({"powers": [{"level_dbm": 5, "dbm": 1}, {"level_dbm": 9}]}, None),
     # A draw is given on its power only.
     ({"energy": {"p_toa_mw": {"-3": 1, "1": 3}}}, "unknown energy fields: ['p_toa_mw']"),
-    # Energies and rewards that are not positive finite numbers.
+    # Energies that are not positive finite numbers.
     # (At 13 dBm and SF 12, e_active overflows from 43-symbol payloads on.)
     ({"radio": {"sf": 12}, "payload_base": 43, "powers": _draws(1, 2, 3, 4, 1e308)},
-     "for 43-symbol payloads at 13 dBm they are inf mJ"),
+     "e_active must be finite, but for 43-symbol payloads at 13 dBm it is inf mJ"),
     ({"energy": {"e_wu_mj": 1e308, "e_proc_mj": 1e308}}, None),
     ({"radio": {"bw_hz": 1e300}, "energy": {"p_mcu_mw": 1e-300},
       "powers": _draws(1e-300, 1e-10, 1, 10, 100)},
      "e_toa must be positive, but for 36-symbol payloads it is 0.0 mJ at -3 dBm"),
-    ({"policies": ["proposed_ucb_tuned"], "t_attempts": 30, "reward_mode": "raw",
-      "radio": {"bw_hz": 1e300}, "energy": {"p_mcu_mw": 1e-10},
-      "powers": _draws(1e-10, 2e-10, 3e-10, 4e-10, 5e-10)},
-     "the reward under 1.341e+154, but for 36-symbol payloads at -3 dBm"),
+    # One reward scale: e_toa_min / e_toa, in [0, 1].
+    ({"reward_mode": "raw"}, "unknown config fields: ['reward_mode']"),
     # A run's total active energy that overflows when summed (40 x 1e307 mJ).
     ({"energy": {"e_wu_mj": 1e307}, "t_attempts": 20}, None),
     # A frequency finite in MHz but not in Hz, which records and the manifest

@@ -18,7 +18,7 @@ from lorabandit.config import (
 )
 from lorabandit.energy import EnergyModel, RadioConfig, attempt_energy, time_on_air
 from lorabandit.metrics import summarize_run
-from lorabandit.netsim import POLICY_NAMES, RunSetup, run_simulation
+from lorabandit.netsim import POLICY_NAMES, RunSetup, cost_rows, run_simulation
 from lorabandit.params import (
     DEFAULT_CHANNEL_MHZ,
     DEFAULT_DRAW_MW,
@@ -225,7 +225,7 @@ def test_default_config_hash_pinned():
     # A default sweep is keyed by this hash; moving where a default is
     # written must not change it.
     assert config_from_dict({}).config_hash() == (
-        "4eb5ae5c4d570f707f3f8f0db60e081d5717d303293e2043eb9edffc1f29c4bf"
+        "462a570feee249e0a2eb80def18d16f76d6f154f18e0e8755a2f1ef359b10eb9"
     )
 
 
@@ -478,7 +478,6 @@ def config_docs(draw):
         policies=st.lists(st.sampled_from(POLICY_NAMES), min_size=1, unique=True),
         cs_duration_s=st.floats(0.0, 0.1),
         epsilon=st.floats(0.0, 1.0),
-        reward_mode=st.sampled_from(["normalized", "raw"]),
         epsilon_reward=st.sampled_from(["energy", "ack"]),
         payload_base=st.integers(0, 64),
         payload_spread=st.integers(1, 12),
@@ -533,6 +532,13 @@ def test_accepted_config_dicts_run(doc, seed):
     json.dumps(cfg.to_dict(), allow_nan=False)
     # The saved document reads back as this very config, not just its hash.
     assert vars(config_from_dict(json.loads(json.dumps(cfg.to_dict())))) == vars(cfg)
+    # Every ACK reward is in [0, 1], exactly 1 at its payload's cheapest
+    # power and strictly falling with the level.
+    for rows in cost_rows(cfg, max(cfg.device_counts)).values():
+        rewards = [reward for *_, reward in rows]
+        assert rewards[0] == 1.0
+        assert all(0.0 <= r <= 1.0 for r in rewards)
+        assert all(b < a for a, b in zip(rewards, rewards[1:]))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "records.jsonl"
         for policy in cfg.policies:

@@ -1,4 +1,4 @@
-"""Airtime, per-attempt energy, and the ACK reward basis."""
+"""Airtime, per-attempt energy, and the ACK reward."""
 
 import math
 
@@ -10,7 +10,6 @@ from lorabandit.energy import (
     EnergyModel,
     RadioConfig,
     attempt_energy,
-    reward_basis,
     symbol_time,
     time_on_air,
 )
@@ -71,21 +70,12 @@ def test_attempt_energy_depends_on_power_only_through_draw():
 
 
 def test_reward_normalized():
-    e = attempt_energy(RadioConfig(), 36, EnergyModel(), TxPower(-3, 15.0))
-    assert reward_basis(e, "normalized", e.e_toa_mj) == 1.0
-    assert reward_basis(e, "normalized", e.e_toa_mj / 2) == 0.5
-
-
-def test_reward_raw():
-    e = attempt_energy(RadioConfig(), 36, EnergyModel(), TxPower(13, 100.0))
-    assert reward_basis(e, "raw") == pytest.approx(1.0 / 6.408, rel=1e-4)
-    assert reward_basis(e, "raw") == 1.0 / e.e_toa_mj
-
-
-def test_reward_unknown_mode():
-    e = attempt_energy(RadioConfig(), 36, EnergyModel(), TxPower(-3, 15.0))
-    with pytest.raises(ConfigError):
-        reward_basis(e, "bogus")
+    # The cheapest power earns 1, and one whose p_mcu + draw is twice the
+    # cheapest's, so twice its e_toa, earns 1/2.
+    p_mcu = EnergyModel().p_mcu_mw
+    powers = [TxPower(1, 30.0), TxPower(5, 2 * (p_mcu + 30.0) - p_mcu)]
+    (rows,) = cost_rows(ExperimentConfig(powers=powers, payload_spread=1), 1).values()
+    assert [reward for *_, reward in rows] == [1.0, 0.5]
 
 
 def test_min_toa_energy_matches_cheapest_level():
@@ -160,20 +150,16 @@ def test_e_toa_monotone_in_draw(draws):
         assert all(b > a for a, b in zip(energies, energies[1:]))
 
 
-@given(mode=st.sampled_from(["normalized", "raw"]))
-def test_reward_strictly_decreasing_in_power(mode):
-    cfg = RadioConfig()
+@given(n_payload=st.integers(0, 64))
+def test_reward_strictly_decreasing_in_power(n_payload):
     table = {-3: 15.0, 1: 30.0, 5: 70.0, 9: 165.0, 13: 400.0}
-    m = EnergyModel()
-    powers = [TxPower(lvl, mw) for lvl, mw in sorted(table.items())]
-    e_min = min(attempt_energy(cfg, 36, m, p).e_toa_mj for p in powers)
-    rewards = [
-        reward_basis(attempt_energy(cfg, 36, m, p), mode, e_min) for p in powers
-    ]
+    cfg = ExperimentConfig(powers=[TxPower(lvl, mw) for lvl, mw in table.items()],
+                           payload_base=n_payload, payload_spread=1)
+    (rows,) = cost_rows(cfg, 1).values()
+    rewards = [reward for *_, reward in rows]
     assert all(b < a for a, b in zip(rewards, rewards[1:]))
-    if mode == "normalized":
-        assert rewards[0] == 1.0
-        assert all(0 < r <= 1 for r in rewards)
+    assert rewards[0] == 1.0
+    assert all(0 < r <= 1 for r in rewards)
 
 
 def test_all_quantities_positive():

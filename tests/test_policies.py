@@ -160,8 +160,9 @@ def test_select_ucb_tie_break_is_uniform():
 # --- incremental statistics against the sums -------------------------------
 
 # Rewards the learners can be fed: zero, subnormals, large values up to the
-# largest one whose square is finite (the config refuses larger rewards),
-# and a few repeated values, so that arms tie.
+# largest one whose square is finite, and a few repeated values, so that arms
+# tie. A run's rewards are at most 1 (netsim.cost_rows), so the config
+# refuses none; the learners' arithmetic holds well beyond that.
 REWARDS = st.one_of(
     st.sampled_from([0.0, 5e-324, 1e-310, 0.25, 0.5, 1.0, 1e150, 1.3e154]),
     st.floats(min_value=0.0, max_value=1.3e154),
