@@ -23,7 +23,6 @@ from .params import (
     default_channels,
     default_powers,
 )
-from .policies import adr_lite_list
 
 DEFAULT_DEVICE_COUNTS = (10, 15, 20, 25, 30)
 
@@ -36,7 +35,7 @@ _DEFAULTS = {
     "channels": default_channels(), "powers": default_powers(),
     "energy": EnergyModel(), "radio": RadioConfig(),
     "epsilon": 0.1, "cs_duration_s": 0.005, "epsilon_reward": "energy",
-    "payload_base": 36, "payload_spread": 9, "adr_quality_mhz": None, "base_seed": 20240901,
+    "payload_base": 36, "payload_spread": 9, "base_seed": 20240901,
 }
 
 
@@ -87,22 +86,13 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not (isinstance(value, (list, tuple)) and all(isinstance(v, kind) for v in value)):
                 raise ConfigError(f"{name} must be a list of {kind.__name__}, got {value!r}")
-        quality = self.adr_quality_mhz
-        if not isinstance(quality, (list, tuple, type(None))):
-            raise ConfigError(f"adr_quality_mhz must be a list or None, got {quality!r}")
-        if quality is not None:
-            self.adr_quality_mhz = [_check_number("adr_quality_mhz entry", mhz) for mhz in quality]
-        for mhz in self.adr_quality_mhz or ():
-            _check_number("adr quality frequency in Hz", mhz * 1e6)  # adr_lite_list compares Hz
         for hz in (c.center_frequency_hz for c in self.channels):
             if hz / 1e6 * 1e6 != hz:  # to_dict's MHz must read back as hz
                 raise ConfigError(f"{hz!r} Hz would read back from MHz as {hz / 1e6 * 1e6!r} Hz")
-        arms = build_arm_space(self.channels, self.powers)  # duplicate or missing channels/levels
+        build_arm_space(self.channels, self.powers)  # duplicate or missing channels/levels
         if not any(c.receivable for c in self.channels):
             raise ConfigError("at least one channel must be receivable")
         cost_rows(self, max(self.device_counts))  # what a run's payloads cost
-        if "adr_lite" in self.policies:
-            adr_lite_list(arms, self.adr_quality_mhz)
 
     def run_setup(self, policy: str, n_devices: int) -> RunSetup:
         return RunSetup(self, policy, n_devices)

@@ -137,7 +137,7 @@ def _make_policies(setup: RunSetup, arms: list[ParamCombo], seed: int) -> list:
         choices = fixed_choices(arms)
         return [FixedPolicy(choices[i % len(choices)]) for i in devices]
     if setup.policy == "adr_lite":
-        search = adr_lite_search(arms, cfg.adr_quality_mhz)
+        search = adr_lite_search(arms)
         return [AdrLitePolicy(search) for _ in devices]
     raise ConfigError(f"unknown policy {setup.policy!r}; expected one of {POLICY_NAMES}")
 

@@ -15,7 +15,7 @@ from functools import cache
 from math import log, sqrt
 from typing import TYPE_CHECKING, NamedTuple
 
-from .params import DEFAULT_CHANNEL_MHZ, DEFAULT_RECEIVABLE_MHZ, ConfigError, ParamCombo
+from .params import ConfigError, ParamCombo
 
 if TYPE_CHECKING:
     from .rng import DeviceRng
@@ -93,44 +93,20 @@ def adr_lite_next(prev_index: int, acked: bool, list_len: int) -> int:
     return math.ceil((list_len - 1 + prev_index) / 2)
 
 
-def adr_lite_list(
-    arms: list[ParamCombo], quality_order_mhz: list[float] | None = None
-) -> list[ParamCombo]:
-    """The arms in ADR-Lite's search order.
+def adr_lite_list(arms: list[ParamCombo]) -> list[ParamCombo]:
+    """The arms in ADR-Lite's search order, on any channel plan.
 
-    Power-major ascending; within one power the channels run worst-first.
-    For the default channel plan the non-receivable channels (guaranteed
-    losers) come first, then the receivable ones, each group by ascending
-    frequency.  Any other channel plan must supply an explicit quality order,
-    worst first, in MHz.
+    Power-major ascending; within one power the channels run worst-first:
+    the non-receivable channels (guaranteed losers) come first, then the
+    receivable ones, each group by ascending frequency.
     """
-    channels = {a.channel for a in arms}
-    if quality_order_mhz is None:
-        plan = sorted((c.mhz, c.receivable) for c in channels)
-        default_plan = sorted(
-            (mhz, mhz in DEFAULT_RECEIVABLE_MHZ) for mhz in DEFAULT_CHANNEL_MHZ
-        )
-        if plan != default_plan:
-            raise ConfigError(
-                "non-default channel plan requires an explicit channel quality order"
-            )
-        rank = {c: (c.receivable, c.center_frequency_hz) for c in channels}
-    else:
-        order_hz = [mhz * 1e6 for mhz in quality_order_mhz]
-        if sorted(c.center_frequency_hz for c in channels) != sorted(order_hz):
-            raise ConfigError(
-                "channel quality order must list every configured frequency exactly once"
-            )
-        worst_first = {hz: i for i, hz in enumerate(order_hz)}
-        rank = {c: worst_first[c.center_frequency_hz] for c in channels}
-    return sorted(arms, key=lambda a: (a.power.level_dbm, rank[a.channel]))
+    return sorted(arms, key=lambda a: (
+        a.power.level_dbm, a.channel.receivable, a.channel.center_frequency_hz))
 
 
-def adr_lite_search(
-    arms: list[ParamCombo], quality_order_mhz: list[float] | None = None
-) -> list[PolicyDecision]:
+def adr_lite_search(arms: list[ParamCombo]) -> list[PolicyDecision]:
     """ADR-Lite's search list: the decisions of adr_lite_list's arms, in order."""
-    return [PolicyDecision(a.arm_index) for a in adr_lite_list(arms, quality_order_mhz)]
+    return [PolicyDecision(a.arm_index) for a in adr_lite_list(arms)]
 
 
 class _ArmLearner:

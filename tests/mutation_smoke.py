@@ -105,6 +105,12 @@ MUTANTS = [
     ("policies", "ADR-Lite's step on failure rounds down, not up",
      "return math.ceil((list_len - 1 + prev_index) / 2)",
      "return (list_len - 1 + prev_index) // 2", None),
+    ("policies", "ADR-Lite ranks the channels of a power by frequency alone",
+     "a.power.level_dbm, a.channel.receivable, a.channel.center_frequency_hz",
+     "a.power.level_dbm, a.channel.center_frequency_hz", None),
+    ("policies", "ADR-Lite ranks the heard channels of a power before the deaf ones",
+     "a.channel.receivable, a.channel.center_frequency_hz",
+     "not a.channel.receivable, a.channel.center_frequency_hz", None),
     ("policies", "UCB scores every arm (no pruning break)",
      "            if bound < best:\n                break\n",
      "            if bound < best:\n                pass\n", None),
@@ -192,9 +198,6 @@ MUTANTS = [
      '{name: getattr(self, name) for name in _DEFAULTS if name != "base_seed"}', None),
     ("config", "a power without draw_mw draws the lowest default",
      "draw = DEFAULT_DRAW_MW[level]", "draw = min(DEFAULT_DRAW_MW.values())", None),
-    ("config", "an ADR order entry whose Hz is not finite let through",
-     '_check_number("adr quality frequency in Hz", mhz * 1e6)',
-     '_check_number("adr quality frequency in Hz", mhz)', None),
     ("params", "an integer one above its maximum let through",
      "if maximum is not None and value > maximum:",
      "if maximum is not None and value > maximum + 1:", None),

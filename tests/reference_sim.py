@@ -34,7 +34,7 @@ def _policy(setup, i, arms, seed):
         "proposed_ucb_tuned": lambda: UcbTunedPolicy(len(arms), rng),
         "epsilon_greedy": lambda: EpsilonGreedyPolicy(len(arms), cfg.epsilon, rng),
         "fixed": lambda: FixedPolicy(select_fixed(i, arms)),
-        "adr_lite": lambda: AdrLitePolicy(adr_lite_search(arms, cfg.adr_quality_mhz)),
+        "adr_lite": lambda: AdrLitePolicy(adr_lite_search(arms)),
     }[setup.policy]()
 
 

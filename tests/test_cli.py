@@ -72,14 +72,17 @@ REFUSED = [
     ({"interval_s": 0.03, "policies": ["adr_lite"]}, None),
     ({"radio": {"sf": 3}}, None),
     ({"radio": {"sf": 13}}, None),
-    ({"policies": ["adr_lite"], "channels": TWO_CHANNELS}, None),
+    # ADR-Lite runs on any plan but one whose channels the gateway never hears.
+    ({"policies": ["adr_lite"], "channels": [TWO_CHANNELS[0] | {"receivable": False}]},
+     "at least one channel must be receivable"),
     ({"radio": {"sf": "x"}}, None),
     ({"radio": 7}, None),
     ({"energy": 5}, None),
     ({"powers": [{"level_dbm": "x", "draw_mw": 1}]}, "level_dbm must be an integer, got 'x'"),
     ({"channels": 5}, None),
     ({"powers": 5}, None),
-    ({"adr_quality_mhz": 5}, None),
+    # ADR-Lite ranks the channels from the plan: no config field orders them.
+    ({"adr_quality_mhz": 5}, "unknown config fields: ['adr_quality_mhz']"),
     ({"channels": [{"mhz": 921.0, "receivable": "false"}, TWO_CHANNELS[1]]}, None),
     ({"powers": [{"level_dbm": 1.7}, {"level_dbm": 5}]}, None),
     # Times that overflow the microsecond clock (or the int64 start offsets).
@@ -107,9 +110,13 @@ REFUSED = [
     # A run's total active energy that overflows when summed (40 x 1e307 mJ).
     ({"energy": {"e_wu_mj": 1e307}, "t_attempts": 20}, None),
     # A frequency finite in MHz but not in Hz, which records and the manifest
-    # would write as inf, or which ADR-Lite could not compare.
+    # would write as inf.
     ({"channels": [{"mhz": 1e308, "receivable": True}, TWO_CHANNELS[0]], "t_attempts": 2}, None),
-    ({"adr_quality_mhz": [1e308]}, "adr quality frequency in Hz must be a finite number"),
+    # One frequency twice, which ADR-Lite's rank would tell apart only by
+    # whether the gateway hears it.
+    ({"policies": ["adr_lite"],
+      "channels": [TWO_CHANNELS[0], TWO_CHANNELS[0] | {"receivable": False}]},
+     "duplicate channel frequency 921.0 MHz"),
     # Sweep points given twice, whose jobs would overwrite each other's files.
     ({"policies": ["fixed", "fixed"], "device_counts": [2, 2], "t_attempts": 2}, None),
     ({"device_counts": [2, 3, 2]}, None),
@@ -123,8 +130,8 @@ REFUSED = [
     ({"energy": {"e_wu_mj": 3e-309, "e_proc_mj": 3e-309, "e_r_mj": 3e-309, "p_mcu_mw": 1e-310},
       "powers": [{"level_dbm": 1, "draw_mw": 1e-310}, {"level_dbm": 5, "draw_mw": 2e-310}],
       "device_counts": [3]}, None),
-    # An ADR order entry that is not a number.
-    ({"adr_quality_mhz": ["921"]}, "adr_quality_mhz entry must be a finite number, got '921'"),
+    # A config that earlier versions saved names the ADR order, if only as null.
+    ({"adr_quality_mhz": None}, "unknown config fields: ['adr_quality_mhz']"),
 ]
 
 
@@ -139,6 +146,22 @@ def test_validate_implies_run(tmp_path, capsys, doc, message):
     assert err.count("config error") == 2
     if message is not None:
         assert err.count(message) == 2, err
+
+
+def test_adr_lite_runs_on_any_plan(tmp_path, capsys):
+    # A plan other than the default one, given in no particular order, with
+    # a channel the gateway does not hear.
+    channels = [{"mhz": 922.2, "receivable": True}, {"mhz": 900.4, "receivable": False},
+                {"mhz": 900.0, "receivable": True}]
+    for plan in (TWO_CHANNELS, channels):
+        cfg = write_config(tmp_path, TINY | {"policies": ["adr_lite"], "channels": plan})
+        out = tmp_path / "out"
+        assert main(["validate", cfg]) == EXIT_OK
+        assert main(["run", cfg, "--out", str(out)]) == EXIT_OK
+        (records,) = (out / "records").iterdir()
+        assert len(records.read_text().splitlines()) == 2 * TINY["t_attempts"]
+        shutil.rmtree(out)
+    capsys.readouterr()
 
 
 def test_validate_unparseable(tmp_path, capsys):

@@ -204,13 +204,11 @@ def test_load_config_reports_parse_line(tmp_path):
 
 def test_load_config_round_trip(tmp_path):
     path = tmp_path / "cfg.json"
-    doc = {"device_counts": [4, 8], "runs_per_point": 2, "epsilon": 0.2,
-           "adr_quality_mhz": [920.6, 922.2, 921.0, 921.4, 921.8]}
+    doc = {"device_counts": [4, 8], "runs_per_point": 2, "epsilon": 0.2}
     path.write_text(json.dumps(doc))
     cfg = load_config(path)
     assert cfg.device_counts == [4, 8]
     assert cfg.epsilon == 0.2
-    assert cfg.adr_quality_mhz == doc["adr_quality_mhz"]
 
 
 def test_config_hash_stability_and_sensitivity():
@@ -225,7 +223,7 @@ def test_default_config_hash_pinned():
     # A default sweep is keyed by this hash; moving where a default is
     # written must not change it.
     assert config_from_dict({}).config_hash() == (
-        "462a570feee249e0a2eb80def18d16f76d6f154f18e0e8755a2f1ef359b10eb9"
+        "777ae9503fa5f2a5da50cf671dda77e08e1083d2438d5140b4a759607fa297f3"
     )
 
 
@@ -265,19 +263,18 @@ def test_frequencies_must_read_back_from_their_mhz():
 
 def test_saved_document_names_each_field_once():
     # The saved document holds the config's own fields under their own
-    # names: each draw once, on its power, and the ADR order in MHz as given.
+    # names: each draw once, on its power, and each channel in MHz.
     cfg = config_from_dict({})
     assert vars(cfg).keys() == cfg.to_dict().keys() == _DEFAULTS.keys()
     assert list(cfg.to_dict()["energy"]) == list(EnergyModel.__slots__)
     plan = [{"mhz": mhz, "receivable": True} for mhz in (920, 921, 922)]
-    cfg = config_from_dict({"channels": plan, "adr_quality_mhz": [920, 921, 922]})
+    cfg = config_from_dict({"channels": plan})
     saved = json.loads(json.dumps(cfg.to_dict()))
-    assert saved["adr_quality_mhz"] == [920.0, 921.0, 922.0]
-    assert all(type(mhz) is float for mhz in saved["adr_quality_mhz"])
+    assert [c["mhz"] for c in saved["channels"]] == [920.0, 921.0, 922.0]
+    assert all(type(c["mhz"]) is float for c in saved["channels"])
     back = config_from_dict(saved)
     assert vars(back) == vars(cfg) and back.config_hash() == cfg.config_hash()
-    built = ExperimentConfig(channels=[Channel(mhz * 1e6, True) for mhz in (920, 921, 922)],
-                             adr_quality_mhz=(920, 921, 922))
+    built = ExperimentConfig(channels=[Channel(mhz * 1e6, True) for mhz in (920, 921, 922)])
     assert built.config_hash() == cfg.config_hash()
 
 
@@ -286,8 +283,7 @@ def test_saved_document_names_each_field_once():
 def test_document_frequencies_always_read_back(mhz):
     # Every finite MHz a document gives reads back from its own Hz: only a
     # config built in Python meets the read-back check.
-    doc = {"policies": ["fixed", "adr_lite"], "channels": [{"mhz": mhz, "receivable": True}],
-           "adr_quality_mhz": [mhz]}
+    doc = {"policies": ["fixed", "adr_lite"], "channels": [{"mhz": mhz, "receivable": True}]}
     try:
         config_from_dict(doc)
     except ConfigError as exc:
@@ -317,7 +313,6 @@ def test_library_values_checked_as_json_ones(build):
     ("channels", 5),
     ("channels", [(921e6, True)]),
     ("powers", [(1, 30.0)]),
-    ("adr_quality_mhz", 5),
 ])
 def test_nested_field_of_the_wrong_type(field, value):
     # A config built in Python gets a ConfigError, not an AttributeError or
@@ -492,12 +487,6 @@ def config_docs(draw):
     )))
     doc["t_attempts"] = draw(st.integers(1, 5))
     draw(_powers(doc))
-
-    # ADR-Lite needs a quality order for any plan but the default one.
-    custom = "adr_lite" in doc.get("policies", POLICY_NAMES) and "channels" in doc
-    if custom or draw(st.integers(0, 3)) == 0:
-        plan = [c["mhz"] for c in doc["channels"]] if "channels" in doc else DEFAULT_CHANNEL_MHZ
-        doc["adr_quality_mhz"] = draw(st.permutations(plan))
 
     # The interval must outlast carrier sense plus the longest airtime of the
     # payloads the default device counts use.

@@ -337,15 +337,13 @@ MHZ = (920.6, 921.0, 921.4, 921.8, 922.2, 923.0)
 
 @st.composite
 def channel_plans(draw):
-    """A custom channel plan, with at least one receivable channel, and the
-    quality order ADR-Lite needs for it."""
+    """A custom channel plan, with at least one receivable channel."""
     mhz = draw(st.lists(st.sampled_from(MHZ), min_size=1, max_size=4, unique=True))
     deaf = draw(st.lists(st.booleans(), min_size=len(mhz), max_size=len(mhz)))
     heard = draw(st.integers(0, len(mhz) - 1))
     return {
         "channels": [{"mhz": m, "receivable": i == heard or not d}
                      for i, (m, d) in enumerate(zip(mhz, deaf))],
-        "adr_quality_mhz": draw(st.permutations(mhz)),
     }
 
 
@@ -371,7 +369,6 @@ def small_configs(draw):
 TIE_DOC = {
     "t_attempts": 30, "interval_s": 0.08, "cs_duration_s": 0.0, "payload_spread": 1,
     "channels": [{"mhz": 921.0, "receivable": True}, {"mhz": 921.4, "receivable": False}],
-    "adr_quality_mhz": [921.4, 921.0],
 }
 # Seed 10370 gives devices 1 and 4 the same start offset; seed 4955 ends a
 # transmission in the µs another device wakes.
@@ -706,12 +703,11 @@ def test_runs_share_the_decision_lists_of_fixed_and_adr_lite():
     # decision the one a device-by-device build gives.
     cfg = config_from_dict({"channels": [{"mhz": 921.4, "receivable": True},
                                          {"mhz": 920.6, "receivable": False},
-                                         {"mhz": 921.0, "receivable": True}],
-                            "adr_quality_mhz": [920.6, 921.4, 921.0]})
+                                         {"mhz": 921.0, "receivable": True}]})
     arms = build_arm_space(cfg.channels, cfg.powers)
     fixed = netsim._make_policies(cfg.run_setup("fixed", 5), arms, 1)
     assert [p.decision for p in fixed] == [select_fixed(i, arms) for i in range(5)]
     assert fixed[0].decision is fixed[2].decision is fixed[4].decision
     adr = netsim._make_policies(cfg.run_setup("adr_lite", 5), arms, 1)
-    assert adr[0].search == adr_lite_search(arms, cfg.adr_quality_mhz)
+    assert adr[0].search == adr_lite_search(arms)
     assert all(p.search is adr[0].search for p in adr)

@@ -615,26 +615,13 @@ def test_adr_list_default_order():
         assert len(levels) == 1
 
 
-def test_adr_list_rejects_unknown_plan_without_order():
-    channels = [Channel(900.0e6, True), Channel(900.4e6, False)]
-    with pytest.raises(ConfigError):
-        adr_lite_list(build_arm_space(channels, default_powers()))
-
-
-def test_adr_list_explicit_quality_order():
-    channels = [Channel(900.0e6, True), Channel(900.4e6, False)]
-    combos = adr_lite_list(
-        build_arm_space(channels, default_powers()[:2]), quality_order_mhz=[900.4, 900.0]
-    )
+def test_adr_list_ranks_any_plan_deaf_first_then_by_frequency():
+    # A plan other than the default one, listed out of order: at each power
+    # the deaf channel first, then the heard ones by ascending frequency.
+    channels = [Channel(922.2e6, True), Channel(900.4e6, False), Channel(900.0e6, True)]
+    combos = adr_lite_list(build_arm_space(channels, default_powers()[:3]))
     assert [(c.channel.mhz, c.power.level_dbm) for c in combos] == [
-        (900.4, -3), (900.0, -3), (900.4, 1), (900.0, 1)]
-
-
-def test_adr_list_rejects_incomplete_quality_order():
-    channels = [Channel(900.0e6, True), Channel(900.4e6, False)]
-    with pytest.raises(ConfigError):
-        adr_lite_list(build_arm_space(channels, default_powers()[:1]),
-                      quality_order_mhz=[900.0])
+        (mhz, dbm) for dbm in (-3, 1, 5) for mhz in (900.4, 900.0, 922.2)]
 
 
 def test_adr_policy_starts_at_tail_and_walks():
