@@ -624,6 +624,15 @@ def test_adr_list_ranks_any_plan_deaf_first_then_by_frequency():
         (mhz, dbm) for dbm in (-3, 1, 5) for mhz in (900.4, 900.0, 922.2)]
 
 
+def test_adr_list_explicit_quality_order():
+    # The two-channel plan's quality order, deaf 900.4 MHz before heard
+    # 900.0 MHz, needs no explicit list: it is the rank adr_lite_list derives.
+    channels = [Channel(900.0e6, True), Channel(900.4e6, False)]
+    combos = adr_lite_list(build_arm_space(channels, default_powers()[:2]))
+    assert [(c.channel.mhz, c.power.level_dbm) for c in combos] == [
+        (900.4, -3), (900.0, -3), (900.4, 1), (900.0, 1)]
+
+
 def test_adr_policy_starts_at_tail_and_walks():
     arms = default_arms()
     policy = AdrLitePolicy(adr_lite_search(arms))
