@@ -17,10 +17,7 @@ airtime/energy model, ``lorabandit.policies``, ``lorabandit.netsim``, ...).
 __version__ = "0.1.0"
 
 from .params import ConfigError
-from .netsim import run_simulation
-from .metrics import summarize_run
 from .config import ExperimentConfig
-from .sweep import run_sweep
 
 __all__ = [
     "ConfigError",
@@ -29,3 +26,14 @@ __all__ = [
     "run_sweep",
     "summarize_run",
 ]
+
+# Loaded on first use (PEP 562), so that `import lorabandit`, and with it
+# `lorabandit validate`, compiles no sweep driver, policies or metrics fold.
+_LAZY = {"run_simulation": "netsim", "summarize_run": "metrics", "run_sweep": "sweep"}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    return getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)

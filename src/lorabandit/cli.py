@@ -17,11 +17,17 @@ import sys
 
 from .config import load_config
 from .params import ConfigError
-from .sweep import RunManifest, emit_tables, run_sweep
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
+
+
+def __getattr__(name):  # cli.run_sweep still resolves, with sweep imported on demand
+    if name != "run_sweep":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .sweep import run_sweep
+    return run_sweep
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,18 +61,20 @@ def main(argv=None) -> int:
                   f"{cfg.runs_per_point} runs per point, hash {cfg.config_hash()[:12]}")
             return EXIT_OK
 
+        from . import sweep  # only run and tables load the sweep driver
+
         if args.command == "run":
             cfg = load_config(args.config)
             if args.seed is not None:
                 cfg.base_seed = args.seed
-            manifest = run_sweep(cfg, args.out, parallel=args.parallel)
+            manifest = sweep.run_sweep(cfg, args.out, parallel=args.parallel)
             print(f"wrote {len(manifest.runs)} runs under {manifest.out_dir} "
                   f"(config hash {manifest.config_hash[:12]})")
             return EXIT_OK
 
         if args.command == "tables":
-            manifest = RunManifest.load(args.manifest)
-            for path in emit_tables(manifest):
+            manifest = sweep.RunManifest.load(args.manifest)
+            for path in sweep.emit_tables(manifest):
                 print(path)
             return EXIT_OK
 

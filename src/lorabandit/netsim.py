@@ -17,14 +17,12 @@ from operator import add, attrgetter
 from typing import TYPE_CHECKING, NamedTuple
 
 from .energy import attempt_energy
-from .metrics import Cause, RunLog
 from .params import ConfigError, ParamCombo, build_arm_space
-from .policies import (AdrLitePolicy, EpsilonGreedyPolicy, FixedPolicy, UcbTunedPolicy,
-                       adr_lite_search, fixed_choices)
 from .rng import device_rng
 
 if TYPE_CHECKING:
     from .config import ExperimentConfig
+    from .metrics import RunLog
 
 POLICY_NAMES = ("proposed_ucb_tuned", "epsilon_greedy", "adr_lite", "fixed")
 
@@ -127,6 +125,9 @@ def _make_policies(setup: RunSetup, arms: list[ParamCombo], seed: int) -> list:
     # observe(arm_index, acked, reward). Only the learners draw, so only they
     # get a random stream. Fixed and ADR-Lite devices share the decisions
     # they choose from, built once.
+    from .policies import (AdrLitePolicy, EpsilonGreedyPolicy, FixedPolicy, UcbTunedPolicy,
+                           adr_lite_search, fixed_choices)
+
     cfg, devices = setup.config, range(setup.n_devices)
     if setup.policy == "proposed_ucb_tuned":
         return [UcbTunedPolicy(len(arms), device_rng(seed, i, stream=0)) for i in devices]
@@ -171,6 +172,8 @@ def run_simulation(setup: RunSetup, seed: int) -> RunLog:
     air move on by the periods copied, and the loop runs the rest. UCB and
     ε-greedy carry their random streams' state, so their runs are never keyed.
     """
+    from .metrics import Cause, RunLog  # imported here, so that validate never loads them
+
     cfg = setup.config
     n_devices = setup.n_devices
     if n_devices < 1:

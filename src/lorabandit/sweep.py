@@ -206,6 +206,8 @@ def _run_forked(jobs: list, workers: int) -> None:
     import pickle  # here, as validate and serial runs need neither
     import select
 
+    from . import policies  # noqa: F401  (loaded once here, not after the fork by every worker)
+
     block = -(-len(jobs) * 4 // select.PIPE_BUF)
     tickets, w = os.pipe()
     os.write(w, b"".join(i.to_bytes(4, "little") for i in range(0, len(jobs), block)))

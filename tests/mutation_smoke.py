@@ -220,6 +220,10 @@ MUTANTS = [
      '_check_number(f"energy.{name}", value, positive=False)', None),
     ("cli", "a config error exits with the runtime error's code",
      "EXIT_CONFIG = 2", "EXIT_CONFIG = 3", None),
+    ("cli", "validate loads the sweep driver again (an eager import)",
+     "from .params import ConfigError\n",
+     "from .params import ConfigError\nfrom .sweep import RunManifest, emit_tables, run_sweep\n",
+     None),
 ]
 
 

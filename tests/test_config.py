@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from lorabandit import netsim
+from lorabandit import netsim, policies
 from lorabandit.config import (
     _DEFAULTS,
     DEFAULT_DEVICE_COUNTS,
@@ -352,8 +352,8 @@ def _count_attempts(monkeypatch) -> list:
     """Every attempt a run makes from here on, as the policies whose select
     it called."""
     made = []
-    for cls in (netsim.UcbTunedPolicy, netsim.EpsilonGreedyPolicy, netsim.FixedPolicy,
-                netsim.AdrLitePolicy):
+    for cls in (policies.UcbTunedPolicy, policies.EpsilonGreedyPolicy, policies.FixedPolicy,
+                policies.AdrLitePolicy):
         def counting(self, select=cls.select):
             made.append(self)
             return select(self)

@@ -18,6 +18,7 @@ from lorabandit.config import ExperimentConfig
 from lorabandit.metrics import Cause
 from lorabandit.netsim import device_rng, run_simulation
 from lorabandit.params import build_arm_space
+from lorabandit.policies import adr_lite_list
 from lorabandit.sweep import run_seed
 from reference_offsets import fixed_causes, ucb_initial_causes
 
@@ -147,3 +148,29 @@ def test_overhead_dominates_every_attempt_energy(ucb_runs):
             shares.add(overhead / r.e_active)
     assert round(100 * min(shares), 1) == 89.4
     assert round(100 * max(shares), 1) == 98.9
+
+
+# ADR-Lite's walk through its 25-entry list when one device has the gateway
+# to itself: after 24 and 12 it repeats these 11 list indices, entered at 6.
+ADR_CYCLE = [13, 6, 15, 20, 22, 11, 18, 9, 4, 2, 1]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 20240901])
+def test_adr_lite_alone_walks_an_11_step_cycle_with_6_acks(seed):
+    # Its rate is set by the search order alone: each power's two deaf
+    # channels come first, so a success that halves the index often lands on
+    # one, and every failure is a deaf pick. One device gets 110 of 200.
+    position = {a.arm_index: i for i, a in enumerate(adr_lite_list(ARMS))}
+    records = sorted(run_simulation(CFG.run_setup("adr_lite", 1), seed),
+                     key=lambda r: r.attempt)
+    walk = [position[r.arm_index] for r in records]
+    assert len(walk) == CFG.t_attempts == 200
+    assert walk[:2] == [24, 12] and walk[12:23] == ADR_CYCLE
+    cycles = [records[k:k + len(ADR_CYCLE)] for k in range(2, len(records), len(ADR_CYCLE))]
+    assert len(cycles) == 18 and all(len(cycle) == len(ADR_CYCLE) for cycle in cycles)
+    for cycle in cycles:
+        assert [position[r.arm_index] for r in cycle] == ADR_CYCLE[1:] + ADR_CYCLE[:1]
+        assert sum(r.acked for r in cycle) == 6
+    assert all(r.acked for r in records[:2])
+    assert {r.cause for r in records if not r.acked} == {Cause.CHANNEL_NOT_RECEIVABLE}
+    assert sum(r.acked for r in records) == 110

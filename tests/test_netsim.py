@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from reference_offsets import fixed_causes, ucb_initial_causes
 from reference_sim import reference_run, select_fixed
 
-from lorabandit import netsim
+from lorabandit import netsim, policies
 from lorabandit.config import ExperimentConfig, config_from_dict
 from lorabandit.energy import attempt_energy, time_on_air
 from lorabandit.metrics import Cause, RunLog, RunRecord, summarize_run
@@ -507,8 +507,8 @@ def test_only_learners_select_every_period(monkeypatch, policy):
     # The learners' random streams never repeat, so they select once per
     # device and period; fixed and ADR-Lite stop once their network repeats.
     calls = Counter()
-    for cls in (netsim.UcbTunedPolicy, netsim.EpsilonGreedyPolicy, netsim.FixedPolicy,
-                netsim.AdrLitePolicy):
+    for cls in (policies.UcbTunedPolicy, policies.EpsilonGreedyPolicy, policies.FixedPolicy,
+                policies.AdrLitePolicy):
         def counting(self, select=cls.select):
             calls[self] += 1
             return select(self)

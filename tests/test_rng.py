@@ -98,6 +98,40 @@ def test_cli_loads_no_dataclasses(tmp_path):
     run_fresh(script)
 
 
+def test_validate_loads_no_sweep_policies_or_metrics(tmp_path):
+    # import lorabandit and validate load neither the sweep driver nor the
+    # policies nor the metrics fold; the package's run_simulation,
+    # summarize_run and run_sweep load on first use, as the submodules' own.
+    config = tmp_path / "empty.json"
+    config.write_text("{}")
+    script = textwrap.dedent(f"""
+        import sys
+        unused = {{"lorabandit.sweep", "lorabandit.policies", "lorabandit.metrics"}}
+        import lorabandit
+        assert not unused & set(sys.modules), sorted(unused & set(sys.modules))
+        import lorabandit.cli
+        assert lorabandit.cli.main(["validate", {str(config)!r}]) == 0
+        assert not unused & set(sys.modules), sorted(unused & set(sys.modules))
+        assert lorabandit.__all__ == ["ConfigError", "ExperimentConfig", "run_simulation",
+                                      "run_sweep", "summarize_run"]
+        from lorabandit import run_simulation, run_sweep, summarize_run
+        from lorabandit import metrics, netsim, sweep
+        assert run_simulation is netsim.run_simulation
+        assert summarize_run is metrics.summarize_run
+        assert run_sweep is sweep.run_sweep
+        star = {{}}
+        exec("from lorabandit import *", star)
+        assert all(star[name] is getattr(lorabandit, name) for name in lorabandit.__all__)
+        try:
+            lorabandit.no_such_name
+        except AttributeError:
+            pass
+        else:
+            raise AssertionError("lorabandit.no_such_name resolved")
+    """)
+    run_fresh(script)
+
+
 def run_fresh(script: str) -> None:
     """Run script in a fresh interpreter that imports this lorabandit."""
     src = str(Path(lorabandit.__file__).resolve().parents[1])

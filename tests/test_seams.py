@@ -7,7 +7,7 @@ in place."""
 import importlib.util
 from pathlib import Path
 
-from lorabandit import sweep
+from lorabandit import cli, sweep
 from lorabandit.config import ExperimentConfig
 from lorabandit.metrics import RunLog
 
@@ -64,3 +64,26 @@ def test_serial_sweep_calls_through_the_traced_names(tmp_path, monkeypatch):
         assert Path(path) == tmp_path / "out" / entry["records"]
         summarized, config_hash = summary_args
         assert summarized is log and config_hash == manifest.config_hash
+
+
+def test_cli_run_calls_run_sweep_on_the_sweep_module(tmp_path, monkeypatch):
+    # cli.main looks run_sweep up on the sweep module when it runs, where the
+    # benchmark wraps it as its sweep.run_sweep span; cli binds no copy of
+    # its own at import.
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append((args, kwargs))
+        return sweep_run_sweep(*args, **kwargs)
+
+    sweep_run_sweep = sweep.run_sweep
+    monkeypatch.setattr(sweep, "run_sweep", counting)
+    config = tmp_path / "small.json"
+    config.write_text('{"policies": ["fixed"], "device_counts": [2], "runs_per_point": 1, '
+                      '"t_attempts": 3}')
+    out = tmp_path / "out"
+    assert cli.main(["run", str(config), "--out", str(out), "--parallel", "1"]) == 0
+    assert len(calls) == 1
+    (cfg, out_dir), kwargs = calls[0]
+    assert cfg.policies == ["fixed"] and out_dir == str(out) and kwargs == {"parallel": 1}
+    assert (out / "manifest.json").is_file()
