@@ -1,11 +1,11 @@
 """Command-line entry point.
 
 Verbs:
-  run <config.json> [--out DIR] [--seed INT] [--parallel K]
+  run <config.json> [--out DIR] [--parallel K]
   tables <manifest.json>
   validate <config.json>
 
---seed replaces the config's base_seed: any integer, used mod 2**64.
+The seed is the config's base_seed: any integer, used mod 2**64.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime error.
 """
@@ -40,7 +40,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="execute a full experiment sweep")
     run_p.add_argument("config", help="JSON config file ({} uses all defaults)")
     run_p.add_argument("--out", default="results", help="output directory (default: ./results)")
-    run_p.add_argument("--seed", type=int, default=None, help="override base seed")
     run_p.add_argument("--parallel", type=int, default=1, help="worker processes (default: 1)")
 
     tab_p = sub.add_parser("tables", help="re-emit CSV tables from a manifest")
@@ -65,8 +64,6 @@ def main(argv=None) -> int:
 
         if args.command == "run":
             cfg = load_config(args.config)
-            if args.seed is not None:
-                cfg.base_seed = args.seed
             manifest = sweep.run_sweep(cfg, args.out, parallel=args.parallel)
             print(f"wrote {len(manifest.runs)} runs under {manifest.out_dir} "
                   f"(config hash {manifest.config_hash[:12]})")

@@ -34,8 +34,8 @@ _DEFAULTS = {
     "runs_per_point": 5, "t_attempts": 200, "interval_s": 10.0,
     "channels": default_channels(), "powers": default_powers(),
     "energy": EnergyModel(), "radio": RadioConfig(),
-    "epsilon": 0.1, "cs_duration_s": 0.005, "epsilon_reward": "energy",
-    "payload_base": 36, "payload_spread": 9, "base_seed": 20240901,
+    "epsilon": 0.1, "cs_duration_s": 0.005, "payload_base": 36, "payload_spread": 9,
+    "base_seed": 20240901,
 }
 
 
@@ -76,8 +76,6 @@ class ExperimentConfig:
             raise ConfigError("epsilon must be in [0, 1]")
         if self.cs_duration_s < 0:
             raise ConfigError("cs_duration_s must be non-negative")
-        if self.epsilon_reward not in ("energy", "ack"):
-            raise ConfigError("epsilon_reward must be 'energy' or 'ack'")
         for name, kind in (("radio", RadioConfig), ("energy", EnergyModel)):
             value = getattr(self, name)
             if not isinstance(value, kind):

@@ -182,7 +182,6 @@ def run_simulation(setup: RunSetup, seed: int) -> RunLog:
     arms = build_arm_space(cfg.channels, cfg.powers)
     interval_us = round(cfg.interval_s * 1e6)
     cs_us = round(cfg.cs_duration_s * 1e6)
-    ack_only = setup.policy == "epsilon_greedy" and cfg.epsilon_reward == "ack"
 
     # Per payload size, per arm, by outcome (RunLog's: the collided flag of
     # an end of airtime, or 2 for CarrierBusy): its record's (channel_hz,
@@ -198,8 +197,7 @@ def run_simulation(setup: RunSetup, seed: int) -> RunLog:
             hz, dbm, heard = a.channel.center_frequency_hz, a.power.level_dbm, a.channel.receivable
             deaf = (hz, dbm, Cause.CHANNEL_NOT_RECEIVABLE, False, 0.0, e_toa, e_active)
             ends[n_payload].append((
-                (hz, dbm, Cause.SUCCESS, True, 1.0 if ack_only else reward, e_toa, e_active)
-                if heard else deaf,
+                (hz, dbm, Cause.SUCCESS, True, reward, e_toa, e_active) if heard else deaf,
                 (hz, dbm, Cause.COLLISION, False, 0.0, e_toa, e_active) if heard else deaf,
                 (hz, dbm, Cause.CARRIER_BUSY, False, 0.0, 0.0, overhead_mj)))
     payloads = [payload_symbols(i, cfg.payload_base, cfg.payload_spread) for i in range(n_devices)]

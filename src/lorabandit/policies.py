@@ -55,6 +55,8 @@ class ArmState:
 
 
 class PolicyDecision(NamedTuple):
+    """An arm and its phase, which perfbench's traced UCB span reads."""
+
     arm_index: int
     phase: Phase = Phase.LEARNED
 

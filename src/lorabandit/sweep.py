@@ -14,6 +14,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import __version__
+from . import policies  # noqa: F401  (every run needs it: compiled before any job or fork)
 from .config import ExperimentConfig
 from .metrics import MetricsSummary, RunLog, RunRecord, aggregate_runs, summarize_run
 from .netsim import run_simulation
@@ -206,8 +207,6 @@ def _run_forked(jobs: list, workers: int) -> None:
     import pickle  # here, as validate and serial runs need neither
     import select
 
-    from . import policies  # noqa: F401  (loaded once here, not after the fork by every worker)
-
     block = -(-len(jobs) * 4 // select.PIPE_BUF)
     tickets, w = os.pipe()
     os.write(w, b"".join(i.to_bytes(4, "little") for i in range(0, len(jobs), block)))
@@ -237,7 +236,9 @@ def _run_forked(jobs: list, workers: int) -> None:
 
 def run_sweep(cfg: ExperimentConfig, out_dir, parallel: int = 1) -> RunManifest:
     """Execute the full sweep and write all artifacts under out_dir, in at
-    most parallel processes (a parallel of 1 or less runs it serially).
+    most parallel processes (a parallel of 1 or less runs it serially). The
+    workers are forked, which is unsafe in a process that runs threads: such
+    a caller passes 1.
 
     If it fails, it removes the files it writes and the directories it made;
     a directory that existed before the call stays.

@@ -1,10 +1,10 @@
 """Mutation smoke test: do the tests notice small, deliberate bugs?
 
 Each mutant replaces one snippet of a module in src/lorabandit with a wrong
-one, in a copy of src/, tests/ and perfbench/ made in a temporary
-directory, and runs the tests there against the copy, with the acceptance
-module and the snippet check (test_mutants.py, which any mutant fails) left
-out. It first runs only the tests near the mutated module: its own test
+one, in a copy of src/, tests/, perfbench/, demos/ and README.md made in a
+temporary directory, and runs the tests there against the copy, with the
+acceptance module and the snippet check (test_mutants.py, which any mutant
+fails) left out. It first runs only the tests near the mutated module: its own test
 module, then every other test module that imports it or checks it through
 another module (CHECKED_THROUGH). A mutant that these
 pass gets a full run, and survives if no test fails there, so a survivor's
@@ -82,8 +82,6 @@ MUTANTS = [
      "template.sort(key=lambda event: (event[0], -event[1]))", None),
     ("netsim", "the reward divides by e_active, not e_toa",
      "e_toa[0] / e.e_toa_mj", "e_toa[0] / e.e_active_mj", None),
-    ("netsim", "epsilon-greedy's ack mode earns the energy reward",
-     "1.0 if ack_only else reward", "reward", None),
     ("metrics", "wake_time from seconds, not whole µs",
      "(attempt * self.interval_us + self.offsets_us[device]) / 1e6",
      "attempt * (self.interval_us / 1e6) + self.offsets_us[device] / 1e6", None),
@@ -282,10 +280,12 @@ def run_mutant(module: str, snippet: str | None, replacement: str | None) -> tup
     is: the control run, which the full suite must pass."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         work = Path(tmp)
-        # perfbench/spans.py too: tests/test_seams.py reads its traced names.
-        for tree in ("src", "tests", "perfbench"):
+        # perfbench/spans.py too: tests/test_seams.py reads its traced names;
+        # and the demos and README.md, which tests/test_demos.py runs.
+        for tree in ("src", "tests", "perfbench", "demos"):
             shutil.copytree(ROOT / tree, work / tree,
                             ignore=shutil.ignore_patterns("__pycache__", ".perfbench"))
+        shutil.copy(ROOT / "README.md", work)
         path = work / "src" / "lorabandit" / f"{module}.py"
         text = path.read_text(encoding="utf-8")
         if snippet is not None:

@@ -100,13 +100,10 @@ def reference_run(setup, seed, events=None):
         reward = 0.0
         acked = cause == Cause.SUCCESS
         if acked:
-            if setup.policy == "epsilon_greedy" and cfg.epsilon_reward == "ack":
-                reward = 1.0
-            else:
-                n_payload = devices[tx["device"]]["payload"]
-                e_min = min(attempt_energy(cfg.radio, n_payload, cfg.energy, p).e_toa_mj
-                            for p in cfg.powers)
-                reward = e_min / energy.e_toa_mj
+            n_payload = devices[tx["device"]]["payload"]
+            e_min = min(attempt_energy(cfg.radio, n_payload, cfg.energy, p).e_toa_mj
+                        for p in cfg.powers)
+            reward = e_min / energy.e_toa_mj
         devices[tx["device"]]["policy"].observe(arm.arm_index, acked, reward)
         records.append(RunRecord(
             seed, tx["device"], tx["attempt"], arm.arm_index,

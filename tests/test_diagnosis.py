@@ -102,6 +102,29 @@ def test_ucb_unreceivable_pulls_at_30_check_the_carrier_first(ucb_runs):
     assert pulls.count(Cause.CARRIER_BUSY) == oracle.count(Cause.CARRIER_BUSY) == 310
 
 
+def test_ucb_at_30_stuck_devices_find_their_shadower_on_air_after_learning(ucb_runs):
+    # Each stuck device-run has a shadower: the device that wakes nearest
+    # before it, always within 56 ms and in the same period. Every learned
+    # attempt the stuck device makes on the channel its shadower picked in
+    # that period finds the carrier busy: 1,809 of their 5,425.
+    runs = [device for n, device in ucb_runs if n == 30]
+    on_shadower, stuck, learned = [], 0, 0
+    for devices in (runs[k:k + 30] for k in range(0, len(runs), 30)):
+        wakes = [device[0].wake_time for device in devices]
+        for device, wake in zip(devices, wakes):
+            if sum(r.acked for r in device) / len(device) >= 0.7:
+                continue
+            stuck += 1
+            learned += len(device) - len(ARMS)
+            lag, shadower = min((wake - other, j) for j, other in enumerate(wakes) if other < wake)
+            assert lag < 0.056
+            on_shadower += [r.cause for r in device[len(ARMS):]
+                            if r.channel_hz == devices[shadower][r.attempt].channel_hz]
+    assert (stuck, learned) == (31, 5425)
+    assert len(on_shadower) == 1809
+    assert set(on_shadower) == {Cause.CARRIER_BUSY}
+
+
 def test_fixed_success_rate_is_one_minus_shadowed_share(fixed_runs):
     # A fixed device is acked on every attempt or on none, so its point's
     # rate is 1 - k/N, k the devices the offsets oracle finds shadowed.

@@ -356,7 +356,6 @@ def small_configs(draw):
         "interval_s": draw(st.sampled_from([0.08, 0.1]) | st.floats(0.08, 2.0)),
         "cs_duration_s": draw(st.sampled_from([0.0, 1e-6, 0.005, 0.02])),
         "payload_spread": draw(st.integers(1, 9)),
-        "epsilon_reward": draw(st.sampled_from(["energy", "ack"])),
         "epsilon": draw(st.sampled_from([0.0, 0.1, 1.0])),
     }
     if draw(st.booleans()):

@@ -27,6 +27,7 @@ from lorabandit.sweep import (
     write_records,
 )
 from lorabandit.netsim import run_simulation
+from lorabandit.params import TxPower
 from reference_metrics import summarize_run as reference_summary
 
 
@@ -252,12 +253,12 @@ def test_grouped_summaries_match_the_per_record_fold(records):
 # --- sweeps ------------------------------------------------------------------
 
 def test_sweep_records_bytes_pinned(tmp_path):
-    # The records/ bytes of a small sweep over all four policies, epsilon-greedy
-    # in ack mode (its means tie at 1.0), as written before the record writer
-    # reused line fragments and epsilon-greedy kept its tie set up to date.
+    # The records/ bytes of a small sweep over all four policies at one power,
+    # so that every ACK reward is e_toa / e_toa = 1.0 and epsilon-greedy's
+    # means tie often: it draws over a tie of several arms in most selects.
     cfg = ExperimentConfig(
         policies=["proposed_ucb_tuned", "epsilon_greedy", "adr_lite", "fixed"],
-        device_counts=[3, 8], runs_per_point=2, t_attempts=60, epsilon_reward="ack",
+        device_counts=[3, 8], runs_per_point=2, t_attempts=60, powers=[TxPower(-3, 15.0)],
         base_seed=11,
     )
     run_sweep(cfg, tmp_path / "out")
@@ -265,7 +266,7 @@ def test_sweep_records_bytes_pinned(tmp_path):
     for path in sorted((tmp_path / "out" / "records").iterdir()):
         digest.update(path.name.encode() + b"\0" + path.read_bytes())
     assert digest.hexdigest() == (
-        "71b7d669fbc4602523967a12e499d1e9142948fd308b81e2a89114fcc6a6594d")
+        "a8dc21bd2884e0dd68109a66930b957ef75a2729ce9a7fea74e69b832b636f10")
 
 
 def test_sweep_summaries_match_the_per_record_fold(tmp_path):
